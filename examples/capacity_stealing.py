@@ -16,7 +16,6 @@ Usage::
     python examples/capacity_stealing.py [accesses_per_core]
 """
 
-import itertools
 import sys
 
 from repro import CmpSystem, NurapidCache, PrivateCaches, SharedCache, make_mix
@@ -28,10 +27,10 @@ MIX = "MIX1"
 def run(design, accesses_per_core):
     system = CmpSystem(design)
     workload = make_mix(MIX)
-    events = workload.events(accesses_per_core=2 * accesses_per_core)
-    system.run(itertools.islice(events, accesses_per_core * workload.num_cores))
-    system.reset_stats()
-    system.run(events)
+    system.run_chunks(
+        workload.chunks(accesses_per_core=2 * accesses_per_core),
+        warmup_events=accesses_per_core * workload.num_cores,
+    )
     return workload, system.stats()
 
 

@@ -12,7 +12,6 @@ Usage::
     python examples/design_space.py [workload] [accesses_per_core]
 """
 
-import itertools
 import sys
 
 from repro import CmpSystem, NurapidCache, make_workload
@@ -24,10 +23,10 @@ def run(params, workload_name, accesses_per_core):
     design = NurapidCache(params)
     system = CmpSystem(design)
     workload = make_workload(workload_name)
-    events = workload.events(accesses_per_core=2 * accesses_per_core)
-    system.run(itertools.islice(events, accesses_per_core * workload.num_cores))
-    system.reset_stats()
-    system.run(events)
+    system.run_chunks(
+        workload.chunks(accesses_per_core=2 * accesses_per_core),
+        warmup_events=accesses_per_core * workload.num_cores,
+    )
     stats = system.stats()
     return design, stats
 

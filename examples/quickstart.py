@@ -28,7 +28,6 @@ designs stay untouched baselines):
 * ``REPRO_PROFILE=1`` — print wall-clock timings of the hot paths.
 """
 
-import itertools
 import os
 import sys
 
@@ -61,20 +60,18 @@ def run_design(name, accesses_per_core):
     if profiler is not None:
         profiler.instrument(system)
     workload = make_workload("oltp")
-    events = workload.events(accesses_per_core=2 * accesses_per_core)
+    chunks = workload.chunks(accesses_per_core=2 * accesses_per_core)
     warmup_events = accesses_per_core * workload.num_cores
     if CHECK_EVERY:
         from repro.harness import HarnessConfig, run_events
 
         run_events(
-            system, events, warmup_events,
+            system, chunks, warmup_events,
             HarnessConfig(check_every=CHECK_EVERY),
             profiler=profiler,
         )
     else:
-        system.run(itertools.islice(events, warmup_events))
-        system.reset_stats()
-        system.run(events)
+        system.run_chunks(chunks, warmup_events)
     if metrics is not None:
         series = metrics.finish()
         if METRICS_PATH.endswith(".csv"):

@@ -35,14 +35,13 @@ poison cells (inspect with ``repro quarantine``).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.common.rng import DEFAULT_SEED
 from repro.common.types import MissClass
-from repro.cpu.system import CmpSystem, TimedAccess
+from repro.cpu.system import CmpSystem, EventChunk
 from repro.experiments import ablations, energy_report, sensitivity, smp_contrast, suite
 from repro.experiments.charts import BarGroup, StackedBar, render_grouped_bars, render_stacked_bars
 from repro.experiments.report import format_table, pct
@@ -94,15 +93,15 @@ def _workload_name(args) -> str:
     return args.mix or args.workload or "oltp"
 
 
-def _make_events(args) -> "tuple[Iterable[TimedAccess], int, int]":
-    """Build the event stream; returns (events, warmup_events, cores)."""
+def _make_chunks(args) -> "tuple[Iterator[EventChunk], int]":
+    """Build the event stream; returns (chunks, warmup_events)."""
     total = args.warmup + args.accesses
     if args.mix:
         workload = make_mix(args.mix, seed=args.seed)
     else:
         workload = make_workload(args.workload or "oltp", seed=args.seed)
-    events = workload.events(accesses_per_core=total)
-    return events, args.warmup * workload.num_cores, workload.num_cores
+    chunks = workload.chunks(accesses_per_core=total)
+    return chunks, args.warmup * workload.num_cores
 
 
 def _check_interval(text: str):
@@ -183,12 +182,7 @@ def _run_one(design_name: str, args, tracer=None, metrics=None, profiler=None):
     system = CmpSystem(design, tracer=tracer, metrics=metrics)
     if profiler is not None:
         profiler.instrument(system)
-    events, warmup_events, _ = _make_events(args)
-    iterator = iter(events)
-    if warmup_events:
-        system.run(itertools.islice(iterator, warmup_events))
-        system.reset_stats()
-    system.run(iterator)
+    system.run_chunks(*_make_chunks(args))
     return design, system.stats()
 
 
@@ -326,7 +320,7 @@ def _run_one_batch(design_name: str, args):
     return results[(workload_name, design_name, multiprogrammed, bus_model)]
 
 
-def _events_from_meta(meta: dict):
+def _chunks_from_meta(meta: dict):
     """Rebuild the deterministic event stream a checkpoint was cut from."""
     seed = meta.get("seed", DEFAULT_SEED)
     try:
@@ -340,8 +334,8 @@ def _events_from_meta(meta: dict):
             f"checkpoint metadata is missing {missing}; was it written by "
             "this CLI?"
         ) from None
-    events = workload.events(accesses_per_core=total)
-    return events, meta["warmup"] * workload.num_cores
+    chunks = workload.chunks(accesses_per_core=total)
+    return chunks, meta["warmup"] * workload.num_cores
 
 
 def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
@@ -357,7 +351,7 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
             system.attach_metrics(metrics)
         if profiler is not None:
             profiler.instrument(system)
-        events, warmup_events = _events_from_meta(meta)
+        chunks, warmup_events = _chunks_from_meta(meta)
         config = HarnessConfig(
             check_every=check_every,
             check_full=check_full,
@@ -370,7 +364,7 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
         )
         runner = run_events(
             system,
-            events,
+            chunks,
             warmup_events,
             config,
             start_index=checkpoint.event_index,
@@ -386,7 +380,7 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
     system = CmpSystem(design, metrics=metrics)
     if profiler is not None:
         profiler.instrument(system)
-    events, warmup_events, _ = _make_events(args)
+    chunks, warmup_events = _make_chunks(args)
     meta = {
         "design": design_name,
         "workload": args.workload,
@@ -407,7 +401,7 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
         seed=args.seed,
     )
     runner = run_events(
-        system, events, warmup_events, config, meta=meta,
+        system, chunks, warmup_events, config, meta=meta,
         tracer=tracer, profiler=profiler,
     )
     return design_name, _workload_name(args), runner

@@ -116,7 +116,7 @@ def run_scaled_cell(
     workload = make_workload(workload_name, num_cores=num_cores,
                              seed=config.seed)
     total = config.warmup_per_core + config.measure_per_core
-    events = workload.events(accesses_per_core=total)
+    chunks = workload.chunks(accesses_per_core=total)
     warmup_events = config.warmup_per_core * workload.num_cores
     meta = {
         "design": design_name,
@@ -152,7 +152,7 @@ def run_scaled_cell(
         seed=config.seed,
     )
     runner = run_events(
-        system, events, warmup_events, harness_config,
+        system, chunks, warmup_events, harness_config,
         start_index=start_index, meta=meta, stats_reset=stats_reset,
     )
     # Final snapshot: a finished cell's checkpoint resumes to a no-op.

@@ -113,14 +113,10 @@ def run_core_scaling(
         system = CmpSystem(design, SystemParams(num_cores=cores))
         workload = SyntheticWorkload(spec, num_cores=cores, seed=config.seed)
         total = config.warmup_per_core + config.measure_per_core
-        events = workload.events(accesses_per_core=total)
-        import itertools
-
-        system.run(
-            itertools.islice(events, config.warmup_per_core * cores)
+        system.run_chunks(
+            workload.chunks(accesses_per_core=total),
+            config.warmup_per_core * cores,
         )
-        system.reset_stats()
-        system.run(events)
         stats = system.stats()
         raw[f"{cores}-core"] = stats
         design.check_invariants()

@@ -30,7 +30,6 @@ invariant violations are emitted as typed trace events, and an optional
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.common.dirty import DirtySet
 from repro.common.rng import DEFAULT_SEED
+from repro.cpu.system import EventChunk, split_chunks, timed_events
 from repro.harness.checkpoint import save_checkpoint
 from repro.harness.faults import FaultInjector, FaultSpec
 from repro.harness.invariants import (
@@ -262,7 +262,7 @@ class HarnessRunner:
 
 def run_events(
     system,
-    events: "Iterable",
+    chunks: "Iterable[EventChunk]",
     warmup_events: int,
     config: "Optional[HarnessConfig]" = None,
     start_index: int = 0,
@@ -271,18 +271,17 @@ def run_events(
     tracer: "Optional[Tracer]" = None,
     profiler: "Optional[Profiler]" = None,
 ) -> HarnessRunner:
-    """Warm up, reset statistics, and measure under the harness.
+    """Warm up, reset statistics, and measure a workload's event chunks
+    under the harness.
 
     ``start_index``/``stats_reset`` support resume: the deterministic
-    ``events`` stream is rebuilt by the caller, the already-consumed
-    prefix is skipped here, and the warm-up boundary reset is re-applied
-    only if the checkpoint predates it.  Returns the runner (its
-    ``system`` holds the final state).
+    ``chunks`` stream is rebuilt by the caller, the already-consumed
+    prefix is skipped here (whole chunks at a time; only the one that
+    straddles ``start_index`` is sliced), and the warm-up boundary
+    reset is re-applied only if the checkpoint predates it.  Returns
+    the runner (its ``system`` holds the final state).
     """
-    iterator = iter(events)
-    if start_index:
-        # Fast-forward the regenerated stream past the consumed prefix.
-        next(itertools.islice(iterator, start_index - 1, start_index), None)
+    _, chunks = split_chunks(chunks, start_index)
     runner = HarnessRunner(system, config, meta, tracer=tracer, profiler=profiler)
     runner.event_index = start_index
     runner.stats_reset = stats_reset
@@ -290,8 +289,9 @@ def run_events(
         start_index == warmup_events and not stats_reset
     ):
         if start_index < warmup_events:
-            runner.run(itertools.islice(iterator, warmup_events - start_index))
+            warmup, chunks = split_chunks(chunks, warmup_events - start_index)
+            runner.run(timed_events(warmup))
         system.reset_stats()
         runner.stats_reset = True
-    runner.run(iterator)
+    runner.run(timed_events(chunks))
     return runner

@@ -34,7 +34,6 @@ existing v1 baselines keep working against v2 files.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -97,13 +96,13 @@ def stats_digest(stats) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _cell_events(cell: PlanCell, config):
-    """(workload object, event iterable, warmup event count) for a cell."""
+def _cell_chunks(cell: PlanCell, config):
+    """(event chunks, warmup event count) for a cell."""
     maker = make_mix if cell.multiprogrammed else make_workload
     workload = maker(cell.workload, seed=config.seed)
     total = config.warmup_per_core + config.measure_per_core
-    events = workload.events(accesses_per_core=total)
-    return workload, events, config.warmup_per_core * workload.num_cores
+    chunks = workload.chunks(accesses_per_core=total)
+    return chunks, config.warmup_per_core * workload.num_cores
 
 
 def _time_cell(cell: PlanCell, config, repeats: int) -> "tuple[float, List[float]]":
@@ -148,12 +147,7 @@ def _capture_cell(cell: PlanCell, plan: BenchPlan, capture_dir: str) -> dict:
     system = CmpSystem(design, tracer=tracer, metrics=collector)
     if profiler is not None:
         profiler.instrument(system)
-    _, events, warmup_events = _cell_events(cell, config)
-    iterator = iter(events)
-    if warmup_events:
-        system.run(itertools.islice(iterator, warmup_events))
-        system.reset_stats()
-    system.run(iterator)
+    system.run_chunks(*_cell_chunks(cell, config))
 
     if collector is not None:
         series = collector.finish()

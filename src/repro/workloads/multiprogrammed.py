@@ -17,16 +17,15 @@ Footprints are in 128 B blocks: 16384 blocks = 2 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import List
 
 from repro.common.rng import DEFAULT_SEED, stream
-from repro.cpu.system import TimedAccess
 from repro.workloads.base import (
     RegionSpec,
+    StreamWorkload,
     WorkloadSpec,
     _build_regions,
     _CoreStream,
-    interleave_streams,
 )
 
 
@@ -105,7 +104,7 @@ def _app_spec(app: AppModel) -> WorkloadSpec:
     )
 
 
-class MultiprogrammedWorkload:
+class MultiprogrammedWorkload(StreamWorkload):
     """One Table 2 mix: a different application on each core."""
 
     def __init__(self, mix_name: str, seed: int = DEFAULT_SEED) -> None:
@@ -118,7 +117,7 @@ class MultiprogrammedWorkload:
         self.num_cores = len(self.apps)
         self.seed = seed
 
-    def events(self, accesses_per_core: int) -> "Iterator[TimedAccess]":
+    def _streams(self) -> "List[_CoreStream]":
         streams = []
         for core, app in enumerate(self.apps):
             spec = _app_spec(app)
@@ -127,7 +126,7 @@ class MultiprogrammedWorkload:
             streams.append(
                 _CoreStream(spec, core, self.num_cores, rng, regions, probs)
             )
-        return interleave_streams(streams, accesses_per_core)
+        return streams
 
 
 def make_mix(mix_name: str, seed: int = DEFAULT_SEED) -> MultiprogrammedWorkload:

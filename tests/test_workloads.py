@@ -2,13 +2,14 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.common.rng import stream
 from repro.common.types import AccessType, SharingClass
 from repro.workloads.base import (
+    BATCH,
     BLOCK,
-    EventShaper,
     HotSet,
     RegionSpec,
     SyntheticWorkload,
@@ -24,6 +25,7 @@ from repro.workloads.multithreaded import (
     make_workload,
     workload_spec,
 )
+from tests import workload_reference as reference
 
 
 def tiny_spec(**overrides) -> WorkloadSpec:
@@ -86,20 +88,40 @@ class TestAddresses:
             assert (address // BLOCK) * BLOCK in (address, address - 64)
 
 
+def columns(workload, accesses_per_core):
+    """The workload's chunks, concatenated column by column."""
+    chunks = list(workload.chunks(accesses_per_core))
+    return {
+        name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+        for name in ("core", "address", "is_write", "sharing", "gap", "colocated")
+    }
+
+
 class TestEventShaper:
     def test_long_run_average_matches_spec(self):
         spec = tiny_spec(mem_ratio=0.25, spatial_factor=3.0)
-        shaper = EventShaper(spec)
-        total_gap = total_colocated = 0
         n = 10_000
-        for _ in range(n):
-            gap, colocated = shaper.next_shape()
-            total_gap += gap
-            total_colocated += colocated
+        shaped = columns(SyntheticWorkload(spec, num_cores=1), n)
+        total_gap = int(shaped["gap"].sum())
+        total_colocated = int(shaped["colocated"].sum())
         mem_instructions = n * 1 + total_colocated
         all_instructions = mem_instructions + total_gap
         assert mem_instructions / all_instructions == pytest.approx(0.25, rel=0.01)
         assert (total_colocated + n) / n == pytest.approx(3.0, rel=0.01)
+
+    @pytest.mark.parametrize("workload", [make_workload("oltp"), make_mix("MIX1")],
+                             ids=["one-spec", "spec-per-core"])
+    def test_columns_match_reference_shaper(self, workload):
+        """Each core's gap/colocated columns, across chunk boundaries, are
+        exactly ``EventShaper.next_shape``'s sequence for its spec."""
+        n = 2 * BATCH + 5
+        shaped = columns(workload, n)
+        for core, core_stream in enumerate(workload._streams()):
+            shaper = reference.EventShaper(core_stream.spec)
+            want = [shaper.next_shape() for _ in range(n)]
+            got = list(zip(shaped["gap"][core::workload.num_cores].tolist(),
+                           shaped["colocated"][core::workload.num_cores].tolist()))
+            assert got == want, f"core {core}"
 
 
 class TestHotSet:
@@ -108,28 +130,97 @@ class TestHotSet:
         hot = HotSet(region, stream("test.hot"))
         assert len(hot.blocks) == 10
         assert all(0 <= b < 50 for b in hot.blocks)
-        assert len(set(hot.blocks)) == 10  # sampled without replacement
+        assert len(set(hot.blocks.tolist())) == 10  # sampled without replacement
 
     def test_draw_uniform_in_range(self):
         region = RegionSpec(blocks=50, hot_blocks=10)
         hot = HotSet(region, stream("test.hot"))
-        draws = {hot.draw(u / 100.0) for u in range(100)}
-        assert draws <= set(hot.blocks)
+        uniforms = np.arange(100) / 100.0
+        draws = hot.resolve(np.arange(100), uniforms, np.ones(100))
+        assert set(draws.tolist()) <= set(hot.blocks.tolist())
 
     def test_rotation_changes_membership(self):
         region = RegionSpec(blocks=1000, hot_blocks=10, rotate_prob=1.0)
         hot = HotSet(region, stream("test.hot"))
-        before = list(hot.blocks)
-        for _ in range(50):
-            hot.maybe_rotate(0.0)
-        assert hot.blocks != before
+        before = hot.blocks.copy()
+        hot.resolve(np.arange(50), np.zeros(50), np.zeros(50))
+        assert hot.blocks.tolist() != before.tolist()
 
     def test_no_rotation_above_probability(self):
         region = RegionSpec(blocks=1000, hot_blocks=10, rotate_prob=0.01)
         hot = HotSet(region, stream("test.hot"))
-        before = list(hot.blocks)
-        hot.maybe_rotate(0.5)  # 0.5 >= 0.01: no rotation
-        assert hot.blocks == before
+        before = hot.blocks.copy()
+        hot.resolve(np.arange(1), np.zeros(1), np.full(1, 0.5))  # 0.5 >= 0.01
+        assert hot.blocks.tolist() == before.tolist()
+
+    def test_resolve_matches_per_event_reads_and_rotations(self):
+        """Reads given out of time order, over two chunks, see exactly the
+        rotations the per-event hot set applies in time order."""
+        region = RegionSpec(blocks=40, hot_blocks=4, rotate_prob=0.3)
+        oracle = reference.HotSet(region, stream("test.hot"))
+        hot = HotSet(region, stream("test.hot"))
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            times = rng.permutation(600)[:400]
+            picks, rotates = rng.random(400), rng.random(400)
+            got = hot.resolve(times, picks, rotates)
+            want = np.empty(400, dtype=np.int64)
+            for i in np.argsort(times):
+                want[i] = oracle.draw(picks[i])
+                oracle.maybe_rotate(rotates[i])
+            assert got.tolist() == want.tolist()
+            assert hot.blocks.tolist() == oracle.blocks
+
+
+def _rows(events):
+    return [
+        (e.access.core, e.access.address, e.access.type, e.access.sharing,
+         e.gap, e.colocated)
+        for e in events
+    ]
+
+
+#: tiny_spec edge cases for the reference differential.
+EDGE_SPECS = {
+    "default": tiny_spec(),
+    "window-0": tiny_spec(recent_window=0),
+    "window-1": tiny_spec(recent_window=1),
+    "no-recent": tiny_spec(p_recent=0.0),
+    "always-recent": tiny_spec(p_recent=1.0),
+    "always-rotate": tiny_spec(
+        private=RegionSpec(blocks=100, hot_blocks=20, rotate_prob=1.0),
+        shared_ro=RegionSpec(blocks=80, hot_blocks=16, rotate_prob=1.0),
+        shared_rw=RegionSpec(blocks=60, hot_blocks=12, rotate_prob=1.0),
+    ),
+    "no-hot-set": tiny_spec(
+        private=RegionSpec(blocks=100),
+        shared_ro=RegionSpec(blocks=80),
+        shared_rw=RegionSpec(blocks=60),
+    ),
+    "all-hot": tiny_spec(
+        private=RegionSpec(blocks=100, hot_blocks=20, hot_fraction=1.0),
+        shared_ro=RegionSpec(blocks=80, hot_blocks=16, hot_fraction=1.0),
+        shared_rw=RegionSpec(blocks=60, hot_blocks=12, hot_fraction=1.0),
+    ),
+    "private-only": tiny_spec(p_private=1.0, p_shared_ro=0.0, p_shared_rw=0.0),
+}
+
+
+class TestReferenceDifferential:
+    """The columnar generator against the per-event one it replaced."""
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    @pytest.mark.parametrize("name", sorted(EDGE_SPECS))
+    def test_edge_specs_match_reference(self, name, cores):
+        workload = SyntheticWorkload(EDGE_SPECS[name], num_cores=cores, seed=5)
+        for length in (1, BATCH + 1):
+            want = _rows(reference.reference_events(workload, length))
+            assert _rows(workload.events(length)) == want, f"length {length}"
+
+    def test_mix_matches_reference(self):
+        workload = make_mix("MIX3", seed=9)
+        want = _rows(reference.reference_events(workload, BATCH + 3))
+        assert _rows(workload.events(BATCH + 3)) == want
 
 
 class TestStreamProperties:
