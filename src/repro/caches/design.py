@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.stats import AccessStats
@@ -14,44 +13,6 @@ from repro.obs.tracer import NO_TRACE
 #: Callback invalidating core ``core``'s L1 blocks covered by an evicted
 #: or invalidated L2 block: ``hook(core, l2_block_address)``.
 L1InvalidateHook = Callable[[int, int], None]
-
-
-@dataclass(frozen=True)
-class BatchFastSpec:
-    """A design's opt-in contract for the batch kernel's fast L2 classes.
-
-    Returned by :meth:`L2Design.batch_fast_spec` when the design can
-    have *side-effect-free read hits* committed by the SoA kernel
-    without calling :meth:`L2Design.access`: a same-core read hit on a
-    valid line that needs no promotion, replication, migration, or
-    coherence action.  The fields are everything the kernel's window
-    classifier needs to prove, from mirrored tag state alone, that a
-    read hit falls in one of those classes.
-
-    A design returning a spec additionally promises the NuRAPID-shaped
-    attribute surface the kernel's vectorized commit path updates
-    directly: ``tags`` (per-core :class:`~repro.core.tag_array.
-    TagArray`), ``crossbar`` (traffic counter + latency table),
-    ``dgroup_stats``, and ``stats``.  Designs without that shape (or
-    whose hits always carry side effects) return None and take the
-    scalar fallback for every L2-reaching event — correct, just slower.
-    """
-
-    #: Per-core private tag-array geometry (sets/ways of the mirror).
-    tag_geometry: object
-    num_cores: int
-    num_dgroups: int
-    tag_latency: int
-    #: Per-core placement d-group (``closest(core)``): an E/M read hit
-    #: served from it never promotes, under either promotion policy.
-    closest: "tuple[int, ...]"
-    #: Controlled replication active: a remote S read hit replicates
-    #: once ``reuse + 2 >= replicate_on_use`` and leaves the fast class.
-    enable_cr: bool
-    replicate_on_use: int
-    #: C-state read hits are side-effect-free only when the optional
-    #: migration extension is disabled (threshold 0).
-    c_migration_threshold: int
 
 
 class L2Design(abc.ABC):
@@ -124,16 +85,6 @@ class L2Design(abc.ABC):
     def set_l1_invalidate_hook(self, hook: L1InvalidateHook) -> None:
         """Register the system's L1-inclusion invalidation callback."""
         self._l1_invalidate = hook
-
-    def batch_fast_spec(self) -> "Optional[BatchFastSpec]":
-        """Eligibility for the batch kernel's vectorized L2-hit classes.
-
-        The default is None: every L2-reaching event takes the kernel's
-        scalar fallback, which is bit-correct for any design.  A design
-        whose read hits can be proven side-effect-free from mirrored
-        tag state overrides this (see :class:`BatchFastSpec`).
-        """
-        return None
 
     def _invalidate_l1(self, core: int, address: int) -> None:
         if self._l1_invalidate is not None:

@@ -161,32 +161,6 @@ class NurapidCache(L2Design):
         """The d-group a core places and promotes its blocks into."""
         return self.prefs[core][0]
 
-    def batch_fast_spec(self):
-        """The batch kernel's fast-class contract (see ``BatchFastSpec``).
-
-        CMP-NuRAPID read hits are side-effect-free exactly when they
-        trigger none of the three optimizations: an E/M hit served from
-        the core's closest d-group (no promotion, under either
-        promotion policy), an S hit that cannot replicate, or a C hit
-        with the migration extension disabled.  The mesh NoC routes
-        sharer enumeration through a directory the kernel does not
-        mirror, so a mesh-attached design stays scalar-only.
-        """
-        if self.noc is not None:
-            return None
-        from repro.caches.design import BatchFastSpec
-
-        return BatchFastSpec(
-            tag_geometry=self.params.tag_geometry,
-            num_cores=self.num_cores,
-            num_dgroups=self.params.num_dgroups,
-            tag_latency=self.params.tag_latency,
-            closest=tuple(self.closest(core) for core in range(self.num_cores)),
-            enable_cr=self.enable_cr,
-            replicate_on_use=self.params.replicate_on_use,
-            c_migration_threshold=self.params.c_migration_threshold,
-        )
-
     def _record_bus(
         self, op: BusOp, core: "Optional[int]" = None,
         address: "Optional[int]" = None,

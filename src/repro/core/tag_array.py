@@ -17,22 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.caches.base import Entry, SetAssociativeArray
 from repro.coherence.states import CoherenceState
 from repro.common.params import CacheGeometry
-from repro.common.types import MissClass
 from repro.core.pointers import FramePtr, TagPtr
-
-#: Stable small-int codes for coherence states (declaration order, the
-#: same ordering checkpoint legends use): M=0, E=1, S=2, I=3, C=4.
-STATE_CODES = {state: code for code, state in enumerate(CoherenceState)}
-STATES_BY_CODE = tuple(CoherenceState)
-
-#: Codes for ``Entry.fill_class`` (None maps to -1).
-FILL_CLASS_CODES = {mc: code for code, mc in enumerate(MissClass)}
-FILL_CLASSES_BY_CODE = tuple(MissClass)
 
 
 @dataclass(slots=True)
@@ -107,70 +95,6 @@ class TagArray:
 
     def address_of(self, set_index: int, entry: NurapidTagEntry) -> int:
         return self.array.block_address(set_index, entry)
-
-    def export_columns(self) -> dict:
-        """Dense ``[sets, ways]`` column arrays of every entry field.
-
-        The state_dict-shaped export the batch kernel's
-        :class:`~repro.kernel.soa.L2Pool` is built from: one numpy
-        array per :class:`NurapidTagEntry` field (states and fill
-        classes as small-int codes, forward pointers split into dgroup/
-        frame columns with -1 for None) plus the array's LRU ``clock``.
-        Lossless: :meth:`import_columns` restores an identical array.
-        """
-        geo = self.geometry
-        shape = (geo.num_sets, geo.associativity)
-        columns = {
-            "tag": np.zeros(shape, dtype=np.int64),
-            "state": np.full(shape, STATE_CODES[CoherenceState.INVALID],
-                             dtype=np.int8),
-            "lru": np.zeros(shape, dtype=np.int64),
-            "dirty": np.zeros(shape, dtype=bool),
-            "fill_class": np.full(shape, -1, dtype=np.int8),
-            "reuse": np.zeros(shape, dtype=np.int64),
-            "fwd_dgroup": np.full(shape, -1, dtype=np.int16),
-            "fwd_frame": np.full(shape, -1, dtype=np.int32),
-            "busy": np.zeros(shape, dtype=bool),
-            "remote_reads": np.zeros(shape, dtype=np.int64),
-            "clock": self.array._clock,
-        }
-        for set_index, way, entry in self.array.entries():
-            columns["tag"][set_index, way] = entry.tag
-            columns["state"][set_index, way] = STATE_CODES[entry.state]
-            columns["lru"][set_index, way] = entry.lru
-            columns["dirty"][set_index, way] = entry.dirty
-            if entry.fill_class is not None:
-                columns["fill_class"][set_index, way] = (
-                    FILL_CLASS_CODES[entry.fill_class]
-                )
-            columns["reuse"][set_index, way] = entry.reuse
-            if entry.fwd is not None:
-                columns["fwd_dgroup"][set_index, way] = entry.fwd.dgroup
-                columns["fwd_frame"][set_index, way] = entry.fwd.frame
-            columns["busy"][set_index, way] = entry.busy
-            columns["remote_reads"][set_index, way] = entry.remote_reads
-        return columns
-
-    def import_columns(self, columns: dict) -> None:
-        """Restore an :meth:`export_columns` snapshot (its inverse)."""
-        for set_index, way, entry in self.array.entries():
-            entry.tag = int(columns["tag"][set_index, way])
-            entry.state = STATES_BY_CODE[int(columns["state"][set_index, way])]
-            entry.lru = int(columns["lru"][set_index, way])
-            entry.dirty = bool(columns["dirty"][set_index, way])
-            fill_code = int(columns["fill_class"][set_index, way])
-            entry.fill_class = (
-                FILL_CLASSES_BY_CODE[fill_code] if fill_code >= 0 else None
-            )
-            entry.reuse = int(columns["reuse"][set_index, way])
-            dgroup = int(columns["fwd_dgroup"][set_index, way])
-            entry.fwd = (
-                FramePtr(dgroup, int(columns["fwd_frame"][set_index, way]))
-                if dgroup >= 0 else None
-            )
-            entry.busy = bool(columns["busy"][set_index, way])
-            entry.remote_reads = int(columns["remote_reads"][set_index, way])
-        self.array._clock = int(columns["clock"])
 
     def state_dict(self) -> dict:
         return {"core": self.core, "entries": self.array.state_dict()}

@@ -2,15 +2,12 @@
 
 Steps many (workload, design) simulation cells per numpy operation:
 per-cell L1 tag arrays, recency state, and permission bits live in
-structure-of-arrays buffers (:class:`~repro.kernel.soa.L1Pool`), opted-in
-designs additionally mirror their NuRAPID tag arrays into a stacked L2
-tier (:class:`~repro.kernel.soa.L2Pool`), and the engine
-(:mod:`repro.kernel.engine`) executes tag probes, four-class hit
-classification (L1 hit, private L2 hit, pointer-only L2 hit, fallback),
-and recency updates as masked array ops across the whole batch, batching
-the residual scalar events per window instead of breaking on the first
-blocking event.  Correctness is anchored on
-``SimulationStats.fingerprint()`` identity with the scalar engine.
+structure-of-arrays buffers (:class:`~repro.kernel.soa.L1Pool`), and
+the engine (:mod:`repro.kernel.engine`) sorts each window of events
+into two classes across the whole batch: pure L1 hits, committed as
+masked array ops, and everything else, run per lane as a batched
+scalar residue against the real L2 designs.  Correctness is anchored
+on ``SimulationStats.fingerprint()`` identity with the scalar engine.
 """
 
 from repro.kernel.engine import (
@@ -22,7 +19,7 @@ from repro.kernel.engine import (
     resolve_engine,
     run_batch,
 )
-from repro.kernel.soa import L1Pool, L2Pool
+from repro.kernel.soa import L1Pool
 
 __all__ = [
     "BATCH_BUS_MODELS",
@@ -31,7 +28,6 @@ __all__ = [
     "BatchKernel",
     "EventTape",
     "L1Pool",
-    "L2Pool",
     "resolve_engine",
     "run_batch",
 ]

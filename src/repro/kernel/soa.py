@@ -97,9 +97,9 @@ class L1Pool:
         self.index_bits = geo.index_bits
         # Per-slot map of resident block key (address >> offset_bits,
         # i.e. tag·num_sets + set) → flat element index.  Presence only
-        # changes on installs — a pure hit never installs or evicts a
-        # line — so only the installing ops (scalar fill, fill_read_*)
-        # maintain these maps; pure-hit primitives read the arrays.
+        # changes on installs and invalidations — a pure hit never
+        # installs or evicts a line — so only the scalar ops maintain
+        # these maps; the pure-hit primitives read the arrays.
         self.block_maps: "list[dict[int, int]]" = [
             {} for _ in range(num_slots)
         ]
@@ -138,138 +138,6 @@ class L1Pool:
         hit, way = self.probe(slots, sets, tags)
         pure = hit & (~is_write | self.writable[slots, sets, way])
         return pure, hit, way
-
-    def commit_hits_stamped(
-        self,
-        slots: "NDArray",
-        sets: "NDArray",
-        ways: "NDArray",
-        is_write: "NDArray",
-        stamps: "NDArray",
-    ) -> None:
-        """Apply a run of pure L1 hits whose LRU stamps are precomputed.
-
-        The four-class engine interleaves pure L1 hits with fast-L2
-        fills inside one committed window; both tick the slot's LRU
-        clock, so the engine ranks *all* committed events per slot and
-        hands each its exact scalar clock value.  This variant therefore
-        stamps (last-write-wins in event order, as in
-        :meth:`commit_hits`) and counts, but does **not** advance
-        ``clock`` — the engine bulk-advances it once per window.
-        """
-        if not slots.shape[0]:
-            return
-        self.lru[slots, sets, ways] = stamps
-        counts = np.bincount(slots, minlength=self.num_slots)
-        if is_write.any():
-            ws, wt, ww = slots[is_write], sets[is_write], ways[is_write]
-            self.dirty[ws, wt, ww] = True
-            store_counts = np.bincount(ws, minlength=self.num_slots)
-            self.store_hits += store_counts
-            self.load_hits += counts - store_counts
-        else:
-            self.load_hits += counts
-
-    def fill_read_stamped(self, slot: int, address: int, stamp: int) -> None:
-        """A read-miss fill (``writable=False, dirty=False``) at a
-        precomputed LRU stamp.
-
-        Mirrors :meth:`fill` — same victim choice (first invalid way,
-        else lowest stamp) and dirty-victim writeback accounting — but
-        takes the scalar clock value the event would have observed from
-        the engine's per-window ranking instead of ticking ``clock``
-        itself.  The ``load_misses`` count is the engine's (it bulk-adds
-        per window), matching the split in the scalar path where
-        :meth:`load` counts the miss and :meth:`fill` installs.
-        """
-        block_map = self.block_maps[slot]
-        key = address >> self.offset_bits
-        j = block_map.get(key, -1)
-        if j < 0:
-            set_index = key & self.index_mask
-            base = (slot * self.num_sets + set_index) * self.ways
-            valid = self.valid_flat
-            j = -1
-            for candidate in range(base, base + self.ways):
-                if not valid[candidate]:
-                    j = candidate
-                    break
-            if j < 0:
-                lru = self.lru_flat
-                j = base
-                best = lru[base]
-                for candidate in range(base + 1, base + self.ways):
-                    if lru[candidate] < best:
-                        best = lru[candidate]
-                        j = candidate
-            if valid[j]:
-                if self.dirty_flat[j]:
-                    self.writebacks[slot] += 1
-                del block_map[(int(self.tags_flat[j]) << self.index_bits) | set_index]
-            self.tags_flat[j] = key >> self.index_bits
-            valid[j] = True
-            block_map[key] = j
-            self.lru_flat[j] = stamp
-        self.writable_flat[j] = False
-        self.dirty_flat[j] = False
-
-    def fill_read_batch(
-        self, slots: "NDArray", addresses: "NDArray", stamps: "NDArray"
-    ) -> None:
-        """Vectorized :meth:`fill_read_stamped` for a window's fills.
-
-        Callers guarantee the blocks are absent and that there is at
-        most one fill per (slot, set) — the engine's L1 conflict keys
-        truncate a window at the second — so every victim choice is
-        independent and the fancy column writes never alias.
-        """
-        keys = addresses >> self.offset_bits
-        sets = keys & self.index_mask
-        va = self.valid[slots, sets]
-        inv = ~va
-        ways = np.where(
-            inv.any(axis=1),
-            inv.argmax(axis=1),
-            self.lru[slots, sets].argmin(axis=1),
-        )
-        victim_valid = va[np.arange(slots.shape[0]), ways]
-        old_tags = self.tags[slots, sets, ways]
-        evict_dirty = victim_valid & self.dirty[slots, sets, ways]
-        if evict_dirty.any():
-            self.writebacks += np.bincount(
-                slots[evict_dirty], minlength=self.num_slots
-            )
-        self.tags[slots, sets, ways] = keys >> self.index_bits
-        self.valid[slots, sets, ways] = True
-        self.lru[slots, sets, ways] = stamps
-        self.writable[slots, sets, ways] = False
-        self.dirty[slots, sets, ways] = False
-        flat = (slots * self.num_sets + sets) * self.ways + ways
-        block_maps = self.block_maps
-        index_bits = self.index_bits
-        for s, key, j, vv, ot, si in zip(
-            slots.tolist(), keys.tolist(), flat.tolist(),
-            victim_valid.tolist(), old_tags.tolist(), sets.tolist(),
-        ):
-            bm = block_maps[s]
-            if vv:
-                del bm[(ot << index_bits) | si]
-            bm[key] = j
-
-    def revoke_writable_batch(
-        self, slots: "NDArray", addresses: "NDArray"
-    ) -> None:
-        """Vectorized :meth:`revoke_writable`: clear write permission
-        on every resident line, leaving absent ones untouched."""
-        sets = (addresses >> self.offset_bits) & self.index_mask
-        lines = self.valid[slots, sets] & (
-            self.tags[slots, sets] == (addresses >> self.tag_shift)[:, None]
-        )
-        hit = lines.any(axis=1)
-        if hit.any():
-            self.writable[
-                slots[hit], sets[hit], lines[hit].argmax(axis=1)
-            ] = False
 
     def commit_hits(
         self,
@@ -320,16 +188,6 @@ class L1Pool:
 
     # ------------------------------------------------------------------
     # Scalar ops (the fallback path) — bit-exact mirrors of L1Cache
-
-    def set_and_tag(self, address: int) -> "tuple[int, int]":
-        return (
-            (address >> self.offset_bits) & self.index_mask,
-            address >> self.tag_shift,
-        )
-
-    def _find(self, slot: int, set_index: int, tag: int) -> int:
-        """Flat index of the way holding ``tag`` valid, or -1."""
-        return self.block_maps[slot].get((tag << self.index_bits) | set_index, -1)
 
     def load(self, slot: int, address: int) -> bool:
         """Mirror of ``L1Cache.load``: True on a hit (LRU touched)."""
@@ -498,294 +356,4 @@ class L1Pool:
             l1.stats = self.slot_stats(slot)
 
 
-class L2Pool:
-    """NuRAPID tag/data state of ``num_lanes`` designs as stacked arrays.
-
-    The tag side is indexed ``[eslot, set, way]`` where an *eslot* is
-    one (lane, core) pair — each core's private tag array is one bank
-    of the per-lane ``[banks, sets, ways]`` cube.  Columns split into
-    two groups:
-
-    * **classification columns** — ``tags`` / ``valid`` / ``state`` /
-      ``dgroup`` / ``reuse``: everything the engine's window classifier
-      reads to prove a read hit side-effect-free.  The engine keeps
-      these live: fast-L2 commits bump ``reuse`` in step with the
-      design, and after every scalar residue the rows of each
-      dirty-marked address are re-read from the design
-      (:meth:`refresh_address`).
-    * **snapshot columns** — LRU stamps and clocks, dirty bits, fill
-      classes, forward-pointer frame indices, busy markers, remote-read
-      counts, plus the data side (frame occupancy columns and the
-      order-preserving free lists).  These make
-      :meth:`from_designs` / :meth:`write_back` lossless, mirroring
-      ``L1Pool``'s round-trip contract; the engine does **not** keep
-      them live (the design objects stay authoritative), so
-      ``write_back`` is only meaningful on a pool that has not been
-      driven by the engine.
-
-    States and fill classes are stored as the small-int codes of
-    :mod:`repro.core.tag_array`; ``dgroup`` is the forward pointer's
-    d-group, -1 when the entry has no pointer.
-    """
-
-    def __init__(
-        self,
-        num_lanes: int,
-        num_cores: int,
-        tag_geometry,
-        num_dgroups: int,
-        frames_per_dgroup: int,
-    ) -> None:
-        from repro.core.tag_array import STATE_CODES
-
-        self.num_lanes = num_lanes
-        self.num_cores = num_cores
-        self.tag_geometry = tag_geometry
-        self.num_dgroups = num_dgroups
-        self.frames_per_dgroup = frames_per_dgroup
-        self.num_sets = tag_geometry.num_sets
-        self.ways = tag_geometry.associativity
-        self.offset_bits = tag_geometry.offset_bits
-        self.index_mask = self.num_sets - 1
-        self.tag_shift = tag_geometry.offset_bits + tag_geometry.index_bits
-        num_eslots = num_lanes * num_cores
-        self.num_eslots = num_eslots
-        shape = (num_eslots, self.num_sets, self.ways)
-        self._invalid_code = STATE_CODES[_INVALID]
-        # Classification columns (engine-maintained).
-        self.tags = np.zeros(shape, dtype=np.int64)
-        self.valid = np.zeros(shape, dtype=bool)
-        self.state = np.full(shape, self._invalid_code, dtype=np.int8)
-        self.dgroup = np.full(shape, -1, dtype=np.int16)
-        self.reuse = np.zeros(shape, dtype=np.int64)
-        # Snapshot columns (round-trip only).
-        self.lru = np.zeros(shape, dtype=np.int64)
-        self.dirty = np.zeros(shape, dtype=bool)
-        self.fill_class = np.full(shape, -1, dtype=np.int8)
-        self.fwd_frame = np.full(shape, -1, dtype=np.int32)
-        self.busy = np.zeros(shape, dtype=bool)
-        self.remote_reads = np.zeros(shape, dtype=np.int64)
-        self.clock = np.zeros(num_eslots, dtype=np.int64)
-        # Data side: one frame cube and one padded free-list cube per
-        # lane.  The free list's *order* is model state (allocation pops
-        # from the end), so it is stored as a column, not a bitmap.
-        dshape = (num_lanes, num_dgroups, frames_per_dgroup)
-        self.frame_valid = np.zeros(dshape, dtype=bool)
-        self.frame_address = np.zeros(dshape, dtype=np.int64)
-        self.frame_dirty = np.zeros(dshape, dtype=bool)
-        self.rev_core = np.full(dshape, -1, dtype=np.int16)
-        self.rev_set = np.full(dshape, -1, dtype=np.int32)
-        self.rev_way = np.full(dshape, -1, dtype=np.int16)
-        self.free_list = np.full(dshape, -1, dtype=np.int32)
-        self.free_len = np.zeros((num_lanes, num_dgroups), dtype=np.int32)
-
-    def set_and_tag(self, address: int) -> "tuple[int, int]":
-        return (
-            (address >> self.offset_bits) & self.index_mask,
-            address >> self.tag_shift,
-        )
-
-    def _load_tag_bank(self, eslot: int, tag_array) -> None:
-        """Mirror one core's tag array into the ``eslot`` bank."""
-        from repro.core.tag_array import FILL_CLASS_CODES, STATE_CODES
-
-        for set_index, way, entry in tag_array.array.entries():
-            where = (eslot, set_index, way)
-            valid = entry.state is not _INVALID
-            self.tags[where] = entry.tag
-            self.valid[where] = valid
-            self.state[where] = STATE_CODES[entry.state]
-            self.reuse[where] = entry.reuse
-            self.lru[where] = entry.lru
-            self.dirty[where] = entry.dirty
-            self.fill_class[where] = (
-                FILL_CLASS_CODES[entry.fill_class]
-                if entry.fill_class is not None else -1
-            )
-            fwd = entry.fwd
-            if fwd is not None:
-                self.dgroup[where] = fwd.dgroup
-                self.fwd_frame[where] = fwd.frame
-            else:
-                self.dgroup[where] = -1
-                self.fwd_frame[where] = -1
-            self.busy[where] = entry.busy
-            self.remote_reads[where] = entry.remote_reads
-        self.clock[eslot] = tag_array.array._clock
-
-    def refresh_address(self, lane: int, design, address: int) -> None:
-        """Re-read every core's set row covering ``address``."""
-        self.refresh_sets(
-            lane, design, ((address >> self.offset_bits) & self.index_mask,)
-        )
-
-    def invalidate_sets(self, lane: int, set_indices) -> None:
-        """Conservatively mark the given sets' rows unknown (all banks).
-
-        An invalid mirror row classifies as an L2 miss, which the
-        engine routes to its bit-correct scalar path — so this is a
-        sound (and much cheaper) alternative to :meth:`refresh_sets`
-        after a scalar residue dirties the rows.  A later
-        :meth:`refresh_sets` of the same sets restores their
-        classification power.
-        """
-        base = lane * self.num_cores
-        idx = np.fromiter(set_indices, dtype=np.int64)
-        self.valid[base : base + self.num_cores, idx] = False
-
-    def refresh_sets(self, lane: int, design, set_indices) -> None:
-        """Re-read every core's rows for the given (deduped) set indices.
-
-        The scalar fallback path may mutate any sharer's tag entry for
-        a touched address (and any same-set victim's), so the re-read
-        covers the full ``[banks, ways]`` rows of the touched sets.
-        Only the classification columns are refreshed — the engine's
-        contract — because the designs stay authoritative for the
-        rest.  All rows of one refresh are written in five fancy-index
-        assignments (one per column) rather than per-entry scalar
-        stores: residue runs are short and frequent, so this path's
-        fixed cost is what bounds the batch engine on warm grids.
-        """
-        from repro.core.tag_array import STATE_CODES
-
-        base = lane * self.num_cores
-        rows = []
-        for core in range(self.num_cores):
-            sets = design.tags[core].array._sets
-            eslot = base + core
-            for set_index in set_indices:
-                rows.append((eslot, set_index, sets[set_index]))
-        es_arr = np.array([r[0] for r in rows], dtype=np.int64)
-        set_arr = np.array([r[1] for r in rows], dtype=np.int64)
-        self.tags[es_arr, set_arr] = np.array(
-            [[e.tag for e in r[2]] for r in rows], dtype=np.int64
-        )
-        self.valid[es_arr, set_arr] = np.array(
-            [[e.state is not _INVALID for e in r[2]] for r in rows], dtype=bool
-        )
-        self.state[es_arr, set_arr] = np.array(
-            [[STATE_CODES[e.state] for e in r[2]] for r in rows], dtype=np.int8
-        )
-        self.dgroup[es_arr, set_arr] = np.array(
-            [[-1 if e.fwd is None else e.fwd.dgroup for e in r[2]] for r in rows],
-            dtype=np.int16,
-        )
-        self.reuse[es_arr, set_arr] = np.array(
-            [[e.reuse for e in r[2]] for r in rows], dtype=np.int64
-        )
-
-    def refresh_lane(self, lane: int, design) -> None:
-        """Full re-read of one lane's classification columns."""
-        from repro.core.tag_array import STATE_CODES
-
-        base = lane * self.num_cores
-        for core in range(self.num_cores):
-            eslot = base + core
-            self.valid[eslot] = False
-            self.state[eslot] = self._invalid_code
-            self.dgroup[eslot] = -1
-            for set_index, way, entry in design.tags[core].array.valid_entries():
-                where = (eslot, set_index, way)
-                self.tags[where] = entry.tag
-                self.valid[where] = True
-                self.state[where] = STATE_CODES[entry.state]
-                fwd = entry.fwd
-                self.dgroup[where] = -1 if fwd is None else fwd.dgroup
-                self.reuse[where] = entry.reuse
-
-    @classmethod
-    def from_designs(cls, designs: "Sequence") -> "L2Pool":
-        """Build a pool mirroring ``designs`` (one lane each), losslessly."""
-        if not designs:
-            raise ValueError("from_designs needs at least one design")
-        first = designs[0]
-        geometry = first.params.tag_geometry
-        pool = cls(
-            len(designs),
-            first.num_cores,
-            geometry,
-            first.params.num_dgroups,
-            first.data.dgroups[0].num_frames if first.data.dgroups else 0,
-        )
-        for lane, design in enumerate(designs):
-            if design.params.tag_geometry != geometry:
-                raise ValueError("all designs in a pool must share one tag geometry")
-            for core in range(pool.num_cores):
-                pool._load_tag_bank(lane * pool.num_cores + core, design.tags[core])
-            for dgroup in design.data.dgroups:
-                g = dgroup.index
-                for index, frame in enumerate(dgroup.frames):
-                    where = (lane, g, index)
-                    pool.frame_valid[where] = frame.valid
-                    pool.frame_address[where] = frame.address
-                    pool.frame_dirty[where] = frame.dirty
-                    rev = frame.rev
-                    if rev is not None:
-                        pool.rev_core[where] = rev.core
-                        pool.rev_set[where] = rev.set_index
-                        pool.rev_way[where] = rev.way
-                free = dgroup._free
-                pool.free_len[lane, g] = len(free)
-                if free:
-                    pool.free_list[lane, g, : len(free)] = free
-        return pool
-
-    def write_back(self, designs: "Sequence") -> None:
-        """Write the pool's state into scalar ``designs`` (inverse of
-        :meth:`from_designs`)."""
-        from repro.core.pointers import FramePtr, TagPtr
-        from repro.core.tag_array import FILL_CLASSES_BY_CODE, STATES_BY_CODE
-
-        if len(designs) != self.num_lanes:
-            raise ValueError(
-                f"pool has {self.num_lanes} lanes, got {len(designs)} designs"
-            )
-        for lane, design in enumerate(designs):
-            for core in range(self.num_cores):
-                eslot = lane * self.num_cores + core
-                array = design.tags[core].array
-                for set_index, way, entry in array.entries():
-                    where = (eslot, set_index, way)
-                    entry.tag = int(self.tags[where])
-                    entry.state = STATES_BY_CODE[int(self.state[where])]
-                    entry.lru = int(self.lru[where])
-                    entry.dirty = bool(self.dirty[where])
-                    fill_code = int(self.fill_class[where])
-                    entry.fill_class = (
-                        FILL_CLASSES_BY_CODE[fill_code] if fill_code >= 0 else None
-                    )
-                    entry.reuse = int(self.reuse[where])
-                    dgroup = int(self.dgroup[where])
-                    entry.fwd = (
-                        FramePtr(dgroup, int(self.fwd_frame[where]))
-                        if dgroup >= 0 else None
-                    )
-                    entry.busy = bool(self.busy[where])
-                    entry.remote_reads = int(self.remote_reads[where])
-                array._clock = int(self.clock[eslot])
-            for dgroup in design.data.dgroups:
-                g = dgroup.index
-                for index, frame in enumerate(dgroup.frames):
-                    where = (lane, g, index)
-                    if self.frame_valid[where]:
-                        frame.valid = True
-                        frame.address = int(self.frame_address[where])
-                        frame.dirty = bool(self.frame_dirty[where])
-                        core = int(self.rev_core[where])
-                        frame.rev = (
-                            TagPtr(
-                                core,
-                                int(self.rev_set[where]),
-                                int(self.rev_way[where]),
-                            )
-                            if core >= 0 else None
-                        )
-                    else:
-                        frame.clear()
-                dgroup._free = [
-                    int(index)
-                    for index in self.free_list[lane, g, : self.free_len[lane, g]]
-                ]
-
-
-__all__ = ["COUNTER_FIELDS", "L1Pool", "L2Pool"]
+__all__ = ["COUNTER_FIELDS", "L1Pool"]

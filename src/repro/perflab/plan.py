@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import os
+import tomllib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -454,98 +455,11 @@ def load_plan(path: str) -> BenchPlan:
 
 
 def _parse_toml(text: str, path: str) -> dict:
-    """Parse plan TOML: stdlib ``tomllib`` (3.11+) or the mini parser."""
-    try:
-        import tomllib
-    except ImportError:  # Python <= 3.10: the baked toolchain has no tomli
-        return parse_plan_toml(text, path)
+    """Parse plan TOML with the stdlib ``tomllib``."""
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as error:
         raise PlanError(f"{path} is not valid TOML: {error}") from None
-
-
-def parse_plan_toml(text: str, path: str = "<plan>") -> dict:
-    """A minimal TOML-subset parser for plan files.
-
-    Fallback for interpreters without :mod:`tomllib` (the repo floor is
-    3.9).  Supports exactly what the plan schema needs — ``[table]``
-    and ``[dotted.table]`` headers, bare or quoted keys, strings,
-    integers, floats, booleans, single-line string arrays, and ``#``
-    comments — and rejects everything else loudly, so a plan that
-    parses here parses identically under the real ``tomllib``.
-    """
-    root: dict = {}
-    current = root
-    for number, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw_line).strip()
-        if not line:
-            continue
-        where = f"{path}:{number}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise PlanError(f"{where}: malformed table header {line!r}")
-            current = root
-            for part in line[1:-1].split("."):
-                key = _toml_key(part.strip(), where)
-                current = current.setdefault(key, {})
-                if not isinstance(current, dict):
-                    raise PlanError(f"{where}: {key!r} is not a table")
-            continue
-        if "=" not in line:
-            raise PlanError(f"{where}: expected 'key = value', got {line!r}")
-        key_text, value_text = line.split("=", 1)
-        key = _toml_key(key_text.strip(), where)
-        current[key] = _toml_value(value_text.strip(), where)
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    """Drop a trailing ``#`` comment, respecting double-quoted strings."""
-    in_string = False
-    for index, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:index]
-    return line
-
-
-def _toml_key(text: str, where: str) -> str:
-    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        return text[1:-1]
-    if text and all(c.isalnum() or c in "-_" for c in text):
-        return text
-    raise PlanError(f"{where}: malformed key {text!r}")
-
-
-def _toml_value(text: str, where: str):
-    if not text:
-        raise PlanError(f"{where}: missing value")
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text[0] == '"':
-        if len(text) < 2 or text[-1] != '"' or '"' in text[1:-1]:
-            raise PlanError(f"{where}: malformed string {text!r}")
-        return text[1:-1]
-    if text[0] == "[":
-        if text[-1] != "]":
-            raise PlanError(f"{where}: arrays must close on the same line")
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        items = [item.strip() for item in inner.split(",") if item.strip()]
-        return [_toml_value(item, where) for item in items]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise PlanError(f"{where}: unsupported value {text!r}") from None
 
 
 def default_plan() -> BenchPlan:
@@ -571,6 +485,5 @@ __all__ = [
     "SweepPolicy",
     "default_plan",
     "load_plan",
-    "parse_plan_toml",
     "plan_from_dict",
 ]

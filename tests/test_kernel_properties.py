@@ -341,55 +341,3 @@ def test_event_tape_warmup_beyond_tape_identical():
         fresh = build_design(name, bus_model=bus)
         _, stats = run_design_on_events(fresh, _edge_stream(10), 10)
         assert kernel.lane_stats(index).fingerprint() == stats.fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# L2Pool round trip: the NuRAPID mirror is lossless.
-
-
-def test_l2_pool_from_designs_write_back_round_trip():
-    """from_designs -> write_back restores tag arrays and data arrays
-    bit for bit after real traffic has mutated every field."""
-    from repro.experiments.runner import build_design, run_design_on_events
-    from repro.kernel import L2Pool
-    from repro.workloads.multithreaded import make_workload
-
-    names = ("cmp-nurapid", "cmp-nurapid-cr")
-    designs = [build_design(name) for name in names]
-    for design in designs:
-        events = make_workload("oltp", seed=7).events(accesses_per_core=300)
-        run_design_on_events(design, events, 0)
-
-    def plain(value):
-        # state_dicts pack entry columns as numpy arrays; make the
-        # whole tree plain-python so == compares values, not identity.
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if isinstance(value, dict):
-            return {k: plain(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [plain(v) for v in value]
-        return value
-
-    def snapshot(design):
-        return plain((
-            [tags.state_dict() for tags in design.tags],
-            design.data.state_dict(),
-        ))
-
-    want = [snapshot(design) for design in designs]
-    pool = L2Pool.from_designs(designs)
-    fresh = [build_design(name) for name in names]
-    pool.write_back(fresh)
-    assert [snapshot(design) for design in fresh] == want
-
-
-def test_l2_pool_rejects_empty_and_wrong_arity():
-    from repro.experiments.runner import build_design
-    from repro.kernel import L2Pool
-
-    with pytest.raises(ValueError):
-        L2Pool.from_designs([])
-    pool = L2Pool.from_designs([build_design("cmp-nurapid")])
-    with pytest.raises(ValueError):
-        pool.write_back([build_design("cmp-nurapid")] * 2)

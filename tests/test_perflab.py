@@ -33,7 +33,6 @@ from repro.perflab import (
 )
 from repro.perflab import chartpng, report as trend_report
 from repro.perflab.history import HistoryError, discover_history, env_key
-from repro.perflab.plan import parse_plan_toml
 from repro.perflab.runner import environment_fingerprint
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,7 +59,7 @@ TINY_PLAN = BenchPlan(
 
 class TestPlanValidation:
     def test_bundled_plans_load(self):
-        for name in ("default.toml", "ci-smoke.toml"):
+        for name in ("default.toml", "ci-smoke.toml", "warm-grid.toml"):
             plan = load_plan(os.path.join(PLANS, name))
             assert plan.cells()
             assert plan.path and plan.path.endswith(name)
@@ -114,6 +113,15 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match=fragment):
             plan_from_dict(raw)
 
+    @pytest.mark.parametrize("text", [
+        "[unclosed\n", "novalue\n", "x = \n", 'x = "unterminated\n',
+    ])
+    def test_malformed_toml_is_a_plan_error(self, tmp_path, text):
+        path = tmp_path / "bad.toml"
+        path.write_text(text)
+        with pytest.raises(PlanError, match="not valid TOML"):
+            load_plan(str(path))
+
     def test_gate_cell_override_applies(self):
         plan = plan_from_dict({
             "plan": {"name": "g"},
@@ -122,39 +130,6 @@ class TestPlanValidation:
         })
         assert plan.gate.threshold_for("oltp/cmp-nurapid/atomic") == 0.1
         assert plan.gate.threshold_for("oltp/private/atomic") == 0.3
-
-
-class TestMiniTomlParser:
-    def test_matches_tomllib_on_bundled_plans(self):
-        tomllib = pytest.importorskip("tomllib")
-        for name in ("default.toml", "ci-smoke.toml"):
-            with open(os.path.join(PLANS, name), encoding="utf-8") as handle:
-                text = handle.read()
-            assert parse_plan_toml(text) == tomllib.loads(text)
-
-    def test_values_and_comments(self):
-        raw = parse_plan_toml(
-            '[plan]\nname = "x"  # trailing comment\n'
-            '[gate]\nthreshold = 0.25\nwindow = 7\n'
-            '[gate.cells]\n"a/b/c" = 0.1\n'
-            '[grid]\ndesigns = ["private", "ideal"]\nempty = []\n'
-            '[sweep]\nenabled = false\n'
-        )
-        assert raw["plan"]["name"] == "x"
-        assert raw["gate"]["threshold"] == 0.25
-        assert raw["gate"]["window"] == 7
-        assert raw["gate"]["cells"] == {"a/b/c": 0.1}
-        assert raw["grid"]["designs"] == ["private", "ideal"]
-        assert raw["grid"]["empty"] == []
-        assert raw["sweep"]["enabled"] is False
-
-    @pytest.mark.parametrize("text", [
-        "[unclosed\n", "novalue\n", "x = \n", "x = [1,\n2]\n",
-        'x = "unterminated\n', "x = {inline = 1}\n",
-    ])
-    def test_rejects_unsupported_toml(self, text):
-        with pytest.raises(PlanError):
-            parse_plan_toml(text)
 
 
 # ---------------------------------------------------------------------------
