@@ -27,9 +27,11 @@ Also installed as the ``repro-sim`` console script.
 
 Exit codes: 0 success; 1 chaos scenario failed; 2 usage error
 (malformed or contradictory arguments, unreadable files); 3 invariant
-violation detected; 4 watchdog timeout; 5 benchmark regression against
-the committed baseline; 6 a sweep finished but quarantined one or more
-poison cells (inspect with ``repro quarantine``).
+violation detected; 4 watchdog timeout; 5 a bench gate failed (a cell
+regressed against its rolling baseline, a batch speedup fell below its
+plan floor, or a parallel or batch result diverged from serial); 6 a
+sweep finished but quarantined one or more poison cells (inspect with
+``repro quarantine``).
 """
 
 from __future__ import annotations
@@ -671,72 +673,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import json
-
-    from repro.experiments import bench
-
-    if args.threshold < 0 or args.threshold >= 1:
-        raise CliError(
-            f"--fail-threshold must be in [0, 1), got {args.threshold}"
-        )
-    cell_timeout, max_retries = _resolve_supervision(args)
-    engine = _resolve_engine_arg(args)
-    if args.plan:
-        return _bench_plan(args, cell_timeout, max_retries, engine)
-    if engine == "batch":
-        raise CliError(
-            "bench --engine batch needs a plan: the plan's [batch] table "
-            "defines the batch-kernel grid (try --plan plans/default.toml)"
-        )
-    result = bench.run_bench(
-        designs=args.designs,
-        workload=args.workload or "oltp",
-        jobs=args.jobs,
-        quick=args.quick,
-        with_sweep=not args.no_sweep,
-        cell_timeout=cell_timeout,
-        max_retries=max_retries,
-    )
-    print(bench.render(result))
-    out = args.out or bench.default_output_path()
-    bench.write_result(result, out)
-    print(f"wrote {out}")
-    if result.sweep is not None and not result.sweep["identical"]:
-        print(
-            "error: parallel sweep results diverged from serial: "
-            + ", ".join(result.sweep["mismatches"]),
-            file=sys.stderr,
-        )
-        return bench.REGRESSION_EXIT
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise CliError(f"unreadable baseline {args.baseline}: {error}")
-        problems = bench.compare_to_baseline(
-            result.throughput, baseline, args.threshold
-        )
-        if problems:
-            for problem in problems:
-                print(f"perf regression: {problem}", file=sys.stderr)
-            return bench.REGRESSION_EXIT
-        print(
-            f"baseline {args.baseline}: no design regressed more than "
-            f"{args.threshold:.0%}"
-        )
-    return 0
-
-
-def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
-    """The plan-driven bench path: ``repro bench --plan FILE``."""
-    import json
-
-    from repro.experiments import bench
+    """Run a bench plan (``repro bench``) into a v2 BENCH record."""
     from repro import perflab
 
+    cell_timeout, max_retries = _resolve_supervision(args)
+    engine = _resolve_engine_arg(args)
     plan = perflab.load_plan(args.plan)
-    out = args.out or bench.default_output_path()
+    out = args.out or perflab.default_output_path()
     record = perflab.run_plan(
         plan,
         quick=args.quick,
@@ -746,8 +689,6 @@ def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
         max_retries=max_retries,
         engine=engine,
     )
-    if args.no_sweep:
-        record.pop("sweep", None)
     print(perflab.render_record(record))
     perflab.write_record(record, out)
     print(f"wrote {out}")
@@ -758,7 +699,7 @@ def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
             + ", ".join(sweep["mismatches"]),
             file=sys.stderr,
         )
-        return bench.REGRESSION_EXIT
+        return perflab.REGRESSION_EXIT
     batch = record.get("batch")
     if batch is not None:
         if not batch["identical"]:
@@ -769,42 +710,20 @@ def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
                 + ", ".join(batch["mismatches"]),
                 file=sys.stderr,
             )
-            return bench.REGRESSION_EXIT
+            return perflab.REGRESSION_EXIT
         floor = batch.get("min_speedup") or 0.0
-        if (
-            floor
-            and batch.get("speedup_gate_eligible", True)
-            and batch["speedup"] < floor
-        ):
+        if floor and batch["speedup"] < floor:
             print(
                 f"perf regression: batch-kernel speedup {batch['speedup']}x "
                 f"is below the plan floor {floor}x",
                 file=sys.stderr,
             )
-            return bench.REGRESSION_EXIT
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise CliError(f"unreadable baseline {args.baseline}: {error}")
-        problems = bench.compare_to_baseline(
-            record["throughput_accesses_per_sec"], baseline, args.threshold
-        )
-        if problems:
-            for problem in problems:
-                print(f"perf regression: {problem}", file=sys.stderr)
-            return bench.REGRESSION_EXIT
-        print(
-            f"baseline {args.baseline}: no design regressed more than "
-            f"{args.threshold:.0%}"
-        )
+            return perflab.REGRESSION_EXIT
     return 0
 
 
 def cmd_bench_report(args) -> int:
     """Trend engine: ``repro bench report`` over BENCH_*.json history."""
-    from repro.experiments import bench
     from repro import perflab
 
     plan = perflab.load_plan(args.plan) if args.plan else None
@@ -830,7 +749,7 @@ def cmd_bench_report(args) -> int:
             f"their rolling baselines: {names}",
             file=sys.stderr,
         )
-        return bench.REGRESSION_EXIT
+        return perflab.REGRESSION_EXIT
     return 0
 
 
@@ -1199,37 +1118,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="measure simulated accesses/sec and sweep speedup; "
-        "optionally gate against a committed baseline.  With --plan, "
-        "run a declarative bench plan into a v2 capture bundle; "
-        "'bench report' renders trend reports over BENCH_*.json history",
+        help="run a declarative bench plan (throughput and miss rate per "
+        "cell, optional sweep and batch-kernel legs) into a v2 "
+        "BENCH_<date>.json record; 'bench report' renders trend "
+        "reports over BENCH_*.json history",
     )
     bench_parser.add_argument(
         "--plan",
+        default=os.path.join("plans", "default.toml"),
         metavar="FILE",
-        help="run a declarative bench plan (TOML or JSON; see "
-        "plans/default.toml) instead of the hardcoded grid; "
-        "--designs/--workload are ignored, --quick/--jobs/--out/"
-        "--baseline still apply",
-    )
-    bench_parser.add_argument(
-        "--designs",
-        nargs="+",
-        choices=sorted(DESIGN_FACTORIES),
-        default=["uniform-shared", "private", "cmp-nurapid"],
-    )
-    bench_parser.add_argument(
-        "--workload",
-        choices=_WORKLOAD_NAMES,
-        help="workload to time (default: oltp)",
+        help="bench plan to run (TOML or JSON; default: "
+        "plans/default.toml in the current directory)",
     )
     bench_parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
-        help="workers for the sweep-speedup measurement "
-        "(default: REPRO_JOBS, else 2)",
+        help="workers for the plan's stats pass (default: the plan's "
+        "[run] jobs, else REPRO_JOBS, else 1); the sweep leg sizes its "
+        "pool from [sweep] jobs",
     )
     bench_parser.add_argument(
         "--quick",
@@ -1237,36 +1145,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorter runs sized for CI smoke jobs",
     )
     bench_parser.add_argument(
-        "--no-sweep",
-        action="store_true",
-        help="skip the serial-vs-parallel sweep timing",
-    )
-    bench_parser.add_argument(
         "--out",
         metavar="PATH",
         help="result JSON path (default: BENCH_<date>.json)",
     )
     bench_parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="committed BENCH json to gate against; a design more than "
-        "--fail-threshold slower fails with exit 5",
-    )
-    bench_parser.add_argument(
-        "--fail-threshold",
-        dest="threshold",
-        type=float,
-        default=0.2,
-        metavar="FRACTION",
-        help="allowed fractional throughput drop vs the baseline "
-        "(default: 0.2)",
-    )
-    bench_parser.add_argument(
         "--engine",
         choices=ENGINES,
-        help="with --plan, 'batch' force-enables the plan's [batch] "
-        "leg (batch-kernel aggregate throughput vs scalar, "
-        "fingerprint-checked); without --plan it is an error",
+        help="'batch' force-enables the plan's [batch] leg (batch-kernel "
+        "aggregate throughput vs scalar, fingerprint-checked)",
     )
     _add_supervision_options(bench_parser)
     bench_parser.set_defaults(func=cmd_bench)
@@ -1281,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--history",
         nargs="+",
         metavar="PATH",
-        help="BENCH json files or globs, any mix of v1 and v2 "
+        help="BENCH json files or globs "
         "(default: BENCH_*.json in the current directory)",
     )
     report_parser.add_argument(

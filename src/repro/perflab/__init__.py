@@ -1,17 +1,17 @@
 """Perf lab: declarative bench plans, capture bundles, trend reports.
 
-The perf lab turns ``repro bench`` from a hardcoded point check into a
-small benchmarking system:
+The perf lab is what ``repro bench`` runs — a small benchmarking
+system:
 
 * :mod:`repro.perflab.plan` — TOML/JSON **bench plans** describing a
   grid of designs x workloads x bus models, run sizing, per-cell
-  capture, and per-cell gate thresholds (``plans/default.toml``
-  reproduces the historical hardcoded bench);
+  capture, and per-cell gate thresholds (``plans/default.toml`` is the
+  plan ``repro bench`` runs by default);
 * :mod:`repro.perflab.runner` — executes a plan through the supervised
   parallel executor into a ``repro-bench-v2`` record with an
   environment fingerprint and opt-in per-cell capture bundles;
 * :mod:`repro.perflab.history` — loads accumulated ``BENCH_*.json``
-  files (v1 records upgraded in memory) into aligned per-cell trends;
+  files into aligned per-cell trends;
 * :mod:`repro.perflab.report` — rolling-baseline verdicts, markdown +
   PNG trend reports, and the per-cell regression gate behind
   ``repro bench report`` (exit 5 names the offending cells).
@@ -36,7 +36,6 @@ from repro.perflab.plan import (
     PlanCell,
     PlanError,
     SweepPolicy,
-    default_plan,
     load_plan,
     plan_from_dict,
 )
@@ -48,12 +47,15 @@ from repro.perflab.report import (
     write_report,
 )
 from repro.perflab.runner import (
-    SCHEMA_V1,
+    REGRESSION_EXIT,
     SCHEMA_V2,
+    default_output_path,
     environment_fingerprint,
+    measure_sweep,
     render_record,
     run_plan,
     stats_digest,
+    sweep_gate_fields,
     write_record,
 )
 
@@ -68,24 +70,26 @@ __all__ = [
     "HistoryError",
     "PlanCell",
     "PlanError",
-    "SCHEMA_V1",
+    "REGRESSION_EXIT",
     "SCHEMA_V2",
     "SweepPolicy",
     "TrendPoint",
     "TrendReport",
     "build_trends",
-    "default_plan",
+    "default_output_path",
     "discover_history",
     "env_key",
     "environment_fingerprint",
     "evaluate",
     "load_history",
     "load_plan",
+    "measure_sweep",
     "plan_from_dict",
     "render_markdown",
     "render_record",
     "run_plan",
     "stats_digest",
+    "sweep_gate_fields",
     "upgrade_record",
     "write_record",
     "write_report",

@@ -1,8 +1,7 @@
-"""Dependency-free PNG line charts (the no-matplotlib fallback).
+"""Dependency-free PNG line charts for the perf-lab trend report.
 
-The trend report prefers matplotlib when it is importable; this module
-keeps ``repro bench report`` functional on the baked-toolchain
-containers where it is not (numpy + stdlib only).  It renders a plain
+``repro bench report`` draws its trend curves here with numpy and the
+stdlib only, so it needs no plotting library.  It renders a plain
 multi-series line chart — white canvas, gridlines, numeric y-tick
 labels from a tiny built-in 5x7 glyph font, one colored polyline plus
 markers per series — and writes it as an 8-bit RGB PNG via zlib.

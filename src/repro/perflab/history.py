@@ -1,14 +1,10 @@
 """BENCH history: load accumulated ``BENCH_*.json`` files as trends.
 
 The perf lab's long-term memory is the pile of ``BENCH_<date>.json``
-records a repo accumulates — one per ``repro bench`` invocation.  This
-module turns that pile into aligned per-cell time series:
+records a repo accumulates — one ``repro-bench-v2`` record per
+``repro bench`` invocation.  This module turns that pile into aligned
+per-cell time series:
 
-* **v1 upgrade** — records written by the legacy hardcoded bench
-  (``repro-bench-v1``) are upgraded in memory to the v2 cell layout
-  (each ``throughput_accesses_per_sec`` entry becomes an
-  ``<workload>/<design>/atomic`` cell), so pre-perflab history chains
-  straight into the trends instead of being write-only.
 * **Run ordering** — runs sort by their recorded creation time, falling
   back to the date in the filename (``BENCH_20260806-2.json`` sorts
   after ``BENCH_20260806.json``), so a day with several runs keeps its
@@ -29,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.perflab.runner import SCHEMA_V1, SCHEMA_V2
+from repro.perflab.runner import SCHEMA_V2
 
 _FILENAME_DATE = re.compile(r"BENCH_(\d{8})(?:-(\d+))?\.json$")
 
@@ -40,14 +36,13 @@ class HistoryError(ValueError):
 
 @dataclass
 class BenchRun:
-    """One normalized (v2-shaped) BENCH record in the history."""
+    """One BENCH record in the history."""
 
     run_id: str  # file basename without .json
     created: str  # ISO timestamp, or a filename-derived surrogate
     environment: dict
     cells: "Dict[str, dict]"  # label -> cell record
     sweep: "Optional[dict]" = None
-    schema: str = SCHEMA_V2
     path: "Optional[str]" = None
     #: Measured accesses per core; runs of different lengths are not
     #: throughput-comparable (cold-start fractions differ).
@@ -88,56 +83,25 @@ def _surrogate_created(run_id: str) -> str:
 
 def upgrade_record(record: dict, run_id: str,
                    path: "Optional[str]" = None) -> BenchRun:
-    """Normalize one parsed BENCH record (v1 or v2) to :class:`BenchRun`."""
+    """Validate one parsed v2 BENCH record into a :class:`BenchRun`."""
     if not isinstance(record, dict):
         raise HistoryError(f"{run_id}: BENCH record must be a JSON object")
     schema = record.get("schema")
-    if schema == SCHEMA_V2:
-        cells = record.get("cells")
-        if not isinstance(cells, dict):
-            raise HistoryError(f"{run_id}: v2 record has no 'cells' table")
-        return BenchRun(
-            run_id=run_id,
-            created=record.get("created") or _surrogate_created(run_id),
-            environment=record.get("environment", {}),
-            cells=cells,
-            sweep=record.get("sweep"),
-            schema=SCHEMA_V2,
-            path=path,
-            accesses=record.get("accesses_per_core"),
+    if schema != SCHEMA_V2:
+        raise HistoryError(
+            f"{run_id}: unknown BENCH schema {schema!r} (expected {SCHEMA_V2})"
         )
-    if schema == SCHEMA_V1:
-        throughput = record.get("throughput_accesses_per_sec", {})
-        if not isinstance(throughput, dict):
-            raise HistoryError(f"{run_id}: v1 record has no throughput table")
-        workload = record.get("workload", "oltp")
-        cells = {
-            f"{workload}/{design}/atomic": {
-                "workload": workload,
-                "design": design,
-                "bus_model": "atomic",
-                "multiprogrammed": False,
-                "throughput_accesses_per_sec": value,
-                # v1 recorded no per-cell model metrics; the trend
-                # engine treats absent values as "not measured".
-                "miss_rate": None,
-                "fingerprint": None,
-            }
-            for design, value in throughput.items()
-        }
-        return BenchRun(
-            run_id=run_id,
-            created=_surrogate_created(run_id),
-            environment=record.get("environment", {}),
-            cells=cells,
-            sweep=record.get("sweep"),
-            schema=SCHEMA_V1,
-            path=path,
-            accesses=record.get("accesses_per_core"),
-        )
-    raise HistoryError(
-        f"{run_id}: unknown BENCH schema {schema!r} "
-        f"(expected {SCHEMA_V1} or {SCHEMA_V2})"
+    cells = record.get("cells")
+    if not isinstance(cells, dict):
+        raise HistoryError(f"{run_id}: v2 record has no 'cells' table")
+    return BenchRun(
+        run_id=run_id,
+        created=record.get("created") or _surrogate_created(run_id),
+        environment=record.get("environment", {}),
+        cells=cells,
+        sweep=record.get("sweep"),
+        path=path,
+        accesses=record.get("accesses_per_core"),
     )
 
 

@@ -3,8 +3,8 @@
 A *plan* is a TOML or JSON file describing a benchmark campaign —
 which (design, workload, bus-model) cells to time, how long each run
 is, what to capture per cell, and how strictly each cell is gated
-against its own history.  ``plans/default.toml`` reproduces the
-historical hardcoded ``repro bench`` cell set; CI's tiny smoke plan
+against its own history.  ``plans/default.toml`` is the plan
+``repro bench`` runs when given no ``--plan``; CI's tiny smoke plan
 lives next to it.
 
 Schema (TOML shown; JSON mirrors it with the same keys)::
@@ -462,19 +462,6 @@ def _parse_toml(text: str, path: str) -> dict:
         raise PlanError(f"{path} is not valid TOML: {error}") from None
 
 
-def default_plan() -> BenchPlan:
-    """The in-memory twin of ``plans/default.toml``: the legacy bench.
-
-    Same designs, workload, access count, and repeat count as the
-    historical hardcoded ``repro bench`` cell, so a default-plan run is
-    directly comparable with the accumulated v1 history.
-    """
-    return BenchPlan(
-        name="default",
-        description="the legacy hardcoded bench grid as a declarative plan",
-    )
-
-
 __all__ = [
     "BatchPolicy",
     "BenchPlan",
@@ -483,7 +470,6 @@ __all__ = [
     "PlanCell",
     "PlanError",
     "SweepPolicy",
-    "default_plan",
     "load_plan",
     "plan_from_dict",
 ]

@@ -7,10 +7,10 @@ same environment key, same run length), and renders:
 
 * ``trend.md`` — verdict table for the latest run, sweep-speedup
   status, and per-cell history tables;
-* ``throughput.png`` / ``miss_rate.png`` — trend curves (matplotlib
-  when importable, the built-in numpy renderer otherwise).
+* ``throughput.png`` / ``miss_rate.png`` / ``latency_p95.png`` — trend
+  curves from the built-in numpy renderer (:mod:`repro.perflab.chartpng`).
 
-Gate semantics (the generalization of the old exit-5 point check):
+Gate semantics:
 
 * each cell's allowed fractional throughput drop comes from the plan —
   ``[gate] threshold`` with ``[gate.cells]`` per-cell overrides — so a
@@ -26,7 +26,7 @@ Gate semantics (the generalization of the old exit-5 point check):
 * cells with no comparable history are ``skipped``, never failed.
 
 A run with any ``regression`` verdict makes ``repro bench report``
-exit :data:`~repro.experiments.bench.REGRESSION_EXIT` naming the
+exit :data:`~repro.perflab.runner.REGRESSION_EXIT` naming the
 offending cells.
 """
 
@@ -37,6 +37,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.perflab import chartpng
 from repro.perflab.history import BenchRun, CellTrend, TrendPoint, build_trends
 from repro.perflab.plan import BenchPlan, GatePolicy
 
@@ -225,41 +226,6 @@ def _chart_series(
     return series
 
 
-def render_chart(
-    series: "Dict[str, List[Tuple[float, float]]]",
-    path: str,
-    title: str,
-    run_ids: "Sequence[str]",
-) -> bool:
-    """Write one trend chart; returns False when there is nothing to plot."""
-    if not series:
-        return False
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        from repro.perflab import chartpng
-
-        chartpng.write_png(path, chartpng.line_chart(series))
-        return True
-    figure, axes = plt.subplots(figsize=(8, 4.2), dpi=100)
-    for label, points in series.items():
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        axes.plot(xs, ys, marker="o", label=label)
-    axes.set_title(title)
-    axes.set_xticks(range(len(run_ids)))
-    axes.set_xticklabels(run_ids, rotation=45, ha="right", fontsize=7)
-    axes.grid(True, alpha=0.3)
-    axes.legend(fontsize=7)
-    figure.tight_layout()
-    figure.savefig(path)
-    plt.close(figure)
-    return True
-
-
 def _verdict_table(verdicts: "Sequence[CellVerdict]") -> "List[str]":
     lines = [
         "| cell | latest (acc/s) | baseline | Δ | threshold | miss Δ | verdict |",
@@ -327,8 +293,7 @@ def render_markdown(
             lines.append(f"![{name}]({name})")
         lines += [
             "",
-            "Series are colored in cell-label order (legend below when "
-            "rendered without matplotlib):",
+            "Series are colored in cell-label order (legend below):",
             "",
         ]
         for index, label in enumerate(sorted(trends)):
@@ -383,16 +348,12 @@ def write_report(
     gate = plan.gate if plan is not None else None
     verdicts = evaluate(runs, trends, gate)
     os.makedirs(out_dir, exist_ok=True)
-    run_ids = [run.run_id for run in runs]
     charts: "List[str]" = []
-    for metric, filename, title in (
-        ("throughput", "throughput.png", "throughput (accesses/sec)"),
-        ("miss_rate", "miss_rate.png", "L2 miss rate"),
-        ("latency_p95", "latency_p95.png", "L2 hit+miss latency p95 (cycles)"),
-    ):
-        path = os.path.join(out_dir, filename)
-        if render_chart(_chart_series(runs, trends, metric), path, title,
-                        run_ids):
+    for metric in ("throughput", "miss_rate", "latency_p95"):
+        series = _chart_series(runs, trends, metric)
+        if series:
+            path = os.path.join(out_dir, f"{metric}.png")
+            chartpng.write_png(path, chartpng.line_chart(series))
             charts.append(path)
     markdown = render_markdown(runs, trends, verdicts, charts, plan)
     markdown_path = os.path.join(out_dir, "trend.md")
@@ -412,7 +373,6 @@ __all__ = [
     "SKIPPED",
     "TrendReport",
     "evaluate",
-    "render_chart",
     "render_markdown",
     "write_report",
 ]

@@ -14,9 +14,7 @@ accumulates over time.  Each run has three passes per bus-model group:
    come from here, so they are bit-identical across hosts and pool
    sizes.
 2. **Timing pass** — best-of-``repeats`` wall-clock per cell,
-   uninstrumented and in-process (the same protocol as the legacy
-   hardcoded bench, so v2 throughput numbers chain onto the v1
-   history).
+   uninstrumented and in-process.
 3. **Capture pass** (opt-in per plan) — one instrumented re-run per
    cell with the profiler, interval metrics, and/or the event tracer
    attached, written into a ``<out>.capture/<cell>/`` bundle directory
@@ -26,9 +24,9 @@ accumulates over time.  Each run has three passes per bus-model group:
 
 The record also carries an **environment fingerprint** (CPU count,
 Python/numpy versions, platform, git SHA) — the trend engine aligns
-runs by cell *and* environment so a laptop run never gates a CI run —
-and a legacy per-design ``throughput_accesses_per_sec`` view, so
-existing v1 baselines keep working against v2 files.
+runs by cell *and* environment so a laptop run never gates a CI run.
+With ``[sweep]`` enabled, :func:`measure_sweep` adds a serial-vs-pool
+wall-clock leg that also proves the pool bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -42,8 +40,14 @@ import time
 from typing import Dict, List, Optional
 
 from repro.cpu.system import CmpSystem
-from repro.experiments import bench, parallel
-from repro.experiments.runner import StatsCache, build_design, run_mix, run_multithreaded
+from repro.experiments import parallel
+from repro.experiments.runner import (
+    ExperimentConfig,
+    StatsCache,
+    build_design,
+    run_mix,
+    run_multithreaded,
+)
 from repro.obs.metrics import MetricsCollector
 from repro.obs.perfetto import export_jsonl
 from repro.obs.profiler import Profiler
@@ -55,8 +59,10 @@ from repro.workloads.multithreaded import make_workload
 #: Schema tag for plan-driven bench records.
 SCHEMA_V2 = "repro-bench-v2"
 
-#: Schema tag of the legacy hardcoded-bench records.
-SCHEMA_V1 = "repro-bench-v1"
+#: Exit code for a failed bench gate: a throughput or miss-rate
+#: regression, a batch speedup below its floor, or a parallel/batch
+#: result that diverged from serial scalar.
+REGRESSION_EXIT = 5
 
 
 def environment_fingerprint() -> dict:
@@ -109,8 +115,7 @@ def _time_cell(cell: PlanCell, config, repeats: int) -> "tuple[float, List[float
     """Best-of-``repeats`` throughput for one cell (accesses/second).
 
     The whole path is timed — workload generation, L1s, the design —
-    with construction outside the clock, matching the legacy
-    ``measure_throughput`` protocol exactly.
+    with construction outside the clock.
     """
     run = run_mix if cell.multiprogrammed else run_multithreaded
     best = 0.0
@@ -191,17 +196,17 @@ def run_plan(
 ) -> dict:
     """Execute ``plan`` and return the ``repro-bench-v2`` record.
 
-    ``quick`` shrinks run lengths the same way the legacy bench's
-    ``--quick`` does (CI smoke sizing); ``out`` names the record's
-    output path so the capture bundle can sit next to it (the caller
-    still writes the record itself); ``jobs`` overrides the plan's
-    stats-pass worker count.  ``engine`` (``None`` defers to
-    ``REPRO_ENGINE``) is recorded in the environment fingerprint;
-    ``"batch"`` force-enables the plan's ``[batch]`` leg.  The stats
-    pass itself always runs the scalar engine — it is the reference the
-    batch leg's fingerprints are checked against, so batching it would
-    make the identity proof circular.  A cell that exhausts its
-    supervised retries raises :class:`~repro.experiments.parallel.
+    ``quick`` shrinks run lengths to CI smoke sizing, the sweep leg's
+    too; ``out`` names the record's output path so the capture bundle
+    can sit next to it (the caller still writes the record itself);
+    ``jobs`` overrides the plan's stats-pass worker count.  ``engine``
+    (``None`` defers to ``REPRO_ENGINE``) is recorded in the
+    environment fingerprint; ``"batch"`` force-enables the plan's
+    ``[batch]`` leg.  The stats pass itself always runs the scalar
+    engine — it is the reference the batch leg's fingerprints are
+    checked against, so batching it would make the identity proof
+    circular.  A cell that exhausts its supervised retries raises
+    :class:`~repro.experiments.parallel.
     QuarantinedCellError`, exactly like an experiment sweep.
     """
     from repro.kernel import resolve_engine
@@ -284,9 +289,6 @@ def run_plan(
         "accesses_per_core": config.measure_per_core,
         "repeats": plan.repeats,
         "cells": records,
-        # Legacy view: per-design best across the grid, so v1 baselines
-        # (and compare_to_baseline) keep working against v2 records.
-        "throughput_accesses_per_sec": _legacy_view(records),
     }
     if batch_enabled:
         result["batch"] = _run_batch_leg(
@@ -294,7 +296,7 @@ def run_plan(
         )
     if plan.sweep.enabled:
         sweep_jobs = plan.sweep.jobs or None
-        result["sweep"] = bench.measure_sweep(
+        result["sweep"] = measure_sweep(
             jobs=max(parallel.resolve_jobs(sweep_jobs), 2),
             quick=quick or plan.sweep.quick,
             cell_timeout=cell_timeout,
@@ -388,8 +390,78 @@ def _run_batch_leg(
     }
 
 
+def measure_sweep(jobs: int, quick: bool = False,
+                  cell_timeout: "Optional[float]" = None,
+                  max_retries: "Optional[int]" = None) -> dict:
+    """Wall-clock a small sweep serially, then with ``jobs`` workers.
+
+    Uses fresh in-memory caches on both sides (nothing is reused
+    between the two runs), and checks the two result sets are
+    bit-identical while it is at it.  ``cell_timeout``/``max_retries``
+    tune the parallel side's worker supervision.
+    """
+    cells = parallel.experiment_cells("fig6")  # 4 designs x 5 workloads
+    if quick:
+        cells = [cell for cell in cells if cell.workload in
+                 ("oltp", "apache", "ocean")]
+    config = ExperimentConfig(warmup_per_core=20_000, measure_per_core=20_000)
+
+    serial_cache = StatsCache()
+    start = time.perf_counter()
+    parallel.run_cells(cells, config, serial_cache, jobs=1)
+    serial_seconds = time.perf_counter() - start
+
+    pool_cache = StatsCache()
+    start = time.perf_counter()
+    report = parallel.run_cells(cells, config, pool_cache, jobs=jobs,
+                                cell_timeout=cell_timeout,
+                                max_retries=max_retries)
+    parallel_seconds = time.perf_counter() - start
+
+    mismatches = [
+        cell.label for cell in cells
+        if serial_cache._cache[cell.key(config)].fingerprint()
+        != pool_cache._cache[cell.key(config)].fingerprint()
+    ]
+    result = {
+        "cells": len(cells),
+        "jobs": jobs,
+        "serial_seconds": round(serial_seconds, 3),
+        "parallel_seconds": round(parallel_seconds, 3),
+        "speedup": round(serial_seconds / parallel_seconds, 2)
+        if parallel_seconds else 0.0,
+        "identical": not mismatches,
+        "mismatches": mismatches,
+        "retried": [cell.label for cell in report.retried],
+    }
+    result.update(sweep_gate_fields(os.cpu_count() or 1))
+    return result
+
+
+def sweep_gate_fields(cpus: int) -> dict:
+    """Gate-eligibility fields for a sweep measurement on this host.
+
+    A single-CPU host cannot beat serial wall-clock with a process pool
+    (speedup <= 1.0 by construction, pure scheduling overhead), so its
+    parallel-vs-serial comparison must never contribute to a regression
+    verdict.  The skip is recorded in the result so trend reports can
+    show *why* no speedup verdict exists for the run.
+    """
+    if cpus <= 1:
+        return {
+            "cpus": cpus,
+            "speedup_gate_eligible": False,
+            "speedup_gate_note": (
+                "skipped: single-CPU host — a worker pool cannot beat "
+                "serial wall-clock here, so the speedup is recorded but "
+                "never gated on"
+            ),
+        }
+    return {"cpus": cpus, "speedup_gate_eligible": True}
+
+
 def _quicken(plan: BenchPlan) -> BenchPlan:
-    """The plan resized for CI smoke runs (mirrors the legacy --quick)."""
+    """The plan resized for CI smoke runs."""
     from dataclasses import replace
 
     return replace(
@@ -399,13 +471,22 @@ def _quicken(plan: BenchPlan) -> BenchPlan:
     )
 
 
-def _legacy_view(records: "Dict[str, dict]") -> "Dict[str, float]":
-    view: "Dict[str, float]" = {}
-    for record in records.values():
-        design = record["design"]
-        value = record["throughput_accesses_per_sec"]
-        view[design] = max(view.get(design, 0.0), value)
-    return view
+def default_output_path(today: "Optional[str]" = None,
+                        directory: str = ".") -> str:
+    """``BENCH_<date>.json``, collision-safe within ``directory``.
+
+    A second run on the same day gets ``BENCH_<date>-2.json``, a third
+    ``-3``, and so on — same-day history accumulates instead of the
+    later run silently overwriting the earlier one.
+    """
+    if today is None:
+        today = time.strftime("%Y%m%d")
+    path = os.path.join(directory, f"BENCH_{today}.json")
+    suffix = 2
+    while os.path.exists(path):
+        path = os.path.join(directory, f"BENCH_{today}-{suffix}.json")
+        suffix += 1
+    return path
 
 
 def write_record(record: dict, path: str) -> None:
@@ -467,12 +548,15 @@ def render_record(record: dict) -> str:
 
 
 __all__ = [
-    "SCHEMA_V1",
+    "REGRESSION_EXIT",
     "SCHEMA_V2",
     "cell_slug",
+    "default_output_path",
     "environment_fingerprint",
+    "measure_sweep",
     "render_record",
     "run_plan",
     "stats_digest",
+    "sweep_gate_fields",
     "write_record",
 ]

@@ -350,8 +350,8 @@ class TestSupervisionFlags:
         [
             ["experiment", "fig5", "--cell-timeout", "-1"],
             ["experiment", "fig5", "--max-retries", "-2"],
-            ["bench", "--cell-timeout", "-0.5", "--no-sweep", "--quick"],
-            ["bench", "--max-retries", "-1", "--no-sweep", "--quick"],
+            ["bench", "--cell-timeout", "-0.5", "--quick"],
+            ["bench", "--max-retries", "-1", "--quick"],
         ],
     )
     def test_malformed_supervision_flags_exit_2(self, capsys, argv):

@@ -2,32 +2,34 @@
 
 Layout mirrors the package: plan parsing/validation, one tiny real
 ``run_plan`` execution (module-scoped — the record feeds several
-tests), v1->v2 history migration pinned by the committed fixture,
-rolling-baseline verdicts incl. the injected-regression case CI's
-perf-lab-smoke job re-checks end-to-end, the PNG fallback renderer,
-and the bench satellites (single-CPU sweep gating, collision-safe
-output paths).
+tests), history loading (the committed ``BENCH_*.json`` records and
+same-day ordering), rolling-baseline verdicts incl. the
+injected-regression case CI's perf-lab-smoke job re-checks
+end-to-end, the PNG renderer, and the bench satellites (single-CPU
+sweep gating, collision-safe output paths).
 """
 
+import glob
 import json
 import os
 
 import pytest
 
-from repro.experiments import bench
 from repro.perflab import (
+    REGRESSION_EXIT,
     BenchPlan,
     CapturePolicy,
     GatePolicy,
     PlanError,
     SweepPolicy,
     build_trends,
-    default_plan,
+    default_output_path,
     load_history,
     load_plan,
     plan_from_dict,
     run_plan,
     stats_digest,
+    sweep_gate_fields,
     upgrade_record,
     write_record,
 )
@@ -37,10 +39,6 @@ from repro.perflab.runner import environment_fingerprint
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PLANS = os.path.join(REPO, "plans")
-V1_FIXTURE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "data", "bench",
-    "BENCH_20260806.json",
-)
 
 TINY_PLAN = BenchPlan(
     name="tiny",
@@ -63,17 +61,6 @@ class TestPlanValidation:
             plan = load_plan(os.path.join(PLANS, name))
             assert plan.cells()
             assert plan.path and plan.path.endswith(name)
-
-    def test_default_plan_matches_legacy_bench_grid(self):
-        plan = load_plan(os.path.join(PLANS, "default.toml"))
-        assert tuple(plan.designs) == bench.DEFAULT_DESIGNS
-        assert tuple(plan.workloads) == ("oltp",)
-        assert plan.accesses_per_core == 40_000
-        assert plan.repeats == 3
-        assert plan.sweep.enabled
-        twin = default_plan()
-        assert tuple(twin.designs) == tuple(plan.designs)
-        assert twin.accesses_per_core == plan.accesses_per_core
 
     def test_minimal_plan_is_name_only(self):
         plan = plan_from_dict({"plan": {"name": "mini"}})
@@ -157,10 +144,7 @@ class TestRunPlan:
             assert len(cell["fingerprint"]) == 16
         env = record["environment"]
         assert env["cpus"] >= 1 and env["python"] and env["numpy"]
-        # The legacy per-design view chains onto v1 baselines.
-        assert set(record["throughput_accesses_per_sec"]) == {
-            "private", "cmp-nurapid",
-        }
+        assert "throughput_accesses_per_sec" not in record
         on_disk = json.load(open(path, encoding="utf-8"))
         assert on_disk == record
 
@@ -209,40 +193,23 @@ class TestRunPlan:
 
 
 class TestHistory:
-    def test_v1_fixture_upgrades_to_single_point_trend(self):
-        runs = load_history([V1_FIXTURE])
-        assert len(runs) == 1
-        run = runs[0]
-        assert run.schema == "repro-bench-v1"
-        assert set(run.cells) == {
-            "oltp/uniform-shared/atomic", "oltp/private/atomic",
-            "oltp/cmp-nurapid/atomic",
-        }
-        # Pinned against the committed fixture.
-        assert run.cells["oltp/cmp-nurapid/atomic"][
-            "throughput_accesses_per_sec"] == 172658.0
-        assert run.cells["oltp/private/atomic"]["miss_rate"] is None
-        assert run.accesses == 40_000
-        trends = build_trends(runs)
-        for trend in trends.values():
-            assert len(trend.points) == 1
-            assert trend.points[0].env == "cpus=1/py=?"
-
-    def test_v1_fixture_report_is_clean(self, tmp_path):
-        runs = load_history([V1_FIXTURE])
-        result = trend_report.write_report(runs, str(tmp_path))
-        assert not result.regressions
-        assert all(v.status == trend_report.SKIPPED for v in result.verdicts)
-        assert os.path.isfile(result.markdown_path)
+    def test_committed_history_loads_as_v2(self):
+        paths = sorted(glob.glob(os.path.join(REPO, "BENCH_*.json")))
+        assert paths
+        runs = load_history(paths)
+        assert len(runs) == len(paths)
+        for run in runs:
+            assert run.cells
+            for cell in run.cells.values():
+                assert "throughput_accesses_per_sec" in cell
 
     def test_unknown_schema_rejected(self):
-        with pytest.raises(HistoryError, match="unknown BENCH schema"):
-            upgrade_record({"schema": "repro-bench-v9"}, "BENCH_x")
+        for schema in ("repro-bench-v1", "repro-bench-v9"):
+            with pytest.raises(HistoryError, match="unknown BENCH schema"):
+                upgrade_record({"schema": schema}, "BENCH_x")
 
     def test_run_ordering_same_day_suffixes(self, tmp_path):
-        base = {"schema": "repro-bench-v1",
-                "throughput_accesses_per_sec": {"private": 1.0},
-                "workload": "oltp"}
+        base = _v2_record({LABEL: 1.0})
         paths = []
         for name in ("BENCH_20260103-2.json", "BENCH_20260103.json",
                      "BENCH_20260102.json"):
@@ -372,7 +339,7 @@ class TestGate:
     def test_single_cpu_sweep_speedup_not_gated(self):
         sweep = {"identical": True, "speedup": 0.8, "cells": 4, "jobs": 2,
                  "serial_seconds": 1.0, "parallel_seconds": 1.25,
-                 **bench.sweep_gate_fields(1)}
+                 **sweep_gate_fields(1)}
         runs = [_v2_run("BENCH_20260101", {LABEL: 100.0}, cpus=1,
                         sweep=sweep)]
         verdicts = trend_report.evaluate(
@@ -385,7 +352,7 @@ class TestGate:
     def test_multi_cpu_sweep_speedup_gated(self):
         sweep = {"identical": True, "speedup": 0.8, "cells": 4, "jobs": 2,
                  "serial_seconds": 1.0, "parallel_seconds": 1.25,
-                 **bench.sweep_gate_fields(4)}
+                 **sweep_gate_fields(4)}
         runs = [_v2_run("BENCH_20260101", {LABEL: 100.0}, sweep=sweep)]
         verdicts = trend_report.evaluate(
             runs, build_trends(runs), GatePolicy(min_speedup=1.2)
@@ -466,30 +433,28 @@ class TestChartPng:
 
 class TestBenchSatellites:
     def test_sweep_gate_fields_single_cpu(self):
-        fields = bench.sweep_gate_fields(1)
+        fields = sweep_gate_fields(1)
         assert fields["speedup_gate_eligible"] is False
         assert "single-CPU" in fields["speedup_gate_note"]
 
     def test_sweep_gate_fields_multi_cpu(self):
-        fields = bench.sweep_gate_fields(8)
+        fields = sweep_gate_fields(8)
         assert fields["speedup_gate_eligible"] is True
         assert "speedup_gate_note" not in fields
 
     def test_default_output_path_collision_safe(self, tmp_path):
-        first = bench.default_output_path("20260101", str(tmp_path))
+        first = default_output_path("20260101", str(tmp_path))
         assert os.path.basename(first) == "BENCH_20260101.json"
         open(first, "w").close()
-        second = bench.default_output_path("20260101", str(tmp_path))
+        second = default_output_path("20260101", str(tmp_path))
         assert os.path.basename(second) == "BENCH_20260101-2.json"
         open(second, "w").close()
-        third = bench.default_output_path("20260101", str(tmp_path))
+        third = default_output_path("20260101", str(tmp_path))
         assert os.path.basename(third) == "BENCH_20260101-3.json"
         # The suffixed names still sort and parse as same-day history.
-        runs = []
         for path in (first, second):
-            json.dump({"schema": "repro-bench-v1",
-                       "throughput_accesses_per_sec": {"private": 1.0},
-                       "workload": "oltp"}, open(path, "w"))
+            with open(path, "w") as handle:
+                json.dump(_v2_record({LABEL: 1.0}), handle)
         runs = load_history([second, first])
         assert [r.run_id for r in runs] == [
             "BENCH_20260101", "BENCH_20260101-2",
@@ -525,9 +490,9 @@ class TestEngineAlignment:
         suffix (distinct run_id), and the engine-aware env key keeps
         the pair in separate baseline groups.
         """
-        scalar_path = bench.default_output_path("20260809", str(tmp_path))
+        scalar_path = default_output_path("20260809", str(tmp_path))
         open(scalar_path, "w").close()
-        batch_path = bench.default_output_path("20260809", str(tmp_path))
+        batch_path = default_output_path("20260809", str(tmp_path))
         assert os.path.basename(batch_path) == "BENCH_20260809-2.json"
 
         environment = environment_fingerprint()
@@ -589,15 +554,22 @@ class TestCli:
         assert args.history == ["a.json", "b.json"]
         assert args.out_dir == "rpt"
 
-    def test_legacy_bench_flags_still_parse(self):
+    def test_bench_plan_defaults_to_default_toml(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--jobs", "2",
-             "--baseline", "benchmarks/baseline.json"]
-        )
+        args = build_parser().parse_args(["bench", "--quick"])
         assert args.func.__name__ == "cmd_bench"
-        assert args.plan is None
+        assert args.plan == os.path.join("plans", "default.toml")
+
+    def test_bench_without_plans_dir_exits_2(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert os.path.join("plans", "default.toml") in err
+        assert not list(tmp_path.iterdir())
 
     def test_malformed_plan_exits_2(self, tmp_path, capsys):
         from repro.cli import main
@@ -630,7 +602,7 @@ class TestCli:
             "--out-dir", str(tmp_path / "rpt"),
         ])
         captured = capsys.readouterr()
-        assert code == bench.REGRESSION_EXIT
+        assert code == REGRESSION_EXIT
         assert LABEL in captured.err
         assert os.path.isfile(tmp_path / "rpt" / "trend.md")
 
