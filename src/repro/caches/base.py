@@ -94,9 +94,6 @@ class SetAssociativeArray:
         self._clock += 1
         return self._clock
 
-    def set_of(self, address: int) -> "list[Entry]":
-        return self._sets[(address >> self._offset_bits) & self._index_mask]
-
     def lookup(self, address: int, touch: bool = True) -> "Optional[Entry]":
         """Return the valid entry matching ``address``, updating LRU."""
         tag = address >> self._tag_shift

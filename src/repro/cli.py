@@ -595,9 +595,9 @@ def cmd_experiment(args) -> int:
         cells = parallel.experiment_cells(name)
         if cells:
             # Prewarm this experiment's grid in one pool (or, with the
-            # batch engine, as SoA batches — worthwhile even at one
-            # job); the run_fn below then reads every cell out of the
-            # shared cache.
+            # batch engine, as one shared event tape per workload —
+            # worthwhile even at one job); the run_fn below then reads
+            # every cell out of the shared cache.
             if cache is None:
                 cache = StatsCache()
             report = parallel.run_cells(
@@ -992,8 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         help="simulation engine: scalar (the reference path, default) or "
-        "batch (SoA kernel, bit-identical stats; fault-free "
-        "uninstrumented runs only)",
+        "batch (one event tape shared per workload, bit-identical "
+        "stats; fault-free uninstrumented runs only)",
     )
     _add_workload_options(run_parser)
     _add_obs_options(run_parser)
@@ -1110,8 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         help="simulation engine for the sweep (default: REPRO_ENGINE, "
         "else scalar); 'batch' runs each workload's designs as lanes "
-        "of one SoA kernel — bit-identical results, and it composes "
-        "with --jobs (the pool schedules whole batches)",
+        "over one shared event tape — bit-identical results, and it "
+        "composes with --jobs (the pool schedules whole batches)",
     )
     _add_supervision_options(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)

@@ -107,10 +107,6 @@ class Directory:
                 if mask:
                     yield tile, address, mask
 
-    @property
-    def tracked_blocks(self) -> int:
-        return sum(1 for _ in self.entries())
-
     # ------------------------------------------------------------------
     # Sharer-vector updates (the tag chokepoints call these)
 

@@ -257,9 +257,6 @@ class CmpSystem:
     def _on_l2_invalidate(self, core: int, l2_block_address: int) -> None:
         self.l1s[core].invalidate_l2_block(l2_block_address, self.design.block_size)
 
-    def _others(self, core: int) -> "Iterable[int]":
-        return (c for c in range(self.params.num_cores) if c != core)
-
     def access(self, access: Access) -> int:
         """Run one memory reference; returns its stall cycles (0 on L1 hit)."""
         l1 = self.l1s[access.core]

@@ -168,16 +168,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class BatchUnit:
-    """A group of cells one worker runs through the SoA batch kernel.
+    """A group of cells one worker runs through the batch engine.
 
     With ``--engine batch`` the executor schedules these instead of
     single cells: all members share a workload, so the worker runs them
     as lanes of one :class:`~repro.kernel.engine.BatchKernel` over one
-    shared event tape, and the process pool multiplies on top of the
-    kernel's own batching.  Results land in the same per-cell cache
-    records as scalar runs (stats are engine-independent — the kernel
-    is bit-identical), so cache hits, shard merging, retry, and
-    quarantine all work unchanged at the unit level.
+    shared event tape (generated once for the whole unit), and the
+    process pool multiplies on top of that sharing.  Results land in
+    the same per-cell cache records as scalar runs (stats are
+    engine-independent — every lane runs the scalar loop), so cache
+    hits, shard merging, retry, and quarantine all work unchanged at
+    the unit level.
     """
 
     cells: "Tuple[Cell, ...]"
@@ -503,8 +504,8 @@ def _simulate_cell(
     Module-level (picklable) and self-contained: the parent resolves
     the bus model before submitting, so a worker's result cannot depend
     on environment differences between fork and spawn start methods.
-    A :class:`BatchUnit` runs all its member cells through the SoA
-    batch kernel and journals one record per member, so a unit's
+    A :class:`BatchUnit` runs all its member cells through the batch
+    engine and journals one record per member, so a unit's
     delivery is observable per cell exactly like scalar results.
     """
     if isinstance(cell, BatchUnit):
@@ -1077,8 +1078,8 @@ def run_cells(
 
     ``engine`` picks the simulation engine (``None`` defers to
     ``REPRO_ENGINE``, default scalar).  With ``"batch"``, uncached
-    cells are grouped into :class:`BatchUnit` work items — one SoA
-    kernel per workload group — so the batch kernel and the process
+    cells are grouped into :class:`BatchUnit` work items — one shared
+    event tape per workload group — so tape sharing and the process
     pool multiply; results are bit-identical either way.
     """
     from repro.kernel import resolve_engine

@@ -316,7 +316,7 @@ def sweep(
 
     ``engine`` (``None`` defers to ``REPRO_ENGINE``) selects the
     simulation engine for uncached cells.  ``"batch"`` steps all the
-    designs of one workload together through the SoA batch kernel —
+    designs of one workload together through the batch engine —
     bit-identical stats, one shared event tape — and composes with
     ``jobs``: each workload group becomes one schedulable unit in the
     worker pool.

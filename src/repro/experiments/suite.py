@@ -68,9 +68,9 @@ def run_suite(
     supervision (see :class:`~repro.experiments.parallel.SupervisorConfig`).
     ``engine`` (``None`` defers to ``REPRO_ENGINE``) selects the
     simulation engine for the prewarm; ``"batch"`` runs each workload's
-    designs as lanes of one SoA kernel — bit-identical stats — and
-    prewarms even at ``jobs=1``, since batching pays off without a
-    pool.  Raises :class:`~repro.experiments.parallel.
+    designs as lanes over one shared event tape — bit-identical stats —
+    and prewarms even at ``jobs=1``, since tape sharing pays off
+    without a pool.  Raises :class:`~repro.experiments.parallel.
     QuarantinedCellError` if any prewarm cell exhausted its retries —
     after every healthy cell has been journaled, so a rerun resumes
     instead of re-simulating.

@@ -229,13 +229,6 @@ class EventQueue:
             count += 1
         return count
 
-    def peek_time(self) -> "Optional[int]":
-        """Due time of the earliest pending event (None if queue empty)."""
-        heap = self._heap
-        while heap and heap[0][4].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     # ------------------------------------------------------------------
     # Versioned checkpointing
 

@@ -1,13 +1,12 @@
-"""Vectorized structure-of-arrays batch kernel (``--engine batch``).
+"""The batch engine (``--engine batch``): one shared tape, many lanes.
 
-Steps many (workload, design) simulation cells per numpy operation:
-per-cell L1 tag arrays, recency state, and permission bits live in
-structure-of-arrays buffers (:class:`~repro.kernel.soa.L1Pool`), and
-the engine (:mod:`repro.kernel.engine`) sorts each window of events
-into two classes across the whole batch: pure L1 hits, committed as
-masked array ops, and everything else, run per lane as a batched
-scalar residue against the real L2 designs.  Correctness is anchored
-on ``SimulationStats.fingerprint()`` identity with the scalar engine.
+Groups (workload, design, bus model) cells by workload, materializes
+each workload's event stream once into an
+:class:`~repro.kernel.engine.EventTape`, and runs every design lane's
+own :class:`~repro.cpu.system.CmpSystem` over it with the scalar
+engine's plain loop (:mod:`repro.kernel.engine`).  Statistics are the
+lanes' own, so ``SimulationStats.fingerprint()`` matches the scalar
+engine's by construction.
 """
 
 from repro.kernel.engine import (
@@ -19,7 +18,6 @@ from repro.kernel.engine import (
     resolve_engine,
     run_batch,
 )
-from repro.kernel.soa import L1Pool
 
 __all__ = [
     "BATCH_BUS_MODELS",
@@ -27,7 +25,6 @@ __all__ = [
     "ENGINES",
     "BatchKernel",
     "EventTape",
-    "L1Pool",
     "resolve_engine",
     "run_batch",
 ]

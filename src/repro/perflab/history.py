@@ -161,9 +161,6 @@ class CellTrend:
     label: str
     points: "List[TrendPoint]" = field(default_factory=list)
 
-    def in_env(self, env: str) -> "List[TrendPoint]":
-        return [point for point in self.points if point.env == env]
-
 
 def build_trends(runs: "Sequence[BenchRun]") -> "Dict[str, CellTrend]":
     """Per-cell trend series over ``runs`` (which must be oldest-first)."""

@@ -144,7 +144,7 @@ class SweepPolicy:
 class BatchPolicy:
     """The optional batch-kernel (``--engine batch``) measurement leg.
 
-    Times the SoA kernel over its own cell grid against the scalar
+    Times the batch engine over its own cell grid against the scalar
     engine run cell-by-cell, checks the two are fingerprint-identical,
     and (optionally) gates on an aggregate-throughput speedup floor.
     Empty ``designs``/``workloads``/``bus_models`` inherit the plan's

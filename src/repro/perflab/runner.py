@@ -311,7 +311,7 @@ def _run_batch_leg(
     batch_cells: "List[PlanCell]",
     stats_by_label: "Dict[str, object]",
 ) -> dict:
-    """Time the SoA batch kernel over the ``[batch]`` grid vs scalar.
+    """Time the batch engine over the ``[batch]`` grid vs scalar.
 
     Both sides run serially in-process, in **paired rounds**: each
     round times the scalar engine cell-by-cell over the whole grid and
@@ -319,10 +319,11 @@ def _run_batch_leg(
     back-to-back, so host-load drift cancels out of the ratio instead
     of gating it (on shared single-core hosts the absolute numbers
     swing far more than the ratio does).  The gate value is the best
-    paired ratio across rounds.  The kernel shares one event tape
-    across every design and bus model of a workload — part of its
-    advantage, so tape construction is deliberately inside the clock,
-    matching the scalar side's timed generation.  Every lane's stats
+    paired ratio across rounds.  The engine shares one event tape
+    across every design and bus model of a workload — its whole
+    advantage, since every lane runs the scalar loop — so tape
+    construction is deliberately inside the clock, matching the scalar
+    side's timed generation.  Every lane's stats
     must be fingerprint-identical to the scalar reference from the
     stats pass.
     """

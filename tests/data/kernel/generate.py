@@ -41,8 +41,8 @@ CELLS = (
     ("MIX3", "cmp-nurapid", True, "eventq"),
 )
 
-#: warmup=0 lanes: the cold-start trajectory, whose all-miss prefix
-#: runs on the batched scalar residue, is behaviour worth pinning
+#: warmup=0 lanes: the cold-start trajectory, an all-miss prefix
+#: replayed from the tape's first event, is behaviour worth pinning
 #: across builds too.
 COLD_CELLS = (
     ("oltp", "cmp-nurapid", False, "atomic"),

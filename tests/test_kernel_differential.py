@@ -1,22 +1,24 @@
 """Differential layer: the batch kernel is bit-identical to scalar.
 
-The SoA batch engine (``--engine batch``) claims to be a *re-execution
-strategy*, not a remodeling: every statistic a figure could read must
-come out bit-identical to the scalar engine for the same (workload,
-design, bus model, seed) cell.  These tests pin that claim with
+The batch engine (``--engine batch``) is a *re-execution strategy*, not
+a remodeling: it shares one event tape per workload across its design
+lanes, and every statistic a figure could read must come out
+bit-identical to the scalar engine for the same (workload, design, bus
+model, seed) cell.  These tests pin that claim with
 ``SimulationStats.fingerprint()`` equality across every registered
 design, every workload family (all five multithreaded workloads and
 all four multiprogrammed mixes), both interconnect backends, several
-seeds, mixed-design batches, and batch sizes 1/2/odd/large.
+seeds, mixed-design batches, batch sizes 1/2/odd/large, and tapes
+whose lengths and warm-up boundaries sit around the tape's replay
+slice.
 
-Sizes are kept small (the kernel's correctness is size-independent;
-its fallback boundary is crossed thousands of times even at 800
-accesses/core) so the whole suite stays CI-cheap.
+Sizes are kept small (the kernel's correctness is size-independent)
+so the whole suite stays CI-cheap.
 """
 
+import numpy as np
 import pytest
 
-from repro.common.params import SystemParams
 from repro.common.types import Access, AccessType, SharingClass
 from repro.cpu.system import TimedAccess
 from repro.experiments.runner import (
@@ -28,7 +30,8 @@ from repro.experiments.runner import (
     run_multithreaded,
 )
 from repro.kernel import BATCH_BUS_MODELS, BatchKernel, EventTape, run_batch
-from repro.workloads.multiprogrammed import MIXES
+from repro.workloads.base import BATCH
+from repro.workloads.multiprogrammed import MIXES, make_mix
 from repro.workloads.multithreaded import MULTITHREADED, make_workload
 
 ALL_DESIGNS = sorted(DESIGN_FACTORIES)
@@ -113,8 +116,8 @@ def test_batch_sizes(size):
     """Batch sizes 1, 2, odd, and large: grouping must not leak state.
 
     Size 18 spans two workloads x all designs and both workload groups
-    share nothing; sizes 1/2/7 exercise the single-lane, pair, and
-    odd-lane template paths of the vector kernel.
+    share nothing; sizes 1/2/7 put one, two and an odd number of lanes
+    on one tape.
     """
     config = config_for()
     pool = [
@@ -187,23 +190,19 @@ def test_batch_refuses_scaled_cells():
 def test_cold_start_grid_identical():
     """warmup=0 across every design and both buses, in one kernel.
 
-    Cold caches start every lane on an all-miss prefix that runs on
-    the batched scalar residue, and each lane's commit boundaries
-    follow its own misses; every event must still be committed
-    exactly once.
+    Cold caches start every lane on an all-miss prefix, and every lane
+    replays the same tape from its first event.
     """
     config = config_for(accesses=600, warmup=0)
     lanes = [(design, bus) for design in ALL_DESIGNS for bus in BATCH_BUS_MODELS]
-    params = SystemParams()
     workload = make_workload("oltp", seed=config.seed)
     tape = EventTape.from_chunks(
-        workload.chunks(accesses_per_core=config.measure_per_core), params.l1
+        workload.chunks(accesses_per_core=config.measure_per_core)
     )
     kernel = BatchKernel(
-        [build_design(design, bus_model=bus) for design, bus in lanes], params
+        [build_design(design, bus_model=bus) for design, bus in lanes]
     )
     kernel.run(tape, 0)
-    assert kernel.pure_commits + kernel.scalar_events == len(lanes) * tape.n
     for index, (design, bus) in enumerate(lanes):
         want = scalar_fingerprint("oltp", design, bus, config)
         assert kernel.lane_stats(index).fingerprint() == want, (
@@ -229,11 +228,10 @@ def _l2_hit_heavy_stream(num_cores=4, per_core=4000, region_blocks=1536):
 
 
 def test_l2_hit_heavy_stream_identical():
-    """A stream of private L2 read hits, run through the scalar residue.
+    """A stream of private L2 read hits, on lanes sharing one tape.
 
-    Nearly every event misses the L1 and hits the L2, so almost the
-    whole tape takes the batched residue path.  The result must stay
-    bit-identical to scalar on an atomic lane, a CR lane, and an
+    Nearly every event misses the L1 and hits the L2.  The result must
+    stay bit-identical to scalar on an atomic lane, a CR lane, and an
     eventq lane sharing one tape.  The guard checks that the stream
     really is L2-hit-heavy: at least 3/4 of each lane's L2 accesses
     are hits.
@@ -243,12 +241,10 @@ def test_l2_hit_heavy_stream_identical():
         ("cmp-nurapid-cr", "atomic"),
         ("cmp-nurapid-isc", "eventq"),
     ]
-    params = SystemParams()
-    tape = EventTape.from_events(_l2_hit_heavy_stream(), params.l1)
+    tape = EventTape.from_events(_l2_hit_heavy_stream())
     designs = [build_design(n, bus_model=b) for n, b in names]
-    kernel = BatchKernel(designs, params)
+    kernel = BatchKernel(designs)
     kernel.run(tape, 0)
-    assert kernel.pure_commits + kernel.scalar_events == len(names) * tape.n
     for index, (name, bus) in enumerate(names):
         got = kernel.lane_stats(index)
         assert 4 * got.accesses.hits >= 3 * got.accesses.total, (
@@ -273,3 +269,87 @@ def test_warmup_reset_boundary_identical():
         assert got[("apache", "cmp-nurapid", False, "atomic")] == want, (
             f"diverged at warmup={warmup}"
         )
+
+
+# ---------------------------------------------------------------------------
+# EventTape edge cases: the replay slice at its boundaries.
+#
+# Lanes replay a tape in slices of BATCH events; the interesting lengths
+# are the degenerate ones (no events, a single event) and the ones
+# around a slice boundary.  All must stay bit-identical to the scalar
+# engine for every lane in a mixed batch.
+
+TAPE_EDGE_LANES = (
+    ("private", "atomic"),
+    ("cmp-nurapid", "atomic"),
+    ("cmp-nurapid-cr", "eventq"),
+)
+
+
+def _edge_stream(n, num_cores=4):
+    """A deterministic n-event mix of aliasing reads and writes."""
+    for i in range(n):
+        core = i % num_cores
+        shared = i % 3 == 0
+        base = 0x40000 if shared else (core + 1) << 20
+        address = base + (i % 7) * 64
+        kind = AccessType.WRITE if i % 5 == 2 else AccessType.READ
+        sharing = (
+            SharingClass.READ_WRITE_SHARED if shared else SharingClass.PRIVATE
+        )
+        yield TimedAccess(Access(core, address, kind, sharing),
+                          gap=i % 4, colocated=i % 2)
+
+
+def _assert_edge_lanes_match(length, warmup):
+    tape = EventTape.from_events(_edge_stream(length))
+    assert tape.n == length
+    kernel = BatchKernel(
+        [build_design(n, bus_model=b) for n, b in TAPE_EDGE_LANES]
+    )
+    kernel.run(tape, warmup)
+    for index, (name, bus) in enumerate(TAPE_EDGE_LANES):
+        fresh = build_design(name, bus_model=bus)
+        _, stats = run_design_on_events(fresh, _edge_stream(length), warmup)
+        assert kernel.lane_stats(index).fingerprint() == stats.fingerprint(), (
+            f"{name}/{bus} diverged on a {length}-event tape "
+            f"(warm-up {warmup})"
+        )
+
+
+@pytest.mark.parametrize(
+    "length",
+    [0, 1, BATCH - 1, BATCH, BATCH + 1],
+    ids=["empty", "single", "one-short-of-a-slice", "exactly-one-slice",
+         "one-past-a-slice"],
+)
+def test_event_tape_edge_lengths_identical(length):
+    _assert_edge_lanes_match(length, 0)
+
+
+def test_event_tape_warmup_beyond_tape_identical():
+    """warmup_events past the end of the tape: both engines measure
+    nothing and agree on the (all-zero) statistics."""
+    _assert_edge_lanes_match(10, 10)
+
+
+def test_event_tape_warmup_ends_mid_slice_identical():
+    """The statistics reset lands inside a replay slice, not on its edge."""
+    _assert_edge_lanes_match(2 * BATCH + 5, BATCH + BATCH // 2)
+
+
+def test_event_tape_from_events_matches_from_chunks():
+    """Both tape builders hold the same columns for one stream.
+
+    The benchmark builds its tapes from timed events, ``run_batch``
+    from workload chunks; the two must agree column for column, for a
+    multithreaded workload and a mix, across a generator chunk.
+    """
+    per_core = BATCH + 3
+    for name, maker in (("oltp", make_workload), ("MIX2", make_mix)):
+        from_events = EventTape.from_events(maker(name, seed=7).events(per_core))
+        from_chunks = EventTape.from_chunks(maker(name, seed=7).chunks(per_core))
+        assert from_events.n == from_chunks.n == 4 * per_core
+        for got, want in zip(from_events._columns, from_chunks._columns):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
