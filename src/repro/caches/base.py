@@ -15,7 +15,6 @@ from typing import Callable, Iterator, Optional
 
 from repro.coherence.states import CoherenceState
 from repro.common.params import CacheGeometry
-from repro.common.types import restore_slots_state
 
 
 @dataclass(slots=True)
@@ -25,9 +24,7 @@ class Entry:
     Slotted: arrays hold hundreds of thousands of entries and the
     lookup/victim scans read their attributes on every access, so the
     per-instance dict is worth eliminating (construction is ~2x faster
-    and attribute loads skip a dict probe).  Legacy format-1 checkpoints
-    pickled entries with ``__dict__`` state; ``__setstate__`` restores
-    those onto slotted instances.
+    and attribute loads skip a dict probe).
 
     Attributes:
         tag: address tag (valid only when ``state`` is valid).
@@ -55,9 +52,6 @@ class Entry:
         self.dirty = False
         self.fill_class = None
         self.reuse = 0
-
-    def __setstate__(self, state) -> None:
-        restore_slots_state(self, state)
 
 
 def _lru_key(entry: Entry) -> int:

@@ -63,18 +63,6 @@ class L2Design(abc.ABC):
         self._block_size = value
         self._block_mask = ~(value - 1)
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore a legacy whole-object pickle onto the current layout.
-
-        Format-1 checkpoints written before ``block_size`` became a
-        property carry it as a plain ``__dict__`` key; route it through
-        the setter so the derived mask exists.
-        """
-        block_size = state.pop("block_size", None)
-        self.__dict__.update(state)
-        if block_size is not None:
-            self.block_size = block_size
-
     def reset_stats(self) -> None:
         """Clear access statistics (e.g. after a warm-up phase).
 

@@ -20,7 +20,7 @@ from repro.caches.base import Entry, SetAssociativeArray
 from repro.coherence.states import CoherenceState
 from repro.common import serialization
 from repro.common.params import L1Params
-from repro.common.types import block_address, restore_slots_state
+from repro.common.types import block_address
 
 _INVALID = CoherenceState.INVALID
 
@@ -66,9 +66,6 @@ class L1Stats:
     def miss_rate(self) -> float:
         total = self.accesses
         return self.misses / total if total else 0.0
-
-    def __setstate__(self, state) -> None:
-        restore_slots_state(self, state)
 
 
 class L1Cache:

@@ -359,7 +359,6 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
             check_full=check_full,
             checkpoint_path=args.checkpoint or args.resume,
             checkpoint_every=args.checkpoint_every,
-            checkpoint_format=args.checkpoint_format,
             timeout_seconds=args.timeout,
             faults=faults,
             seed=meta.get("seed", DEFAULT_SEED),
@@ -397,7 +396,6 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
         check_full=check_full,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_format=args.checkpoint_format,
         timeout_seconds=args.timeout,
         faults=faults,
         seed=args.seed,
@@ -1020,16 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=50_000,
         metavar="K",
         help="events between checkpoints (default: 50000)",
-    )
-    harness_group.add_argument(
-        "--checkpoint-format",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        metavar="V",
-        help="snapshot layout: 2 = versioned state-dict envelope "
-        "(default, survives refactors), 1 = legacy whole-object pickle. "
-        "Both load via --resume regardless of this flag",
     )
     harness_group.add_argument(
         "--resume",

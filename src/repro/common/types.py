@@ -136,32 +136,6 @@ class AccessResult:
         return self.miss_class is MissClass.HIT
 
 
-def restore_slots_state(obj: object, state: object) -> None:
-    """``__setstate__`` body shared by the slotted hot-path classes.
-
-    Classes converted from ``@dataclass`` to ``@dataclass(slots=True)``
-    still appear inside legacy format-1 checkpoints, which pickled them
-    with plain ``__dict__`` state; protocol-2 pickles of the slotted
-    classes instead carry a ``(dict_state, slots_state)`` pair.  Both
-    forms restore through ``setattr``, so old snapshots keep loading
-    after the conversion.  Unknown attribute names (a field an older
-    build had and this one dropped) are ignored rather than fatal,
-    matching the checkpoint loaders' minor-layout tolerance.
-    """
-    if isinstance(state, tuple) and len(state) == 2:
-        sources = state
-    else:
-        sources = (state, None)
-    for source in sources:
-        if not source:
-            continue
-        for name, value in source.items():
-            try:
-                setattr(obj, name, value)
-            except AttributeError:
-                pass
-
-
 def block_address(address: int, block_size: int) -> int:
     """Mask ``address`` down to the start of its ``block_size`` block."""
     if block_size <= 0 or block_size & (block_size - 1):

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.types import restore_slots_state
-
 
 @dataclass(slots=True)
 class InOrderCore:
@@ -83,6 +81,3 @@ class InOrderCore:
         from repro.common import serialization
 
         serialization.load_scalar_fields(self, state, path)
-
-    def __setstate__(self, state) -> None:
-        restore_slots_state(self, state)

@@ -380,14 +380,12 @@ class StatsCache:
     unpickles) is detected and the damaged record dropped, instead of
     poisoning a merged sweep.  A sweep killed halfway resumes where it
     stopped: loading tolerates a truncated final record (the crash
-    case), skips checksum-failed records, and keeps the last record for
-    a duplicated key.  Loading **compacts** when it has something to
-    fix — a truncated tail, corrupt or duplicate records, or a cache in
-    one of the legacy formats (whole-dict pickle, or unframed ``("run",
-    key, stats)`` records) — by atomically rewriting the journal (tmp
-    file + rename), which also migrates legacy records to the framed
-    form.  A missing file starts empty; an unreadable one is ignored
-    (the sweep re-simulates).
+    case), skips checksum-failed and unrecognized records, and keeps
+    the last record for a duplicated key.  Loading **compacts** when it
+    has something to fix — a truncated tail, or corrupt, unrecognized
+    or duplicate records — by atomically rewriting the journal (tmp
+    file + rename).  A missing file starts empty; an unreadable one is
+    ignored (the sweep re-simulates).
     """
 
     def __init__(self, path: "Optional[str]" = None) -> None:
@@ -400,11 +398,11 @@ class StatsCache:
 
     @staticmethod
     def _load(path: str) -> "tuple[Dict[tuple, SimulationStats], bool]":
-        """Read a journal (or legacy format) from ``path``.
+        """Read a journal from ``path``.
 
         Returns ``(cache, dirty)`` where ``dirty`` means the on-disk
-        form should be compacted (legacy format, truncated tail,
-        corrupt or duplicate records).
+        form should be compacted (truncated tail, corrupt, unrecognized
+        or duplicate records).
         """
         try:
             with open(path, "rb") as handle:
@@ -431,12 +429,7 @@ class StatsCache:
                 # or stale classes: keep what was read, drop the tail.
                 dirty = True
                 break
-            if isinstance(payload, dict):
-                # Legacy format: the whole cache as one dict.
-                # Migrate it to the journal form on return.
-                cache.update(payload)
-                dirty = True
-            elif (
+            if (
                 isinstance(payload, tuple)
                 and len(payload) == 3
                 and payload[0] == "run2"
@@ -456,16 +449,6 @@ class StatsCache:
                     continue
                 if key in cache:
                     dirty = True  # duplicate: last record wins
-                cache[key] = stats
-            elif (
-                isinstance(payload, tuple)
-                and len(payload) == 3
-                and payload[0] == "run"
-            ):
-                # Legacy unframed record: accept, and migrate to the
-                # CRC-framed form on return.
-                _, key, stats = payload
-                dirty = True
                 cache[key] = stats
             else:
                 dirty = True  # unrecognized record: skip it
@@ -566,8 +549,8 @@ class StatsCache:
 
         Scaled runs embed the core count in the workload slot
         (``"oltp@c16"``) so the key keeps the 4-tuple shape every
-        journal record, shard merger, and legacy cache already uses —
-        4-core keys are unchanged.
+        journal record and shard merger already uses — 4-core keys are
+        unchanged.
         """
         label = f"{workload}@c{num_cores}" if num_cores else workload
         return (label, design_key, config, multiprogrammed)

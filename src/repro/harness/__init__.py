@@ -33,11 +33,9 @@ from repro.harness.chaos import (
 )
 from repro.harness.checkpoint import (
     FORMAT_VERSION,
-    MIGRATIONS,
     Checkpoint,
     CheckpointError,
     load_checkpoint,
-    register_migration,
     save_checkpoint,
 )
 from repro.harness.faults import (
@@ -64,8 +62,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "FORMAT_VERSION",
-    "MIGRATIONS",
-    "register_migration",
     "FAULT_KINDS",
     "RACE_FAULT_KINDS",
     "FaultInjector",

@@ -1,15 +1,16 @@
 """Versioned, design-aware checkpoints with bit-identical resume.
 
-Format version 2 (the default) snapshots the simulator as a **state
-dict**: every stateful component — tag arrays, data frames and free
-lists, LRU/timestamp clocks, MESIC line states, CR pointer maps,
-per-core timing, RNG bit-generator states, pending event-queue
-deferrals — contributes plain dicts of primitives and numpy arrays via
-its ``state_dict()`` method.  The envelope written to disk holds only
+A checkpoint snapshots the simulator as a **state dict**: every
+stateful component — tag arrays, data frames and free lists,
+LRU/timestamp clocks, MESIC line states, CR pointer maps, per-core
+timing, RNG bit-generator states, pending event-queue deferrals —
+contributes plain dicts of primitives and numpy arrays via its
+``state_dict()`` method.  The envelope written to disk holds only
 that data plus identification fields::
 
     {"magic": "repro-checkpoint", "version": 2,
-     "design": <DESIGN_FACTORIES name>, "bus_model": "atomic"|"eventq",
+     "design": <DESIGN_FACTORIES name>,
+     "bus_model": "atomic"|"eventq"|"mesh",
      "seed": <workload seed or None>, "event_index": <int>,
      "meta": {...caller metadata...}, "state": {...state dicts...}}
 
@@ -18,16 +19,9 @@ Loading **rebuilds** the system through
 injects the state with ``load_state_dict()`` — internal classes are
 never unpickled, so renaming or refactoring them cannot invalidate a
 snapshot.  The envelope is validated (magic, version, design name,
-bus model, seed, array shapes) with precise :class:`CheckpointError`
-diagnostics naming the failing field.
-
-Version 1 — the legacy whole-object pickle of ``CmpSystem`` — remains
-loadable through the migration registry: :data:`MIGRATIONS` maps each
-older version to an upgrade function; v1 payloads are upgraded by
-extracting a v2 state dict from the unpickled system and then restored
-through the normal rebuild-and-inject path.  (v1 is the one format
-that *does* reference internal classes by name; a v1 snapshot predating
-a rename needs the old names importable.)
+bus model, seed, meta, array shapes) with precise
+:class:`CheckpointError` diagnostics naming the failing field.  Only
+:data:`FORMAT_VERSION` loads; any other version is a named error.
 
 Pending event-queue deferrals (the race faults' late deliveries) are
 encoded by *owner and method name* — e.g. ``("design",
@@ -48,12 +42,11 @@ import pickle
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.serialization import StateDictError
-from repro.obs.tracer import NO_TRACE
 
-#: Current checkpoint payload layout; older versions load via MIGRATIONS.
+#: The checkpoint payload layout this build writes and reads.
 FORMAT_VERSION = 2
 
 _MAGIC = "repro-checkpoint"
@@ -88,8 +81,6 @@ class Checkpoint:
     event_index: int
     system: Any
     meta: "Dict[str, Any]" = field(default_factory=dict)
-    #: Format version the file was written with (before migration).
-    version: int = FORMAT_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +207,8 @@ def _encode_pending_events(system) -> "List[Dict[str, Any]]":
 def _restore_pending_events(
     system, events: "List[Dict[str, Any]]", path: str
 ) -> None:
+    if not isinstance(events, list):
+        raise CheckpointError(f"{path}: expected a list")
     queue = system.design.queue
     owners = _action_owners(system)
     for i, state in enumerate(events):
@@ -224,9 +217,9 @@ def _restore_pending_events(
             raise CheckpointError(f"{epath}: expected a dict")
         try:
             owner_key, name = state["action"]
+            owner = owners.get(owner_key)
         except (KeyError, TypeError, ValueError):
             raise CheckpointError(f"{epath}.action: malformed") from None
-        owner = owners.get(owner_key)
         if owner is None:
             raise CheckpointError(
                 f"{epath}.action: the rebuilt design has no {owner_key!r} "
@@ -238,10 +231,15 @@ def _restore_pending_events(
                 f"{epath}.action: {owner_key}.{name} does not exist in "
                 "this build"
             )
-        args = tuple(
-            _decode_arg(system, arg, f"{epath}.args[{j}]")
-            for j, arg in enumerate(state.get("args", ()))
-        )
+        try:
+            args = tuple(
+                _decode_arg(system, arg, f"{epath}.args[{j}]")
+                for j, arg in enumerate(state.get("args", ()))
+            )
+        except (IndexError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"{epath}.args: malformed ({error})"
+            ) from None
         try:
             queue.restore_event(
                 int(state["time"]), int(state["priority"]), int(state["seq"]),
@@ -249,115 +247,6 @@ def _restore_pending_events(
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(f"{epath}: {error}") from None
-
-
-# ----------------------------------------------------------------------
-# v1 legacy support (whole-object pickle)
-
-
-def _detach_observability(system) -> "List[Tuple[Any, ...]]":
-    """Strip per-process observability state; return an undo list.
-
-    Only the legacy v1 writer needs this: it pickles the live system,
-    whose tracer may hold an open sink file and whose profiler shadows
-    methods with closures.  The v2 writer reads state dicts and never
-    touches these.
-    """
-    undo: "List[Tuple[Any, ...]]" = []
-    tracer = getattr(system, "tracer", None)
-    if tracer is not None and tracer is not NO_TRACE:
-        undo.append(("tracer", tracer))
-        if hasattr(system, "attach_tracer"):
-            system.attach_tracer(NO_TRACE)
-        else:
-            system.tracer = NO_TRACE
-    metrics = getattr(system, "metrics", None)
-    if metrics is not None:
-        undo.append(("metrics", metrics))
-        system.metrics = None
-    design = getattr(system, "design", None)
-    holders = [obj for obj in (
-        system,
-        design,
-        getattr(design, "bus", None),
-        getattr(design, "crossbar", None),
-    ) if obj is not None and hasattr(obj, "__dict__")]
-    for obj in holders:
-        for name, value in list(vars(obj).items()):
-            if callable(value) and hasattr(value, "__wrapped__"):
-                undo.append(("shadow", obj, name, value))
-                delattr(obj, name)  # the class method shows through again
-    return undo
-
-
-def _restore_observability(system, undo: "List[Tuple[Any, ...]]") -> None:
-    for entry in reversed(undo):
-        if entry[0] == "tracer":
-            if hasattr(system, "attach_tracer"):
-                system.attach_tracer(entry[1])
-            else:
-                system.tracer = entry[1]
-        elif entry[0] == "metrics":
-            system.metrics = entry[1]
-        else:
-            _, obj, name, value = entry
-            setattr(obj, name, value)
-
-
-# ----------------------------------------------------------------------
-# Migration registry
-
-#: from-version -> upgrade function producing the next version's payload.
-#: Chains run until the payload reaches :data:`FORMAT_VERSION`; a version
-#: with no entry (and != FORMAT_VERSION) is a precise load error.
-MIGRATIONS: "Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]]" = {}
-
-
-def register_migration(from_version: int):
-    """Register an upgrade from ``from_version`` to the next layout."""
-
-    def decorator(fn):
-        MIGRATIONS[from_version] = fn
-        return fn
-
-    return decorator
-
-
-@register_migration(1)
-def _migrate_v1(payload: "Dict[str, Any]") -> "Dict[str, Any]":
-    """v1 (whole-object pickle) -> v2 (state-dict envelope).
-
-    The legacy system object was already unpickled with the payload;
-    upgrading extracts its state dict so the caller restores through the
-    same rebuild-and-inject path as a native v2 file — including a
-    bit-identical resume of any pending race-fault deferral.
-    """
-    system = payload.get("system")
-    if system is None or not hasattr(system, "state_dict"):
-        raise CheckpointError(
-            "v1 checkpoint has no restorable system object"
-        )
-    meta = dict(payload.get("meta", {}))
-    design = system.design
-    queue = getattr(design, "queue", None)
-    try:
-        state = system.state_dict()
-        if queue is not None:
-            state["eventq"]["events"] = _encode_pending_events(system)
-    except StateDictError as error:
-        raise CheckpointError(
-            f"v1 checkpoint state could not be extracted: {error}"
-        ) from None
-    return {
-        "magic": _MAGIC,
-        "version": 2,
-        "design": meta.get("design") or design.name,
-        "bus_model": _bus_model_of(design, queue),
-        "seed": meta.get("seed"),
-        "event_index": payload.get("event_index", 0),
-        "meta": meta,
-        "state": state,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -369,43 +258,17 @@ def save_checkpoint(
     event_index: int,
     path: "Union[str, Path]",
     meta: "Optional[Dict[str, Any]]" = None,
-    format_version: int = FORMAT_VERSION,
 ) -> None:
     """Atomically write a snapshot of ``system`` to ``path``.
 
-    ``format_version`` selects the on-disk layout: 2 (default) writes
-    the state-dict envelope (gzip-compressed — the sparse columnar
-    arrays compress well); 1 writes the legacy whole-object pickle for
-    compatibility tooling.  Both are written atomically (temp file +
-    ``os.replace``) so a killed run never leaves a truncated snapshot
+    The state-dict envelope is gzip-compressed (the sparse columnar
+    arrays compress well) and written atomically (temp file +
+    ``os.replace``), so a killed run never leaves a truncated snapshot
     under the final name.
     """
-    if format_version not in (1, FORMAT_VERSION):
-        raise CheckpointError(
-            f"cannot write checkpoint format version {format_version}; "
-            f"supported: 1 and {FORMAT_VERSION}"
-        )
     meta = dict(meta or {})
     path = Path(path)
     temp = path.with_name(path.name + ".tmp")
-
-    if format_version == 1:
-        payload = {
-            "magic": _MAGIC,
-            "version": 1,
-            "event_index": event_index,
-            "meta": meta,
-            "system": system,
-        }
-        undo = _detach_observability(system)
-        try:
-            with open(temp, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            _restore_observability(system, undo)
-        os.replace(temp, path)
-        return
-
     design = system.design
     queue = getattr(design, "queue", None)
     try:
@@ -436,12 +299,8 @@ def save_checkpoint(
 # Loading
 
 
-def _read_payload(path: Path) -> "Tuple[Dict[str, Any], int]":
-    """Read, decompress, unpickle, and envelope-validate ``path``.
-
-    Returns ``(payload, version_as_written)`` with the payload already
-    migrated to :data:`FORMAT_VERSION`.
-    """
+def _read_payload(path: Path) -> "Dict[str, Any]":
+    """Read, decompress, and unpickle ``path``; check magic and version."""
     try:
         data = path.read_bytes()
     except OSError as error:
@@ -469,29 +328,12 @@ def _read_payload(path: Path) -> "Tuple[Dict[str, Any], int]":
             else f"{path} is not a repro checkpoint"
         )
     version = payload.get("version")
-    if not isinstance(version, int):
+    if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"checkpoint {path} field 'version' is {version!r}, not an int"
+            f"checkpoint {path} field 'version' is {version!r}; this build "
+            f"reads only format version {FORMAT_VERSION}"
         )
-    written_version = version
-    seen = set()
-    while version != FORMAT_VERSION:
-        migrate = MIGRATIONS.get(version)
-        if migrate is None or version in seen:
-            raise CheckpointError(
-                f"checkpoint {path} has format version {version} and no "
-                f"migration path to version {FORMAT_VERSION} "
-                f"(migrations exist for: {sorted(MIGRATIONS) or 'none'})"
-            )
-        seen.add(version)
-        payload = migrate(payload)
-        version = payload.get("version")
-        if not isinstance(version, int):
-            raise CheckpointError(
-                f"migration from version {max(seen)} produced an invalid "
-                f"'version' field: {version!r}"
-            )
-    return payload, written_version
+    return payload
 
 
 def _validate_envelope(payload: "Dict[str, Any]", path: Path) -> None:
@@ -520,6 +362,11 @@ def _validate_envelope(payload: "Dict[str, Any]", path: Path) -> None:
             f"checkpoint {path} field 'event_index' is {event_index!r}, "
             "not a non-negative int"
         )
+    if not isinstance(payload.get("meta", {}), dict):
+        raise CheckpointError(
+            f"checkpoint {path} field 'meta' is {payload['meta']!r}, "
+            "not a dict"
+        )
     if not isinstance(payload.get("state"), dict):
         raise CheckpointError(
             f"checkpoint {path} field 'state' is missing or not a dict"
@@ -529,12 +376,11 @@ def _validate_envelope(payload: "Dict[str, Any]", path: Path) -> None:
 def load_checkpoint(path: "Union[str, Path]") -> Checkpoint:
     """Load a snapshot, rebuilding the system from its state dict.
 
-    Older format versions are upgraded in memory through
-    :data:`MIGRATIONS` first.  Every failure mode — missing file,
-    interrupted write, truncation, foreign file, unknown version,
-    refactored class reference in a legacy pickle, or a structurally
-    invalid state dict — raises :class:`CheckpointError` naming what
-    failed; bare pickle exceptions never escape.
+    Every failure mode — missing file, interrupted write, truncation,
+    foreign file, unknown version, a pickle naming a class that does
+    not resolve, a malformed envelope field, or a structurally invalid
+    state dict — raises :class:`CheckpointError` naming what failed;
+    bare pickle exceptions never escape.
     """
     path = Path(path)
     if not path.exists():
@@ -547,7 +393,7 @@ def load_checkpoint(path: "Union[str, Path]") -> Checkpoint:
             )
         raise CheckpointError(f"checkpoint {path} does not exist")
 
-    payload, written_version = _read_payload(path)
+    payload = _read_payload(path)
     _validate_envelope(payload, path)
 
     from repro.cpu.system import CmpSystem
@@ -570,5 +416,4 @@ def load_checkpoint(path: "Union[str, Path]") -> Checkpoint:
         event_index=payload["event_index"],
         system=system,
         meta=dict(payload.get("meta", {})),
-        version=written_version,
     )

@@ -80,9 +80,6 @@ class HarnessConfig:
     seed: int = DEFAULT_SEED
     window_size: int = 64
     dump_path: "Optional[str]" = None
-    #: On-disk layout for periodic snapshots (``--checkpoint-format``):
-    #: 2 is the versioned state-dict envelope, 1 the legacy pickle.
-    checkpoint_format: int = 2
     #: Force full-state rescans on every check (``--check-invariants
     #: full``).  Default is incremental: designs mark mutated entries in
     #: a dirty set and only those are rescanned (faults escalate the
@@ -223,8 +220,7 @@ class HarnessRunner:
         meta = dict(self.meta)
         meta["stats_reset"] = self.stats_reset
         save_checkpoint(
-            self.system, self.event_index, self.config.checkpoint_path, meta,
-            format_version=self.config.checkpoint_format,
+            self.system, self.event_index, self.config.checkpoint_path, meta
         )
 
     def window_events(self) -> list:

@@ -7,9 +7,9 @@ Run from the repository root::
 For each (design, bus model) pair below this script runs a short
 deterministic workload prefix on a small-geometry system (state dicts
 carry their construction params, so a snapshot of a small system
-restores faithfully onto a default-built design), writes the cut as
-both a v1 (legacy whole-object pickle) and a v2 (state-dict envelope)
-fixture, finishes the run uninterrupted, and records the final
+restores faithfully onto a default-built design), writes the cut as a
+``<design>-<bus model>.v2.ck`` fixture, finishes the run
+uninterrupted, and records the final
 :meth:`~repro.common.stats.SimulationStats.fingerprint` in
 ``expected.json``.  ``test_checkpoint_golden.py`` then asserts that
 every committed fixture still loads under the current build and that
@@ -41,11 +41,11 @@ from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem
 from repro.harness.checkpoint import save_checkpoint
 from repro.interconnect.eventq import attach_eventq
+from repro.interconnect.mesh import attach_mesh
 from repro.workloads.multithreaded import make_workload
 
 HERE = Path(__file__).resolve().parent
 
-#: Small L1s keep the v1 whole-object pickles at committed-fixture size.
 SMALL_L1 = SystemParams(l1=L1Params(geometry=CacheGeometry(4 * KB, 2, 64)))
 
 SMALL_DESIGNS = {
@@ -65,6 +65,8 @@ CASES = (
     ("cmp-nurapid", "eventq", "oltp", 42, 150, 400),
     ("private", "eventq", "apache", 42, 150, 400),
     ("uniform-shared", "atomic", "oltp", 42, 150, 400),
+    ("private", "mesh", "oltp", 42, 150, 400),
+    ("cmp-nurapid", "mesh", "oltp", 42, 150, 400),
 )
 
 
@@ -72,6 +74,8 @@ def run_case(design_name, bus_model, workload_name, seed, accesses, cut):
     design = SMALL_DESIGNS[design_name]()
     if bus_model == "eventq":
         attach_eventq(design)
+    elif bus_model == "mesh":
+        attach_mesh(design)
     system = CmpSystem(design, SMALL_L1)
     workload = make_workload(workload_name, seed=seed)
     events = list(
@@ -94,11 +98,7 @@ def run_case(design_name, bus_model, workload_name, seed, accesses, cut):
     for event in events[:cut]:
         system.step(event)
     stem = f"{design_name}-{bus_model}"
-    for version in (1, 2):
-        save_checkpoint(
-            system, cut, HERE / f"{stem}.v{version}.ck", meta,
-            format_version=version,
-        )
+    save_checkpoint(system, cut, HERE / f"{stem}.v2.ck", meta)
     for event in events[cut:]:
         system.step(event)
     return stem, system.stats().fingerprint()
@@ -109,7 +109,7 @@ def main() -> None:
     for case in CASES:
         stem, fingerprint = run_case(*case)
         expected[stem] = fingerprint
-        print(f"{stem}: fixtures written, final fingerprint recorded")
+        print(f"{stem}: fixture written, final fingerprint recorded")
     out = HERE / "expected.json"
     out.write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

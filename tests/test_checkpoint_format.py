@@ -1,19 +1,17 @@
-"""Versioned checkpoint format: round-trips, migrations, corruption.
+"""Versioned checkpoint format: round-trips, refactors, corruption.
 
-Four contracts of :mod:`repro.harness.checkpoint`:
+Three contracts of :mod:`repro.harness.checkpoint`:
 
 * **round-trip** — save → load → resume equals the uninterrupted run
   event-for-event (Hypothesis drives random design/workload/seed/cut/
   bus-model combinations, including runs with a race fault armed);
-* **migration** — a v1 (legacy whole-object pickle) checkpoint written
-  by the current build loads through the migration registry and resumes
-  bit-identically;
-* **refactor survival** — a v2 checkpoint references no internal
-  classes, so it loads even after the design class is renamed;
+* **refactor survival** — a checkpoint references no internal classes,
+  so it loads even after the design class is renamed;
 * **diagnostics** — every corruption mode (truncated tail, flipped
-  magic, unknown version, mismatched array shape, interrupted write,
-  stale class reference) raises :class:`CheckpointError` naming the
-  failing field, never a bare pickle exception.
+  magic, unknown version, malformed meta or pending-event argument,
+  mismatched array shape, interrupted write, stale class reference)
+  raises :class:`CheckpointError` naming the failing field, never a
+  bare pickle exception.
 """
 
 import gzip
@@ -46,6 +44,7 @@ from repro.harness import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.interconnect.bus import BusOp
 from repro.interconnect.eventq import attach_eventq
 from repro.workloads.multithreaded import make_workload
 
@@ -88,6 +87,16 @@ def write_v2(tmp_path, design_name="cmp-nurapid", bus_model="eventq",
     path = tmp_path / name
     save_checkpoint(system, steps, path, {"design": design_name, "seed": 9})
     return path, system, events
+
+
+def race_system():
+    """A private/eventq system stopped inside an open race window, so a
+    snapshot of it carries one pending deferred snoop delivery."""
+    system, design = small_system("private", "eventq")
+    system.step(TimedAccess(Access(0, 0x1000, AccessType.READ)))
+    design.bus.race_pending = "race-reorder"
+    system.step(TimedAccess(Access(1, 0x1000, AccessType.WRITE)))
+    return system, design
 
 
 def rewrite_v2(path, mutate):
@@ -146,10 +155,7 @@ def test_roundtrip_equals_uninterrupted_run(
 
 def test_checkpoint_carries_pending_deferred_event(tmp_path):
     """A cut inside an open race window round-trips the late delivery."""
-    system, design = small_system("private", "eventq")
-    system.step(TimedAccess(Access(0, 0x1000, AccessType.READ)))
-    design.bus.race_pending = "race-reorder"
-    system.step(TimedAccess(Access(1, 0x1000, AccessType.WRITE)))
+    system, design = race_system()
     queue = design.queue
     pending = [
         (e.time, e.priority, e.seq, e.label, e.track)
@@ -173,29 +179,7 @@ def test_checkpoint_carries_pending_deferred_event(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# v1 migration and v2 refactor survival (acceptance criteria)
-
-
-@pytest.mark.parametrize("bus_model", ["atomic", "eventq"])
-def test_v1_checkpoint_migrates_and_resumes_bit_identically(
-    tmp_path, bus_model
-):
-    system, _ = small_system("cmp-nurapid", bus_model)
-    events = workload_events("oltp", 21, 100)
-    for event in events[:250]:
-        system.step(event)
-    path = tmp_path / "legacy.ck"
-    save_checkpoint(
-        system, 250, path, {"design": "cmp-nurapid", "seed": 21},
-        format_version=1,
-    )
-    checkpoint = load_checkpoint(path)
-    assert checkpoint.version == 1
-    resumed = checkpoint.system
-    for event in events[250:]:
-        system.step(event)
-        resumed.step(event)
-    assert system.stats().fingerprint() == resumed.stats().fingerprint()
+# Refactor survival
 
 
 class RenamedNurapidCache(NurapidCache):
@@ -222,9 +206,10 @@ def test_v2_checkpoint_survives_class_rename(tmp_path, monkeypatch):
     assert system.stats().fingerprint() == resumed.stats().fingerprint()
 
 
-def test_v1_checkpoint_with_stale_class_reference_is_diagnosed(tmp_path):
-    """The legacy format *does* reference classes; a rename shows up as
-    a CheckpointError, not a raw AttributeError (the historical bug)."""
+def test_checkpoint_with_stale_class_reference_is_diagnosed(tmp_path):
+    """Loading unpickles, so a ``--resume`` file can name a class that
+    no longer resolves; that shows up as a CheckpointError, not a raw
+    AttributeError."""
     path = tmp_path / "stale.ck"
     # GLOBAL opcode referencing a module attribute that does not exist.
     path.write_bytes(b"cos\nno_such_attribute_xyz\n.")
@@ -232,7 +217,7 @@ def test_v1_checkpoint_with_stale_class_reference_is_diagnosed(tmp_path):
         load_checkpoint(path)
 
 
-def test_v1_checkpoint_with_missing_module_is_diagnosed(tmp_path):
+def test_checkpoint_with_missing_module_is_diagnosed(tmp_path):
     path = tmp_path / "gone.ck"
     path.write_bytes(b"cno_such_module_xyz\nSomeClass\n.")
     with pytest.raises(CheckpointError, match="ModuleNotFoundError"):
@@ -282,10 +267,15 @@ def test_foreign_pickle_is_diagnosed(tmp_path):
         load_checkpoint(path)
 
 
-def test_unknown_version_without_migration_path_is_diagnosed(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_unknown_version_without_migration_path_is_diagnosed(
+    tmp_path, version
+):
+    """Only FORMAT_VERSION loads: the retired v1 layout and a future
+    one are both named errors."""
     path, _, _ = write_v2(tmp_path)
-    rewrite_v2(path, lambda payload: payload.update(version=99))
-    with pytest.raises(CheckpointError, match="no migration path"):
+    rewrite_v2(path, lambda payload: payload.update(version=version))
+    with pytest.raises(CheckpointError, match=rf"'version' is {version};"):
         load_checkpoint(path)
 
 
@@ -326,10 +316,49 @@ def test_garbage_bytes_are_diagnosed(tmp_path):
         load_checkpoint(path)
 
 
-def test_unwritable_format_version_is_rejected(tmp_path):
-    system, _ = small_system("private", "atomic")
-    with pytest.raises(CheckpointError, match="format version 3"):
-        save_checkpoint(system, 0, tmp_path / "x.ck", format_version=3)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("meta", 5),
+        ("meta", "x"),
+        ("meta", [1, 2]),
+        ("meta", None),
+        ("events", 5),
+        ("action", [[], "x"]),
+        ("args", [("frameptr", 1)]),
+        ("args", [("lit",)]),
+        ("args", [("snooper", "x")]),
+        ("args", [("bustxn", BusOp.BUS_RD.value, "a", 0)]),
+    ],
+    ids=[
+        "meta-int", "meta-str", "meta-list", "meta-none", "events-int",
+        "action-unhashable", "frameptr-short", "lit-short", "snooper-str",
+        "bustxn-str",
+    ],
+)
+def test_malformed_envelope_field_is_diagnosed(tmp_path, field, value):
+    """A malformed ``meta`` or pending event is a named error, not a
+    bare TypeError/ValueError/IndexError."""
+    path = tmp_path / "bad.ck"
+    save_checkpoint(race_system()[0], 2, path, {"design": "private"})
+
+    def corrupt(payload):
+        if field == "meta":
+            payload["meta"] = value
+        elif field == "events":
+            payload["state"]["eventq"]["events"] = value
+        else:
+            payload["state"]["eventq"]["events"][0][field] = value
+
+    rewrite_v2(path, corrupt)
+    match = {
+        "meta": "'meta'",
+        "events": r"eventq\.events: ",
+        "action": r"eventq\.events\[0\]\.action",
+        "args": r"eventq\.events\[0\]\.args",
+    }[field]
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
 # ----------------------------------------------------------------------
@@ -342,30 +371,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("fmt", ["1", "2"])
-def test_cli_checkpoint_format_writes_and_resumes(tmp_path, capsys, fmt):
+def test_cli_checkpoint_writes_gzip_and_resumes(tmp_path, capsys):
     path = tmp_path / "run.ck"
     code, _, _ = run_cli(
         capsys,
         "run", "--design", "private", "--workload", "oltp",
-        "--accesses", "300", "--warmup", "0",
-        "--checkpoint", str(path), "--checkpoint-format", fmt,
+        "--accesses", "300", "--warmup", "0", "--checkpoint", str(path),
     )
     assert code == 0
-    head = path.read_bytes()[:2]
-    assert (head == b"\x1f\x8b") == (fmt == "2")
+    assert path.read_bytes()[:2] == b"\x1f\x8b"
     code, out, _ = run_cli(capsys, "run", "--resume", str(path))
     assert code == 0
     assert "design: private" in out
-
-
-def test_cli_rejects_unknown_checkpoint_format(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        run_cli(
-            capsys,
-            "run", "--checkpoint", str(tmp_path / "x.ck"),
-            "--checkpoint-format", "7",
-        )
 
 
 def test_cli_reports_corrupt_resume_as_usage_error(tmp_path, capsys):
@@ -374,6 +391,14 @@ def test_cli_reports_corrupt_resume_as_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--resume", str(path))
     assert code == 2
     assert "ModuleNotFoundError" in err
+
+
+def test_cli_reports_malformed_meta_resume_as_usage_error(tmp_path, capsys):
+    path, _, _ = write_v2(tmp_path)
+    rewrite_v2(path, lambda payload: payload.update(meta=[1, 2]))
+    code, _, err = run_cli(capsys, "run", "--resume", str(path))
+    assert code == 2
+    assert "'meta'" in err
 
 
 def test_default_format_version_is_two():

@@ -12,8 +12,8 @@ Covers the acceptance contracts of the observability subsystem:
 * a disabled tracer never constructs a record on the hot path (the
   ``NullTracer`` emit methods are unreachable in an untraced run);
 * statistics merge pools counters, not ratios;
-* the stats cache journal appends, tolerates truncation, migrates the
-  legacy whole-dict format, and compacts duplicates.
+* the stats cache journal appends, tolerates truncation, drops
+  records in retired formats, and compacts duplicates.
 """
 
 import io
@@ -484,16 +484,22 @@ def test_stats_cache_tolerates_truncated_tail(tmp_path):
 
 
 def test_stats_cache_migrates_legacy_whole_dict_pickle(tmp_path):
+    """Retired formats (a whole-dict pickle, an unframed ``("run", key,
+    stats)`` record) load nothing; compaction leaves only the
+    CRC-framed record."""
     from repro.experiments.runner import ExperimentConfig, StatsCache
 
     path = str(tmp_path / "cache.pkl")
     config = ExperimentConfig.quick()
-    legacy = {("oltp", "d", config, False): _stats_with(9)}
+    framed = ("specjbb", "d", config, False)
     with open(path, "wb") as handle:
-        pickle.dump(legacy, handle)
+        pickle.dump({("oltp", "d", config, False): _stats_with(9)}, handle)
+        pickle.dump(("run", ("apache", "d", config, False), _stats_with(8)),
+                    handle)
+    StatsCache.append_record(path, framed, _stats_with(7))
 
     cache = StatsCache(path)
-    assert len(cache) == 1
+    assert list(cache._cache) == [framed]
     records = _journal_records(path)
     assert len(records) == 1 and records[0][0] == "run2"
 
@@ -654,13 +660,13 @@ def test_checkpoint_detaches_observability_and_restores_it(tmp_path):
     before = tracer.emitted
 
     # An open sink file and profiler method shadows are unpicklable;
-    # save must strip them for the dump and put them back afterwards.
+    # save snapshots state dicts, so it must leave them in place.
     path = tmp_path / "obs.ck"
     save_checkpoint(system, event_index=800, path=path)
 
     assert system.tracer is tracer
     assert system.metrics is metrics
-    assert "access" in vars(system.design)  # shadow reinstalled
+    assert "access" in vars(system.design)  # shadow kept
     run_oltp(system, accesses_per_core=50)  # still traced and timed
     assert tracer.emitted > before
     assert profiler.snapshot()["l2-lookup"]["calls"] > 0
