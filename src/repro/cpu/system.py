@@ -97,9 +97,9 @@ class EventChunk:
         gap, colocated: the event's :class:`TimedAccess` instruction
             counts.
 
-    Workload generators emit their streams as chunks, and both engines
-    read the columns directly; :meth:`timed` is the same events as
-    :class:`TimedAccess` objects.
+    Workload generators emit their streams as chunks, and
+    :meth:`CmpSystem.run_chunks` reads the columns directly;
+    :meth:`timed` is the same events as :class:`TimedAccess` objects.
     """
 
     core: np.ndarray

@@ -302,7 +302,6 @@ def sweep(
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
-    engine: "Optional[str]" = None,
 ) -> SweepResult:
     """Run every design on every workload; the core of each figure.
 
@@ -314,13 +313,6 @@ def sweep(
     signature changes; ``cell_timeout`` and ``max_retries`` likewise
     default to ``REPRO_CELL_TIMEOUT`` / ``REPRO_MAX_RETRIES``.
 
-    ``engine`` (``None`` defers to ``REPRO_ENGINE``) selects the
-    simulation engine for uncached cells.  ``"batch"`` steps all the
-    designs of one workload together through the batch engine —
-    bit-identical stats, one shared event tape — and composes with
-    ``jobs``: each workload group becomes one schedulable unit in the
-    worker pool.
-
     Raises :class:`~repro.experiments.parallel.QuarantinedCellError`
     if any requested cell exhausted its retries — after every healthy
     cell has run and been journaled, so a rerun resumes instead of
@@ -329,10 +321,8 @@ def sweep(
     config = config or ExperimentConfig()
     cache = cache if cache is not None else StatsCache()
     from repro.experiments import parallel
-    from repro.kernel import resolve_engine
 
-    engine = resolve_engine(engine)
-    if parallel.resolve_jobs(jobs) > 1 or engine == "batch":
+    if parallel.resolve_jobs(jobs) > 1:
         cells = [
             parallel.Cell(workload, design, multiprogrammed)
             for workload in workload_names
@@ -341,7 +331,6 @@ def sweep(
         report = parallel.run_cells(
             cells, config, cache, jobs=jobs,
             cell_timeout=cell_timeout, max_retries=max_retries,
-            engine=engine,
         )
         if report.quarantined:
             journal = (

@@ -53,7 +53,6 @@ def run_suite(
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
-    engine: "Optional[str]" = None,
 ) -> SuiteResult:
     """Run all experiments, sharing simulations through one cache.
 
@@ -66,26 +65,18 @@ def run_suite(
     renders; results are bit-identical to a serial suite.
     ``cell_timeout``/``max_retries`` tune the prewarm's worker
     supervision (see :class:`~repro.experiments.parallel.SupervisorConfig`).
-    ``engine`` (``None`` defers to ``REPRO_ENGINE``) selects the
-    simulation engine for the prewarm; ``"batch"`` runs each workload's
-    designs as lanes over one shared event tape — bit-identical stats —
-    and prewarms even at ``jobs=1``, since tape sharing pays off
-    without a pool.  Raises :class:`~repro.experiments.parallel.
-    QuarantinedCellError` if any prewarm cell exhausted its retries —
-    after every healthy cell has been journaled, so a rerun resumes
-    instead of re-simulating.
+    Raises :class:`~repro.experiments.parallel.QuarantinedCellError` if
+    any prewarm cell exhausted its retries — after every healthy cell
+    has been journaled, so a rerun resumes instead of re-simulating.
     """
     from repro.experiments import parallel
-    from repro.kernel import resolve_engine
 
     config = config or ExperimentConfig()
     cache = StatsCache(path=cache_path)
-    engine = resolve_engine(engine)
-    if parallel.resolve_jobs(jobs) > 1 or engine == "batch":
+    if parallel.resolve_jobs(jobs) > 1:
         report = parallel.run_cells(
             parallel.suite_cells(), config, cache, jobs=jobs,
             cell_timeout=cell_timeout, max_retries=max_retries,
-            engine=engine,
         )
         if report.quarantined:
             journal = (

@@ -29,7 +29,6 @@ from repro.perflab.history import (
     upgrade_record,
 )
 from repro.perflab.plan import (
-    BatchPolicy,
     BenchPlan,
     CapturePolicy,
     GatePolicy,
@@ -60,7 +59,6 @@ from repro.perflab.runner import (
 )
 
 __all__ = [
-    "BatchPolicy",
     "BenchPlan",
     "BenchRun",
     "CapturePolicy",

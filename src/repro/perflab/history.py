@@ -56,11 +56,11 @@ class BenchRun:
 def env_key(environment: dict) -> str:
     """The alignment key: runs compare only within the same key.
 
-    A non-scalar engine is part of the key: a batch-kernel run's
-    throughput means something different from a scalar run's, so the
-    two must never share a rolling baseline even on the same host and
-    the same day.  Scalar (and pre-engine records, which carry no
-    ``engine`` field) keep the historical key unchanged.
+    A non-scalar ``engine`` field is part of the key.  New records
+    carry no such field, but three committed ones read ``batch``: the
+    retired batch engine's throughput means something different from a
+    scalar run's, so those runs keep their own rolling baseline.
+    Scalar (and engine-free) records share the historical key.
     """
     cpus = environment.get("cpus", "?")
     python = str(environment.get("python", "?"))

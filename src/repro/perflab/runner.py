@@ -60,8 +60,7 @@ from repro.workloads.multithreaded import make_workload
 SCHEMA_V2 = "repro-bench-v2"
 
 #: Exit code for a failed bench gate: a throughput or miss-rate
-#: regression, a batch speedup below its floor, or a parallel/batch
-#: result that diverged from serial scalar.
+#: regression, or a pooled sweep whose results diverged from serial.
 REGRESSION_EXIT = 5
 
 
@@ -192,32 +191,21 @@ def run_plan(
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
-    engine: "Optional[str]" = None,
 ) -> dict:
     """Execute ``plan`` and return the ``repro-bench-v2`` record.
 
     ``quick`` shrinks run lengths to CI smoke sizing, the sweep leg's
     too; ``out`` names the record's output path so the capture bundle
     can sit next to it (the caller still writes the record itself);
-    ``jobs`` overrides the plan's stats-pass worker count.  ``engine``
-    (``None`` defers to ``REPRO_ENGINE``) is recorded in the
-    environment fingerprint; ``"batch"`` force-enables the plan's
-    ``[batch]`` leg.  The stats pass itself always runs the scalar
-    engine — it is the reference the batch leg's fingerprints are
-    checked against, so batching it would make the identity proof
-    circular.  A cell that exhausts its supervised retries raises
-    :class:`~repro.experiments.parallel.
-    QuarantinedCellError`, exactly like an experiment sweep.
+    ``jobs`` overrides the plan's stats-pass worker count.  A cell
+    that exhausts its supervised retries raises
+    :class:`~repro.experiments.parallel.QuarantinedCellError`, exactly
+    like an experiment sweep.
     """
-    from repro.kernel import resolve_engine
-
-    engine = resolve_engine(engine)
     if quick:
         plan = _quicken(plan)
     config = plan.config()
     cells = plan.cells()
-    batch_enabled = plan.batch.enabled or engine == "batch"
-    batch_cells = plan.batch_cells() if batch_enabled else []
     resolved_jobs = parallel.resolve_jobs(
         jobs if jobs is not None else (plan.jobs or None)
     )
@@ -225,16 +213,10 @@ def run_plan(
     # Stats pass: through the supervised executor, one bus-model group
     # at a time (the executor resolves one bus model per invocation;
     # separate caches keep the groups' records from colliding on the
-    # bus-model-free cache key).  Covers the union of the grid and the
-    # batch leg's cells, so every batch lane has a scalar reference.
+    # bus-model-free cache key).
     stats_by_label: "Dict[str, object]" = {}
-    all_cells = list(cells)
-    grid_labels = {cell.label for cell in cells}
-    all_cells.extend(
-        cell for cell in batch_cells if cell.label not in grid_labels
-    )
-    for bus_model in dict.fromkeys(cell.bus_model for cell in all_cells):
-        group = [cell for cell in all_cells if cell.bus_model == bus_model]
+    for bus_model in plan.bus_models:
+        group = [cell for cell in cells if cell.bus_model == bus_model]
         grid = [
             parallel.Cell(cell.workload, cell.design, cell.multiprogrammed)
             for cell in group
@@ -279,21 +261,15 @@ def run_plan(
             }
         records[cell.label] = record
 
-    environment = environment_fingerprint()
-    environment["engine"] = engine
     result = {
         "schema": SCHEMA_V2,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "plan": plan.to_dict(),
-        "environment": environment,
+        "environment": environment_fingerprint(),
         "accesses_per_core": config.measure_per_core,
         "repeats": plan.repeats,
         "cells": records,
     }
-    if batch_enabled:
-        result["batch"] = _run_batch_leg(
-            plan, config, batch_cells, stats_by_label
-        )
     if plan.sweep.enabled:
         sweep_jobs = plan.sweep.jobs or None
         result["sweep"] = measure_sweep(
@@ -303,92 +279,6 @@ def run_plan(
             max_retries=max_retries,
         )
     return result
-
-
-def _run_batch_leg(
-    plan: BenchPlan,
-    config,
-    batch_cells: "List[PlanCell]",
-    stats_by_label: "Dict[str, object]",
-) -> dict:
-    """Time the batch engine over the ``[batch]`` grid vs scalar.
-
-    Both sides run serially in-process, in **paired rounds**: each
-    round times the scalar engine cell-by-cell over the whole grid and
-    then one :func:`repro.kernel.run_batch` call over the same grid
-    back-to-back, so host-load drift cancels out of the ratio instead
-    of gating it (on shared single-core hosts the absolute numbers
-    swing far more than the ratio does).  The gate value is the best
-    paired ratio across rounds.  The engine shares one event tape
-    across every design and bus model of a workload — its whole
-    advantage, since every lane runs the scalar loop — so tape
-    construction is deliberately inside the clock, matching the scalar
-    side's timed generation.  Every lane's stats
-    must be fingerprint-identical to the scalar reference from the
-    stats pass.
-    """
-    from repro.kernel import run_batch
-
-    repeats = plan.batch_repeats
-    lanes = [
-        (cell.workload, cell.design, cell.multiprogrammed, cell.bus_model)
-        for cell in batch_cells
-    ]
-
-    results: "Dict" = {}
-    scalar_rounds: "List[float]" = []
-    batch_rounds: "List[float]" = []
-    speedup = 0.0
-    for _ in range(repeats):
-        scalar_elapsed = 0.0
-        for cell in batch_cells:
-            run = run_mix if cell.multiprogrammed else run_multithreaded
-            # Design construction stays inside the clock: run_batch
-            # builds every lane's design inside its own timed call, and
-            # a real sweep pays construction per cell on either engine,
-            # so excluding it here would bias the ratio against batch.
-            start = time.perf_counter()
-            design = build_design(cell.design, bus_model=cell.bus_model)
-            run(design, cell.workload, config)
-            scalar_elapsed += time.perf_counter() - start
-        start = time.perf_counter()
-        results = run_batch(lanes, config)
-        batch_elapsed = time.perf_counter() - start
-        scalar_rounds.append(round(scalar_elapsed, 4))
-        batch_rounds.append(round(batch_elapsed, 4))
-        if batch_elapsed:
-            speedup = max(speedup, scalar_elapsed / batch_elapsed)
-
-    mismatches: "List[str]" = []
-    accesses = 0
-    for cell, lane in zip(batch_cells, lanes):
-        stats = results[lane]
-        accesses += config.measure_per_core * len(stats.per_core)
-        if stats.fingerprint() != stats_by_label[cell.label].fingerprint():
-            mismatches.append(cell.label)
-
-    scalar_seconds = min(scalar_rounds)
-    batch_seconds = min(batch_rounds)
-    return {
-        "cells": [cell.label for cell in batch_cells],
-        "accesses": accesses,
-        "repeats": repeats,
-        "scalar_seconds": round(scalar_seconds, 3),
-        "batch_seconds": round(batch_seconds, 3),
-        "scalar_round_seconds": scalar_rounds,
-        "batch_round_seconds": batch_rounds,
-        "scalar_accesses_per_sec": round(
-            accesses / scalar_seconds if scalar_seconds else 0.0, 1
-        ),
-        "batch_accesses_per_sec": round(
-            accesses / batch_seconds if batch_seconds else 0.0, 1
-        ),
-        "speedup": round(speedup, 2),
-        "identical": not mismatches,
-        "mismatches": mismatches,
-        "min_speedup": plan.batch.min_speedup,
-        "cpus": os.cpu_count() or 1,
-    }
 
 
 def measure_sweep(jobs: int, quick: bool = False,
@@ -529,15 +419,6 @@ def render_record(record: dict) -> str:
         )
         if not sweep.get("speedup_gate_eligible", True):
             lines.append(f"  speedup gate {sweep.get('speedup_gate_note', 'skipped')}")
-    batch = record.get("batch")
-    if batch:
-        note = "bit-identical" if batch.get("identical") else "MISMATCH"
-        lines.append(
-            f"batch: {len(batch['cells'])} lanes, "
-            f"scalar {batch['scalar_seconds']}s -> "
-            f"kernel {batch['batch_seconds']}s "
-            f"({batch['speedup']}x aggregate, {note})"
-        )
     env = record.get("environment", {})
     if env:
         lines.append(

@@ -433,54 +433,7 @@ class TestSupervisionFlags:
 
 
 class TestMeshCli:
-    """The mesh NoC's CLI surface: engine guards and the scale grid."""
-
-    def test_batch_engine_refuses_mesh_exit_2(self, capsys):
-        code, out, err = run_cli_err(
-            capsys, "run", "--engine", "batch", "--bus-model", "mesh",
-            "--accesses", "100", "--warmup", "0",
-        )
-        assert code == 2
-        assert "mesh" in err
-        assert "scalar" in err
-        assert "Traceback" not in err
-
-    def test_batch_mesh_refusal_names_supported_models(self, capsys):
-        """The refusal says which bus models the batch engine DOES take."""
-        code, out, err = run_cli_err(
-            capsys, "run", "--engine", "batch", "--bus-model", "mesh",
-            "--accesses", "100", "--warmup", "0",
-        )
-        assert code == 2
-        assert "atomic" in err and "eventq" in err
-        assert "--bus-model mesh" in err
-
-    def test_batch_harness_refusal_names_offending_flag(self, capsys):
-        """One incompatible flag -> that flag, by name, in the error."""
-        code, out, err = run_cli_err(
-            capsys, "run", "--engine", "batch", "--accesses", "100",
-            "--warmup", "0", "--checkpoint", "ckpt.json",
-        )
-        assert code == 2
-        assert "--checkpoint" in err
-        assert "--trace" not in err and "--timeout" not in err
-
-    def test_batch_instrumentation_refusal_names_each_flag(self, capsys, tmp_path):
-        code, out, err = run_cli_err(
-            capsys, "run", "--engine", "batch", "--accesses", "100",
-            "--warmup", "0", "--profile",
-            "--metrics", str(tmp_path / "m.json"),
-        )
-        assert code == 2
-        assert "--metrics" in err and "--profile" in err
-        assert "--checkpoint" not in err
-
-    def test_scale_refuses_batch_engine_exit_2(self, capsys):
-        code, out, err = run_cli_err(
-            capsys, "experiment", "scale", "--engine", "batch",
-        )
-        assert code == 2
-        assert "Traceback" not in err
+    """The mesh NoC's CLI surface: the scale grid and a mesh run."""
 
     def test_scale_rejects_unsupported_core_count_exit_2(self, capsys):
         code, out, err = run_cli_err(

@@ -1,22 +1,23 @@
-"""Differential layer: the batch kernel is bit-identical to scalar.
+"""Differential layer: kernel lanes are bit-identical to single cells.
 
-The batch engine (``--engine batch``) is a *re-execution strategy*, not
-a remodeling: it shares one event tape per workload across its design
-lanes, and every statistic a figure could read must come out
-bit-identical to the scalar engine for the same (workload, design, bus
-model, seed) cell.  These tests pin that claim with
-``SimulationStats.fingerprint()`` equality across every registered
-design, every workload family (all five multithreaded workloads and
-all four multiprogrammed mixes), both interconnect backends, several
-seeds, mixed-design batches, batch sizes 1/2/odd/large, and tapes
-whose lengths and warm-up boundaries sit around the tape's replay
-slice.
+:class:`~repro.kernel.BatchKernel` runs each design lane's own
+``CmpSystem`` over one shared :class:`~repro.kernel.EventTape`, the
+path the benchmark's ``fig10-batch`` workload takes.  Every lane's
+``SimulationStats.fingerprint()`` must equal a single-cell run of the
+same (workload, design, bus model, seed).  These tests pin that across
+every registered design, every workload family (all five
+multithreaded workloads and all four multiprogrammed mixes), both
+snooping-bus backends, several seeds, lane counts 1/2/odd/large,
+warm-up boundaries, and tapes whose lengths and warm-up boundaries sit
+around the tape's replay slice.  Tapes are built from timed events, as
+the benchmark builds them, while the references run the workloads'
+column chunks, so the two generator views are checked against each
+other too.
 
 Sizes are kept small (the kernel's correctness is size-independent)
 so the whole suite stays CI-cheap.
 """
 
-import numpy as np
 import pytest
 
 from repro.common.types import Access, AccessType, SharingClass
@@ -29,7 +30,7 @@ from repro.experiments.runner import (
     run_mix,
     run_multithreaded,
 )
-from repro.kernel import BATCH_BUS_MODELS, BatchKernel, EventTape, run_batch
+from repro.kernel import BatchKernel, EventTape
 from repro.workloads.base import BATCH
 from repro.workloads.multiprogrammed import MIXES, make_mix
 from repro.workloads.multithreaded import MULTITHREADED, make_workload
@@ -37,6 +38,7 @@ from repro.workloads.multithreaded import MULTITHREADED, make_workload
 ALL_DESIGNS = sorted(DESIGN_FACTORIES)
 ALL_WORKLOADS = tuple(spec.name for spec in MULTITHREADED)
 ALL_MIXES = tuple(sorted(MIXES))
+BUS_MODELS = ("atomic", "eventq")
 
 SEEDS = (42, 7, 20260809)
 
@@ -47,166 +49,90 @@ def config_for(seed=42, accesses=800, warmup=400):
     )
 
 
-def scalar_fingerprint(workload, design_name, bus_model, config,
-                       multiprogrammed=False):
+def assert_lanes_match(workload, lanes, config, multiprogrammed=False,
+                       context=""):
+    """Run (design, bus model) ``lanes`` over one tape of ``workload``
+    and check each lane against a single-cell run of the same cell."""
+    maker = make_mix if multiprogrammed else make_workload
     run = run_mix if multiprogrammed else run_multithreaded
-    design = build_design(design_name, bus_model=bus_model)
-    _, stats = run(design, workload, config)
-    return stats.fingerprint()
-
-
-def batch_fingerprints(cells, config, bus_model=None):
-    """Run ``cells`` through one kernel; returns {cell key: fingerprint}."""
-    results = run_batch(cells, config, bus_model=bus_model)
-    return {key: stats.fingerprint() for key, stats in results.items()}
+    stream = maker(workload, seed=config.seed)
+    total = config.warmup_per_core + config.measure_per_core
+    tape = EventTape.from_events(stream.events(accesses_per_core=total))
+    kernel = BatchKernel(
+        [build_design(design, bus_model=bus) for design, bus in lanes]
+    )
+    kernel.run(tape, config.warmup_per_core * stream.num_cores)
+    assert len(kernel.lanes) == len(lanes)
+    for index, (design, bus) in enumerate(lanes):
+        _, want = run(build_design(design, bus_model=bus), workload, config)
+        assert kernel.lane_stats(index).fingerprint() == want.fingerprint(), (
+            f"{workload}/{design}/{bus} diverged{context}"
+        )
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS)
 def test_design_identical_both_buses_three_seeds(design):
-    """Each design, both bus lanes in ONE batch, across three seeds."""
+    """Each design, both bus lanes on ONE tape, across three seeds."""
     for seed in SEEDS:
-        config = config_for(seed=seed)
-        cells = [("oltp", design, False, bus) for bus in BATCH_BUS_MODELS]
-        got = batch_fingerprints(cells, config)
-        for bus in BATCH_BUS_MODELS:
-            want = scalar_fingerprint("oltp", design, bus, config)
-            assert got[("oltp", design, False, bus)] == want, (
-                f"{design}/{bus} diverged at seed {seed}"
-            )
+        assert_lanes_match(
+            "oltp", [(design, bus) for bus in BUS_MODELS],
+            config_for(seed=seed), context=f" at seed {seed}",
+        )
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_workload_identical_mixed_design_batch(workload):
-    """Every multithreaded workload: a mixed-design, mixed-bus batch."""
+    """Every multithreaded workload: mixed-design, mixed-bus lanes."""
     designs = ("uniform-shared", "private", "cmp-nurapid")
-    config = config_for()
-    cells = [
-        (workload, design, False, bus)
-        for design in designs
-        for bus in BATCH_BUS_MODELS
-    ]
-    got = batch_fingerprints(cells, config)
-    for design in designs:
-        for bus in BATCH_BUS_MODELS:
-            want = scalar_fingerprint(workload, design, bus, config)
-            assert got[(workload, design, False, bus)] == want, (
-                f"{workload}/{design}/{bus} diverged"
-            )
+    assert_lanes_match(
+        workload, [(design, bus) for design in designs for bus in BUS_MODELS],
+        config_for(),
+    )
 
 
 @pytest.mark.parametrize("mix", ALL_MIXES)
 def test_mix_identical_mixed_design_batch(mix):
     """Every multiprogrammed mix, on the replication-sensitive designs."""
     designs = ("private", "cmp-nurapid-cr")
-    config = config_for()
-    cells = [(mix, design, True, bus)
-             for design in designs for bus in BATCH_BUS_MODELS]
-    got = batch_fingerprints(cells, config)
-    for design in designs:
-        for bus in BATCH_BUS_MODELS:
-            want = scalar_fingerprint(mix, design, bus, config,
-                                      multiprogrammed=True)
-            assert got[(mix, design, True, bus)] == want, (
-                f"{mix}/{design}/{bus} diverged"
-            )
+    assert_lanes_match(
+        mix, [(design, bus) for design in designs for bus in BUS_MODELS],
+        config_for(), multiprogrammed=True,
+    )
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 18])
 def test_batch_sizes(size):
-    """Batch sizes 1, 2, odd, and large: grouping must not leak state.
+    """1, 2, an odd number and many lanes: lanes must not leak state.
 
-    Size 18 spans two workloads x all designs and both workload groups
-    share nothing; sizes 1/2/7 put one, two and an odd number of lanes
-    on one tape.
+    Size 18 puts every design on both buses on one tape, plus a second
+    lane for two of those cells.
     """
-    config = config_for()
-    pool = [
-        (workload, design, False, "atomic")
-        for workload in ("oltp", "apache")
-        for design in ALL_DESIGNS
-    ] + [
-        ("ocean", "private", False, "eventq"),
-        ("ocean", "ideal", False, "eventq"),
-        ("barnes", "cmp-nurapid-isc", False, "atomic"),
-        ("barnes", "non-uniform-shared", False, "eventq"),
-    ]
-    cells = pool[:size]
-    got = batch_fingerprints(cells, config)
-    assert len(got) == size
-    for workload, design, mp, bus in cells:
-        want = scalar_fingerprint(workload, design, bus, config,
-                                  multiprogrammed=mp)
-        assert got[(workload, design, mp, bus)] == want, (
-            f"{workload}/{design}/{bus} diverged in a batch of {size}"
-        )
-
-
-def test_duplicate_cells_dedupe_to_one_lane():
-    """The same cell twice is one lane, one result — and still identical."""
-    config = config_for()
-    cells = [
-        ("oltp", "private", False, "atomic"),
-        ("oltp", "private", False, "atomic"),
-    ]
-    got = batch_fingerprints(cells, config)
-    assert len(got) == 1
-    want = scalar_fingerprint("oltp", "private", "atomic", config)
-    assert got[("oltp", "private", False, "atomic")] == want
-
-
-def test_default_bus_model_resolves_from_environment(monkeypatch):
-    """3-tuple cells resolve their bus from REPRO_BUS_MODEL, like scalar.
-
-    This is the hook the CI kernel-differential matrix leans on: the
-    suite runs once per bus model with only the environment changed.
-    """
-    config = config_for()
-    for bus in BATCH_BUS_MODELS:
-        monkeypatch.setenv("REPRO_BUS_MODEL", bus)
-        got = batch_fingerprints([("oltp", "private", False)], config)
-        want = scalar_fingerprint("oltp", "private", bus, config)
-        assert got[("oltp", "private", False, bus)] == want
-
-
-def test_batch_refuses_mesh_cells():
-    """The mesh NoC is scalar-engine territory: run_batch says so."""
-    config = config_for(accesses=10, warmup=0)
-    with pytest.raises(ValueError, match="mesh"):
-        run_batch([("oltp", "private", False, "mesh")], config)
-    with pytest.raises(ValueError, match="mesh"):
-        run_batch([("oltp", "private", False)], config, bus_model="mesh")
-
-
-def test_batch_refuses_scaled_cells():
-    """Scaled (num_cores != 0) cells cannot ride the 4-core kernel."""
-    from repro.experiments.parallel import Cell
-
-    config = config_for(accesses=10, warmup=0)
-    with pytest.raises(ValueError, match="4-core"):
-        run_batch([Cell("oltp", "private", False, 16)], config,
-                  bus_model="atomic")
+    pool = [(design, bus) for bus in BUS_MODELS for design in ALL_DESIGNS]
+    pool += [("private", "atomic"), ("cmp-nurapid", "eventq")]
+    assert_lanes_match("apache", pool[:size], config_for(),
+                       context=f" among {size} lanes")
 
 
 def test_cold_start_grid_identical():
-    """warmup=0 across every design and both buses, in one kernel.
+    """warmup=0 across every design and both buses, on one tape.
 
     Cold caches start every lane on an all-miss prefix, and every lane
     replays the same tape from its first event.
     """
-    config = config_for(accesses=600, warmup=0)
-    lanes = [(design, bus) for design in ALL_DESIGNS for bus in BATCH_BUS_MODELS]
-    workload = make_workload("oltp", seed=config.seed)
-    tape = EventTape.from_chunks(
-        workload.chunks(accesses_per_core=config.measure_per_core)
+    assert_lanes_match(
+        "oltp",
+        [(design, bus) for design in ALL_DESIGNS for bus in BUS_MODELS],
+        config_for(accesses=600, warmup=0), context=" on a cold start",
     )
-    kernel = BatchKernel(
-        [build_design(design, bus_model=bus) for design, bus in lanes]
-    )
-    kernel.run(tape, 0)
-    for index, (design, bus) in enumerate(lanes):
-        want = scalar_fingerprint("oltp", design, bus, config)
-        assert kernel.lane_stats(index).fingerprint() == want, (
-            f"{design}/{bus} diverged on a cold start"
+
+
+def test_warmup_reset_boundary_identical():
+    """The mid-tape stats reset lands on the same event as a single cell's."""
+    for warmup in (0, 1, 333, 800):
+        assert_lanes_match(
+            "apache", [("cmp-nurapid", "atomic")],
+            config_for(accesses=800, warmup=warmup),
+            context=f" at warmup={warmup}",
         )
 
 
@@ -231,8 +157,8 @@ def test_l2_hit_heavy_stream_identical():
     """A stream of private L2 read hits, on lanes sharing one tape.
 
     Nearly every event misses the L1 and hits the L2.  The result must
-    stay bit-identical to scalar on an atomic lane, a CR lane, and an
-    eventq lane sharing one tape.  The guard checks that the stream
+    stay bit-identical to a single-cell run on an atomic lane, a CR
+    lane, and an eventq lane sharing one tape.  The guard checks that the stream
     really is L2-hit-heavy: at least 3/4 of each lane's L2 accesses
     are hits.
     """
@@ -258,26 +184,13 @@ def test_l2_hit_heavy_stream_identical():
         )
 
 
-def test_warmup_reset_boundary_identical():
-    """The mid-tape stats reset lands on the same event in both engines."""
-    for warmup in (0, 1, 333, 800):
-        config = config_for(accesses=800, warmup=warmup)
-        got = batch_fingerprints(
-            [("apache", "cmp-nurapid", False, "atomic")], config
-        )
-        want = scalar_fingerprint("apache", "cmp-nurapid", "atomic", config)
-        assert got[("apache", "cmp-nurapid", False, "atomic")] == want, (
-            f"diverged at warmup={warmup}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # EventTape edge cases: the replay slice at its boundaries.
 #
 # Lanes replay a tape in slices of BATCH events; the interesting lengths
 # are the degenerate ones (no events, a single event) and the ones
-# around a slice boundary.  All must stay bit-identical to the scalar
-# engine for every lane in a mixed batch.
+# around a slice boundary.  All must stay bit-identical to a single-cell
+# run for every lane in a mixed batch.
 
 TAPE_EDGE_LANES = (
     ("private", "atomic"),
@@ -328,28 +241,11 @@ def test_event_tape_edge_lengths_identical(length):
 
 
 def test_event_tape_warmup_beyond_tape_identical():
-    """warmup_events past the end of the tape: both engines measure
-    nothing and agree on the (all-zero) statistics."""
+    """warmup_events past the end of the tape: lanes and single-cell
+    runs measure nothing and agree on the (all-zero) statistics."""
     _assert_edge_lanes_match(10, 10)
 
 
 def test_event_tape_warmup_ends_mid_slice_identical():
     """The statistics reset lands inside a replay slice, not on its edge."""
     _assert_edge_lanes_match(2 * BATCH + 5, BATCH + BATCH // 2)
-
-
-def test_event_tape_from_events_matches_from_chunks():
-    """Both tape builders hold the same columns for one stream.
-
-    The benchmark builds its tapes from timed events, ``run_batch``
-    from workload chunks; the two must agree column for column, for a
-    multithreaded workload and a mix, across a generator chunk.
-    """
-    per_core = BATCH + 3
-    for name, maker in (("oltp", make_workload), ("MIX2", make_mix)):
-        from_events = EventTape.from_events(maker(name, seed=7).events(per_core))
-        from_chunks = EventTape.from_chunks(maker(name, seed=7).chunks(per_core))
-        assert from_events.n == from_chunks.n == 4 * per_core
-        for got, want in zip(from_events._columns, from_chunks._columns):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), name

@@ -95,6 +95,7 @@ class TestPlanValidation:
         ({"plan": {"name": "x"}, "sweep": {"enabled": "yes"}}, "enabled"),
         ({"plan": {"name": "x"},
           "gate": {"cells": {"oltp/ideal/atomic": 0.1}}}, "ideal"),
+        ({"plan": {"name": "x"}, "batch": {}}, "batch"),
     ])
     def test_invalid_plans_name_the_key(self, raw, fragment):
         with pytest.raises(PlanError, match=fragment):
@@ -469,7 +470,7 @@ def _engine_run(run_id, throughput, engine=None):
 
 
 class TestEngineAlignment:
-    """Same-day batch-vs-scalar runs must not mix paths or baselines."""
+    """Batch-engine records (three are committed) keep their own baselines."""
 
     def test_env_key_distinguishes_batch_engine(self):
         scalar = {"cpus": 4, "python": "3.11.7"}
