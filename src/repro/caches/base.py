@@ -21,10 +21,12 @@ from repro.common.params import CacheGeometry
 class Entry:
     """One tag entry.
 
-    Slotted: arrays hold hundreds of thousands of entries and the
-    lookup/victim scans read their attributes on every access, so the
-    per-instance dict is worth eliminating (construction is ~2x faster
-    and attribute loads skip a dict probe).
+    Slotted: a filled 8 MB L2 holds 65,536 entries (131,072 in CMP-
+    NuRAPID's doubled tag arrays) and the lookup/victim scans read
+    their attributes on every access, so the per-instance dict is worth
+    eliminating (construction is ~2x faster and attribute loads skip a
+    dict probe).  Arrays create entries on first fill, not up front;
+    see :class:`SetAssociativeArray`.
 
     Attributes:
         tag: address tag (valid only when ``state`` is valid).
@@ -62,24 +64,31 @@ def _lru_key(entry: Entry) -> int:
 class SetAssociativeArray:
     """Set-associative array of :class:`Entry` (or a subclass).
 
+    Entries are created on first fill.  Every set starts empty, and
+    :meth:`victim` appends a new entry only when the set has no invalid
+    entry and is not full yet.  It lands at way ``len(set)``: the first
+    invalid way of a set built full of invalid entries, so every block
+    gets the way it would get in such an array.  A set's entries are
+    thus ways ``0 .. len(set) - 1``, and a way past them reads as
+    invalid.
+
     Args:
         geometry: size/shape of the array.
-        entry_factory: constructor for entries, letting designs attach
-            extra payload (e.g. CMP-NuRAPID's forward pointers).
+        entry_type: the entry class, letting designs attach extra
+            payload (e.g. CMP-NuRAPID's forward pointers).
     """
 
     def __init__(
         self,
         geometry: CacheGeometry,
-        entry_factory: "Callable[[], Entry]" = Entry,
+        entry_type: "type[Entry]" = Entry,
     ) -> None:
         self.geometry = geometry
-        self._sets: "list[list[Entry]]" = [
-            [entry_factory() for _ in range(geometry.associativity)]
-            for _ in range(geometry.num_sets)
-        ]
+        self.entry_type = entry_type
+        self._sets: "list[list[Entry]]" = [[] for _ in range(geometry.num_sets)]
         self._clock = 0
         # Hot-path constants (geometry properties recompute logs).
+        self._associativity = geometry.associativity
         self._offset_bits = geometry.offset_bits
         self._index_mask = geometry.num_sets - 1
         self._tag_shift = geometry.offset_bits + geometry.index_bits
@@ -100,9 +109,6 @@ class SetAssociativeArray:
                 return entry
         return None
 
-    def touch(self, entry: Entry) -> None:
-        entry.lru = self._tick()
-
     def victim(
         self,
         address: int,
@@ -110,8 +116,9 @@ class SetAssociativeArray:
     ) -> Entry:
         """Pick the replacement victim in ``address``'s set.
 
-        An invalid entry is always chosen first.  Otherwise the entry
-        minimizing ``(category(entry), lru)`` is chosen — plain LRU when
+        An invalid entry is always chosen first, creating one when the
+        set is not full yet.  Otherwise the entry minimizing
+        ``(category(entry), lru)`` is chosen — plain LRU when
         ``category`` is None.
         """
         entries = self._sets[(address >> self._offset_bits) & self._index_mask]
@@ -119,6 +126,10 @@ class SetAssociativeArray:
         for entry in entries:
             if entry.state is invalid:
                 return entry
+        if len(entries) < self._associativity:
+            entry = self.entry_type()
+            entries.append(entry)
+            return entry
         if category is None:
             return min(entries, key=_lru_key)
         return min(entries, key=lambda e: (category(e), e.lru))
@@ -132,16 +143,10 @@ class SetAssociativeArray:
         entry.fill_class = None
         entry.lru = self._tick()
 
-    def entries(self) -> "Iterator[tuple[int, int, Entry]]":
-        """Yield ``(set_index, way, entry)`` for every entry."""
-        for set_index, entries in enumerate(self._sets):
-            for way, entry in enumerate(entries):
-                yield set_index, way, entry
-
     def valid_entries(self) -> "Iterator[tuple[int, int, Entry]]":
-        # Inlined (no entries()/property indirection): the invariant
-        # checker calls this on every array per check, so paranoid-mode
-        # runs execute this loop hundreds of millions of times.
+        # Inlined (no property indirection): the invariant checker
+        # calls this on every array per check, so paranoid-mode runs
+        # execute this loop hundreds of millions of times.
         invalid = CoherenceState.INVALID
         for set_index, entries in enumerate(self._sets):
             for way, entry in enumerate(entries):
@@ -149,7 +154,18 @@ class SetAssociativeArray:
                     yield set_index, way, entry
 
     def entry_at(self, set_index: int, way: int) -> Entry:
-        return self._sets[set_index][way]
+        """The entry at ``(set_index, way)``, creating the ways up to it.
+
+        Checkpoint restore and pointers into never-filled ways (e.g. a
+        fault-flipped reverse pointer) get the invalid entry a full set
+        would hold there.
+        """
+        entries = self._sets[set_index]
+        if not 0 <= way < len(entries):
+            # Index as a full set would: past the end raises, negative wraps.
+            way = range(self._associativity)[way]
+            entries.extend(self.entry_type() for _ in range(way + 1 - len(entries)))
+        return entries[way]
 
     def way_of(self, set_index: int, entry: Entry) -> int:
         for way, candidate in enumerate(self._sets[set_index]):

@@ -103,19 +103,8 @@ class L1Cache:
                 return entry  # type: ignore[return-value]
         return None
 
-    def _fast_lookup(self, address: int) -> "L1Entry | None":
-        entries = self._sets[(address >> self._offset_bits) & self._index_mask]
-        tag = address >> self._tag_shift
-        for entry in entries:
-            if entry.tag == tag and entry.state is not _INVALID:
-                array = self.array
-                array._clock += 1
-                entry.lru = array._clock
-                return entry  # type: ignore[return-value]
-        return None
-
-    # load/store inline the _fast_lookup body: they run once per
-    # workload event, and the extra call frame is measurable there.
+    # load/store inline the _entry lookup: they run once per workload
+    # event, and the extra call frame is measurable there.
 
     def load(self, address: int) -> bool:
         """Load reference; True on an L1 hit (no L2 access needed)."""

@@ -182,13 +182,12 @@ def pack_entries(array) -> "Dict[str, Any]":
 
     Sparse by design: invalid entries carry no model-visible state (the
     victim scan keys only on validity, and ``invalidate()`` resets every
-    payload field), so only valid entries are stored and the rest are
-    reconstructed as factory defaults on load.
+    payload field), so only valid entries are stored; on load the rest
+    are default entries or not created at all, which reads the same.
     """
     codecs = _entry_codecs()
     default = ScalarCodec()
-    entry_type = type(array._sets[0][0])
-    field_names = [f.name for f in dataclasses.fields(entry_type)]
+    field_names = [f.name for f in dataclasses.fields(array.entry_type)]
     set_indices: "List[int]" = []
     ways: "List[int]" = []
     values: "Dict[str, List[Any]]" = {name: [] for name in field_names}
@@ -228,8 +227,7 @@ def unpack_entries(array, state: "Dict[str, Any]", path: str) -> None:
         require(state, "way", path), len(set_index), f"{path}.way"
     )
     columns = require(state, "fields", path)
-    entry_type = type(array._sets[0][0])
-    field_names = [f.name for f in dataclasses.fields(entry_type)]
+    field_names = [f.name for f in dataclasses.fields(array.entry_type)]
     decoded: "Dict[str, List[Any]]" = {}
     for name in field_names:
         if name not in columns:
@@ -237,6 +235,7 @@ def unpack_entries(array, state: "Dict[str, Any]", path: str) -> None:
         decoded[name] = codecs.get(name, default).unpack(
             columns[name], len(set_index), f"{path}.fields.{name}"
         )
+    filled: "set[Tuple[int, int]]" = set()
     for row, (si, wi) in enumerate(zip(set_index, way)):
         si, wi = int(si), int(wi)
         if not 0 <= si < num_sets:
@@ -247,7 +246,12 @@ def unpack_entries(array, state: "Dict[str, Any]", path: str) -> None:
             raise StateDictError(
                 f"{path}.way[{row}]", f"way {wi} outside associativity {associativity}"
             )
-        entry = array._sets[si][wi]
+        if (si, wi) in filled:
+            raise StateDictError(
+                f"{path}.way[{row}]", f"set {si} way {wi} listed twice"
+            )
+        filled.add((si, wi))
+        entry = array.entry_at(si, wi)
         for name, column in decoded.items():
             setattr(entry, name, column[row])
     array._clock = int(require(state, "clock", path))

@@ -35,16 +35,28 @@ class Frame:
 
 
 class DGroup:
-    """One distance group: a pool of frames with a free list."""
+    """One distance group: a pool of frames with a free list.
+
+    Frames are created on first allocation.  The free list pops fresh
+    indices in ascending order, after every freed one, so the created
+    frames (``frames``) are always a prefix of the d-group, and an index
+    past them reads as a free frame.
+    """
 
     def __init__(self, index: int, num_frames: int) -> None:
         self.index = index
-        self.frames = [Frame() for _ in range(num_frames)]
+        self.num_frames = num_frames
+        self.frames: "list[Frame]" = []
         self._free = list(range(num_frames - 1, -1, -1))
 
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
+    def frame(self, index: int) -> Frame:
+        """The frame at ``index``, creating the frames up to it."""
+        frames = self.frames
+        if not 0 <= index < len(frames):
+            # Index as a full d-group would: past the end raises, negative wraps.
+            index = range(self.num_frames)[index]
+            frames.extend(Frame() for _ in range(index + 1 - len(frames)))
+        return frames[index]
 
     @property
     def free_count(self) -> int:
@@ -61,10 +73,12 @@ class DGroup:
         """Take a free frame index; caller must then occupy it."""
         if not self._free:
             raise RuntimeError(f"d-group {self.index} has no free frames")
-        return self._free.pop()
+        index = self._free.pop()
+        self.frame(index)
+        return index
 
     def release(self, frame_index: int) -> None:
-        frame = self.frames[frame_index]
+        frame = self.frame(frame_index)
         if frame.valid:
             raise RuntimeError("release of an occupied frame; free it first")
         self._free.append(frame_index)
@@ -87,12 +101,18 @@ class DGroup:
         protected_here = {p.frame for p in protect if p.dgroup == self.index}
         if occupied <= len(protected_here):
             return None
-        # Rejection-sample; occupancy is near-total in steady state.
+        # Rejection-sample; occupancy is near-total in steady state.  A
+        # candidate past the created frames is free.
+        frames = self.frames
         for _ in range(64):
             candidate = int(rng.integers(0, self.num_frames))
-            if self.frames[candidate].valid and candidate not in protected_here:
+            if (
+                candidate < len(frames)
+                and frames[candidate].valid
+                and candidate not in protected_here
+            ):
                 return candidate
-        for candidate, frame in enumerate(self.frames):
+        for candidate, frame in enumerate(frames):
             if frame.valid and candidate not in protected_here:
                 return candidate
         return None
@@ -108,7 +128,7 @@ class DataArray:
         return self.dgroups[dgroup]
 
     def frame(self, ptr: FramePtr) -> Frame:
-        return self.dgroups[ptr.dgroup].frames[ptr.frame]
+        return self.dgroups[ptr.dgroup].frame(ptr.frame)
 
     def occupy(
         self, ptr: FramePtr, address: int, rev: TagPtr, dirty: bool = False
@@ -237,7 +257,7 @@ class DataArray:
                         f"{gpath}.frame[{row}]", f"frame {index} listed twice"
                     )
                 occupied.add(index)
-                frame = dgroup.frames[index]
+                frame = dgroup.frame(index)
                 frame.valid = True
                 frame.address = int(columns["address"][row])
                 core = int(columns["rev_core"][row])

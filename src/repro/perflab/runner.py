@@ -114,7 +114,8 @@ def _time_cell(cell: PlanCell, config, repeats: int) -> "tuple[float, List[float
     """Best-of-``repeats`` throughput for one cell (accesses/second).
 
     The whole path is timed — workload generation, L1s, the design —
-    with construction outside the clock.
+    with construction outside the clock.  Tag entries and data frames
+    are created on first fill, so their allocation is inside it.
     """
     run = run_mix if cell.multiprogrammed else run_multithreaded
     best = 0.0

@@ -1,5 +1,6 @@
 """Unit and property tests for the generic set-associative array."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,24 @@ from hypothesis import strategies as st
 from repro.caches.base import Entry, SetAssociativeArray
 from repro.coherence.states import CoherenceState
 from repro.common.params import CacheGeometry
+from repro.core.tag_array import NurapidTagEntry, replacement_category
 
 S = CoherenceState.SHARED
 E = CoherenceState.EXCLUSIVE
+M = CoherenceState.MODIFIED
+C = CoherenceState.COMMUNICATION
 I = CoherenceState.INVALID  # noqa: E741
+
+
+def plain(state):
+    """A state dict with its numpy columns as (dtype, list) pairs, for ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    if isinstance(state, list):
+        return [plain(value) for value in state]
+    if isinstance(state, np.ndarray):
+        return state.dtype.str, state.tolist()
+    return state
 
 
 def small_array(capacity=4096, assoc=4, block=64) -> SetAssociativeArray:
@@ -133,3 +148,55 @@ def test_matches_reference_model(addresses):
     for set_index, blocks in reference.items():
         for block in blocks:
             assert array.lookup(block, touch=False) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["access", "lookup", "victim", "invalidate"]),
+            st.integers(min_value=0, max_value=47).map(lambda b: b * 64),
+            st.sampled_from([S, E, M, C]),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    nurapid=st.booleans(),
+)
+def test_first_fill_matches_arrays_built_full(ops, nurapid):
+    """Creating entries on first fill picks the same ways, finds the
+    same blocks and snapshots the same as an array whose every way
+    exists from the start."""
+    geometry = CacheGeometry(2048, 4, 64)  # 8 sets of 4 ways
+    entry_type, category = (
+        (NurapidTagEntry, replacement_category) if nurapid else (Entry, None)
+    )
+    lazy = SetAssociativeArray(geometry, entry_type)
+    full = SetAssociativeArray(geometry, entry_type)
+    for set_index in range(geometry.num_sets):
+        full.entry_at(set_index, geometry.associativity - 1)
+
+    def way_found(array, address, touch):
+        entry = array.lookup(address, touch)
+        if entry is None:
+            return None
+        return array.way_of(geometry.set_index(address), entry)
+
+    for kind, address, state in ops:
+        set_index = geometry.set_index(address)
+        if kind == "invalidate":
+            for array in (lazy, full):
+                entry = array.lookup(address, touch=False)
+                if entry is not None:
+                    entry.invalidate()
+            continue
+        hit = way_found(lazy, address, kind == "access")
+        assert hit == way_found(full, address, kind == "access")
+        if kind == "lookup" or hit is not None:
+            continue
+        victims = [array.victim(address, category) for array in (lazy, full)]
+        assert lazy.way_of(set_index, victims[0]) == full.way_of(set_index, victims[1])
+        if kind == "access":
+            for array, victim in zip((lazy, full), victims):
+                array.install(victim, address, state)
+    assert plain(lazy.state_dict()) == plain(full.state_dict())

@@ -22,9 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.caches.base import SetAssociativeArray
 from repro.caches.private import PrivateCaches
 from repro.caches.shared import SharedCache
 from repro.cli import main as cli_main
+from repro.coherence.states import CoherenceState
 from repro.common.params import (
     KB,
     CacheGeometry,
@@ -34,6 +36,7 @@ from repro.common.params import (
     SharedCacheParams,
     SystemParams,
 )
+from repro.common.serialization import StateDictError
 from repro.common.types import Access, AccessType
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem, TimedAccess
@@ -359,6 +362,33 @@ def test_malformed_envelope_field_is_diagnosed(tmp_path, field, value):
     }[field]
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def test_duplicate_tag_array_row_is_diagnosed(tmp_path, capsys):
+    """Two snapshot rows naming one (set, way) would silently drop a
+    block on load; the second row is named instead."""
+    geometry = CacheGeometry(4 * KB, 4, 64)  # 16 sets of 4 ways
+    array = SetAssociativeArray(geometry)
+    for address in (0x0, 0x400):  # both in set 0
+        array.install(array.victim(address), address, CoherenceState.SHARED)
+    state = array.state_dict()
+    state["way"][:] = 0
+    with pytest.raises(StateDictError, match=r"array\.way\[1\]: set 0 way 0 listed"):
+        SetAssociativeArray(geometry).load_state_dict(state)
+
+    path, _, _ = write_v2(tmp_path)
+
+    def duplicate_first_row(payload):
+        entries = payload["state"]["design"]["tags"][1]["entries"]
+        entries["set_index"][1] = entries["set_index"][0]
+        entries["way"][1] = entries["way"][0]
+
+    rewrite_v2(path, duplicate_first_row)
+    with pytest.raises(CheckpointError, match=r"tags\[1\]\.entries\.way\[1\]: set"):
+        load_checkpoint(path)
+    code, _, err = run_cli(capsys, "run", "--resume", str(path))
+    assert code == 2
+    assert "listed twice" in err
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Tests for CMP-NuRAPID's tag arrays and d-group data array."""
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.caches.base import Entry
+from repro.caches.base import Entry, SetAssociativeArray
 from repro.coherence.states import CoherenceState
 from repro.common.params import KB, CacheGeometry
 from repro.core.data_array import DataArray, DGroup
 from repro.core.pointers import FramePtr, TagPtr
 from repro.core.tag_array import NurapidTagEntry, TagArray, replacement_category
+from repro.cpu.system import CmpSystem
+from repro.experiments.runner import DESIGN_FACTORIES, build_design
+from tests.test_base_array import plain
 
 M = CoherenceState.MODIFIED
 E = CoherenceState.EXCLUSIVE
@@ -168,3 +175,93 @@ class TestDataArray:
         assert data.total_occupied == 0
         data.occupy(FramePtr(0, data[0].allocate()), 0x0, TagPtr(0, 0, 0))
         assert data.total_occupied == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_first_use_frames_match_dgroups_built_full(seed):
+    """Creating frames on first allocation hands out the same frames and
+    draws the same random victims as d-groups whose every frame exists
+    from the start."""
+    frames = 16
+    lazy = DataArray(num_dgroups=2, frames_per_dgroup=frames)
+    full = DataArray(num_dgroups=2, frames_per_dgroup=frames)
+    for group in range(2):
+        full.frame(FramePtr(group, frames - 1))
+    both = (lazy, full)
+    ops = np.random.default_rng(seed)
+    victim_rngs = [np.random.default_rng(seed + 1) for _ in both]
+    occupied: "list[FramePtr]" = []
+
+    def allocate(group):
+        indices = [data[group].allocate() for data in both]
+        assert indices[0] == indices[1]
+        return FramePtr(group, indices[0])
+
+    for step in range(200):
+        group = int(ops.integers(0, 2))
+        op = int(ops.integers(0, 4))
+        if op == 0 and lazy[group].has_free():
+            ptr = allocate(group)
+            for data in both:
+                data.occupy(ptr, step * 64, TagPtr(0, step, 0))
+            occupied.append(ptr)
+        elif op == 1 and occupied:
+            ptr = occupied.pop(int(ops.integers(0, len(occupied))))
+            for data in both:
+                data.free(ptr)
+        elif op == 2 and occupied and lazy[1 - occupied[-1].dgroup].has_free():
+            src = occupied.pop()
+            dst = allocate(1 - src.dgroup)
+            for data in both:
+                data.move(src, dst)
+            occupied.append(dst)
+        else:
+            protect = frozenset(ptr for ptr in occupied if ops.random() < 0.5)
+            picks = [
+                data[group].random_occupied(rng, protect)
+                for data, rng in zip(both, victim_rngs)
+            ]
+            assert picks[0] == picks[1]
+    assert plain(lazy.state_dict()) == plain(full.state_dict())
+
+
+def reachable(root, kinds):
+    """Every instance of ``kinds`` reachable from ``root`` through
+    containers and the simulator's own objects."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple, set, frozenset, dict)):
+            stack.extend(obj.values() if isinstance(obj, dict) else obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize(
+    "design_name, bus_model, num_cores",
+    [
+        (name, bus_model, None)
+        for bus_model in ("atomic", "eventq", "mesh")
+        for name in DESIGN_FACTORIES
+    ]
+    + [("cmp-nurapid", "mesh", 16)],
+)
+def test_fresh_system_holds_no_entries_or_frames(design_name, bus_model, num_cores):
+    """Tag entries and data frames are created on first fill, not when
+    the machine is built."""
+    system = CmpSystem(
+        build_design(design_name, bus_model=bus_model, num_cores=num_cores)
+    )
+    arrays = reachable(system, SetAssociativeArray)
+    dgroups = reachable(system, DGroup)
+    assert len(arrays) > len(system.l1s)  # the L1s and the L2's arrays
+    assert [sum(map(len, array._sets)) for array in arrays] == [0] * len(arrays)
+    assert [len(dgroup.frames) for dgroup in dgroups] == [0] * len(dgroups)
+    assert bool(dgroups) == design_name.startswith("cmp-nurapid")
