@@ -272,6 +272,8 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
         meta = dict(checkpoint.meta)
         design_name = meta.get("design", "cmp-nurapid")
         system = checkpoint.system
+        if tracer is not None:
+            system.attach_tracer(tracer)
         if metrics is not None:
             system.attach_metrics(metrics)
         if profiler is not None:
@@ -294,14 +296,13 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
             start_index=checkpoint.event_index,
             meta=meta,
             stats_reset=bool(meta.get("stats_reset")),
-            tracer=tracer,
             profiler=profiler,
         )
         label = meta.get("mix") or meta.get("workload") or "oltp"
         return design_name, label, runner
     design_name = args.design or "cmp-nurapid"
     design = build_design(design_name, bus_model=args.bus_model)
-    system = CmpSystem(design, metrics=metrics)
+    system = CmpSystem(design, tracer=tracer, metrics=metrics)
     if profiler is not None:
         profiler.instrument(system)
     chunks, warmup_events = _make_chunks(args)
@@ -324,8 +325,7 @@ def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
         seed=args.seed,
     )
     runner = run_events(
-        system, chunks, warmup_events, config, meta=meta,
-        tracer=tracer, profiler=profiler,
+        system, chunks, warmup_events, config, meta=meta, profiler=profiler
     )
     return design_name, _workload_name(args), runner
 
@@ -718,7 +718,10 @@ def cmd_trace_generate(args) -> int:
 def cmd_trace_run(args) -> int:
     design = build_design(args.design)
     system = CmpSystem(design)
-    system.run(tracefile.read_trace(args.trace))
+    try:
+        system.run(tracefile.read_trace(args.trace, system.params.num_cores))
+    except tracefile.TraceFormatError as error:
+        raise CliError(f"{args.trace}: {error}") from None
     stats = system.stats()
     print(
         format_table(

@@ -72,6 +72,22 @@ class TimedAccess:
         )
 
 
+class DeferredEventError(RuntimeError):
+    """An interconnect event outlived its transaction in the columnar loop.
+
+    Only the harness's race faults defer an event past its transaction,
+    and only :meth:`CmpSystem.step` drains one, by the cores' virtual
+    clocks.
+    """
+
+    def __init__(self, pending: int) -> None:
+        super().__init__(
+            f"{pending} interconnect event(s) pending after an L2 access "
+            "in the columnar loop; deferred events (race faults) need the "
+            "per-event loop, CmpSystem.step"
+        )
+
+
 #: Sharing class of each :attr:`EventChunk.sharing` code.
 SHARING_CLASSES = (
     SharingClass.PRIVATE,
@@ -316,78 +332,50 @@ class CmpSystem:
         if self.metrics is not None:
             self.metrics.reset()
 
-    def _trace_step(self, event: "TimedAccess") -> None:
-        """Emit the replayable ``step`` record for one workload event."""
-        access = event.access
-        self.tracer.emit(
-            ev.STEP,
-            cycle=self.cores[access.core].cycles,
-            core=access.core,
-            address=access.address,
-            type=access.type.value,
-            sharing=access.sharing.value,
-            gap=event.gap,
-            colocated=event.colocated,
-        )
+    def step(self, event: TimedAccess) -> None:
+        """Execute one timed access: the per-event loop's unit of work.
 
-    def _drain_interconnect(self) -> None:
-        """Fire interconnect events due by the cores' virtual clocks.
-
-        Deferred events (the race faults' late deliveries) fire at the
-        *start* of the following step, so the harness's invariant check
-        — which runs after each step — observes the open race window.
-        In normal operation the queue is already empty here (every
-        transaction drains inside its issuing call) and this is one
-        attribute load and one branch.
+        Interconnect events deferred past their transaction (the race
+        faults' late deliveries) fire first, by the cores' virtual
+        clocks, so the harness's invariant check — which runs after
+        each step — observes the open race window.  In normal
+        operation the queue is already empty here: every transaction
+        drains inside its issuing call.  The ``step`` record is
+        emitted before execution, so a trace already holds an access
+        that blows up mid-protocol.
         """
         queue = getattr(self.design, "queue", None)
         if queue is not None and queue.pending:
             queue.run_until(max(core.cycles for core in self.cores))
-
-    def step(self, event: TimedAccess) -> None:
-        """Execute one timed access (the harness's unit of work).
-
-        The ``step`` record is emitted *before* execution so that when
-        an access blows up mid-protocol, the fatal event is already in
-        the tracer's ring buffer (the harness's replayable window).
-        """
-        self._drain_interconnect()
+        access = event.access
+        core = self.cores[access.core]
         if self.tracer.enabled:
-            self._trace_step(event)
-        core = self.cores[event.access.core]
+            self.tracer.emit(
+                ev.STEP,
+                cycle=core.cycles,
+                core=access.core,
+                address=access.address,
+                type=access.type.value,
+                sharing=access.sharing.value,
+                gap=event.gap,
+                colocated=event.colocated,
+            )
         if event.gap:
             core.execute_gap(event.gap)
         if event.colocated:
             core.execute_colocated(event.colocated)
-        core.execute_memory(self.access(event.access))
+        core.execute_memory(self.access(access))
         if self.metrics is not None:
             self.metrics.on_step()
 
     def run(self, events: "Iterable[TimedAccess]") -> None:
-        """Execute a stream of timed accesses, one object per event.
+        """Execute a stream of timed accesses, one :meth:`step` each.
 
-        The general event loop: it takes tracing, metrics and
-        event-queue drains, and inlines :meth:`step`; with tracing
-        disabled and no metrics bound the additions are one branch each
-        per event.  Workload streams go through :meth:`run_chunks`.
+        Workload streams go through :meth:`run_chunks`.
         """
-        tracer = self.tracer
-        traced = tracer.enabled
-        metrics = self.metrics
-        queue = getattr(self.design, "queue", None)
+        step = self.step
         for event in events:
-            if queue is not None and queue.pending:
-                queue.run_until(max(core.cycles for core in self.cores))
-            if traced:
-                self._trace_step(event)
-            core = self.cores[event.access.core]
-            if event.gap:
-                core.execute_gap(event.gap)
-            if event.colocated:
-                core.execute_colocated(event.colocated)
-            core.execute_memory(self.access(event.access))
-            if metrics is not None:
-                metrics.on_step()
+            step(event)
 
     def run_chunks(
         self, chunks: "Iterable[EventChunk]", warmup_events: int = 0
@@ -397,24 +385,31 @@ class CmpSystem:
         With ``warmup_events``, statistics are reset once that many
         events have run (cache state and core clocks carry over).
 
-        Dispatches on the observability configuration once, not per
-        event: a plain run (no tracer, no metrics, atomic interconnect)
-        reads the columns in a loop with *zero* instrumentation guards,
-        which is where the simulator spends its life.  Any attached
-        instrument takes :meth:`run` over the chunks' timed accesses
-        instead, which is bit-identical.
+        Dispatches on the observers once, not per event: with no
+        tracer and no metrics collector, on every interconnect, the
+        columns are read in a loop with *zero* instrumentation guards,
+        which is where the simulator spends its life.  An attached
+        tracer or collector takes :meth:`run` over the chunks' timed
+        accesses instead, which is bit-identical.
+
+        The columnar loop never drains the interconnect's event queue
+        as :meth:`step` does: every transaction drains its own events,
+        so the queue is empty after each L2 access unless a race fault
+        deferred one.  Such a pending event raises
+        :class:`DeferredEventError` right after the access that left
+        it, before a later transaction could fire it at another time
+        than :meth:`step` would.
         """
         if warmup_events:
             warmup, chunks = split_chunks(chunks, warmup_events)
             self.run_chunks(warmup)
             self.reset_stats()
-        if (
-            self.tracer.enabled
-            or self.metrics is not None
-            or getattr(self.design, "queue", None) is not None
-        ):
+        if self.tracer.enabled or self.metrics is not None:
             self.run(timed_events(chunks))
             return
+        queue = getattr(self.design, "queue", None)
+        if queue is not None and queue.pending:
+            raise DeferredEventError(queue.pending)
         # The accounting matches InOrderCore's execute_gap,
         # execute_colocated and execute_memory per event.  Only an L1
         # miss reads a core's clock (the L2's ``now``), so cycles and
@@ -452,6 +447,8 @@ class CmpSystem:
                 else:
                     cores[core_id].cycles = base[core_id] + clock + stalls[core_id]
                     stall = load_miss(Access(core_id, address, read, classes[sharing]))
+                if queue is not None and queue.pending:
+                    raise DeferredEventError(queue.pending)
                 stalls[core_id] += stall
             for core, start, added, stalled, executed in zip(
                 cores, base, cycles.tolist(), stalls, instructions.tolist()
@@ -572,6 +569,7 @@ __all__ = [
     "AccessResult",
     "AccessType",
     "CmpSystem",
+    "DeferredEventError",
     "EventChunk",
     "TimedAccess",
     "run_workload",

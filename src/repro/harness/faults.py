@@ -72,7 +72,6 @@ from repro.core.pointers import FramePtr, TagPtr
 from repro.harness.invariants import design_contains
 from repro.obs import events as ev
 from repro.obs.events import TraceEvent
-from repro.obs.tracer import NO_TRACE
 
 M = CoherenceState.MODIFIED
 S = CoherenceState.SHARED
@@ -139,14 +138,14 @@ class FaultInjector:
     ``log`` holds one :class:`~repro.obs.events.TraceEvent` of kind
     ``"fault"`` per injection — the same record type the tracer
     streams, so fault history appears in recorded traces and harness
-    diagnostics without a parallel ad-hoc format.  Each record's data
+    diagnostics without a parallel ad-hoc format; each is also emitted
+    to the system's tracer when one is enabled.  Each record's data
     carries ``fault`` (the kind), ``at_index``, ``applied``, and a
     human-readable ``description`` of what was corrupted.
     """
 
     specs: "Sequence[FaultSpec]" = ()
     seed: int = DEFAULT_SEED
-    tracer: "object" = NO_TRACE
     log: "List[TraceEvent]" = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -163,8 +162,8 @@ class FaultInjector:
             spec = self._pending.pop(0)
             record = self._apply(system, spec)
             self.log.append(record)
-            if self.tracer.enabled:
-                self.tracer.emit_event(record)
+            if system.tracer.enabled:
+                system.tracer.emit_event(record)
 
     # ------------------------------------------------------------------
 

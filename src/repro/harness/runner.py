@@ -16,28 +16,29 @@ robustness machinery long simulations need:
   bit-identical resume of a killed run;
 * **watchdog** — a wall-clock budget; a hung or runaway run raises
   :class:`WatchdogTimeout` instead of blocking a sweep forever;
-* **event-window dump** — on an unrecoverable error the most recent
-  events are recovered from the tracer's ring buffer and written as a
-  replayable trace file (the minimal repro input), its path attached to
-  the raised exception.
+* **event-window dump** — the runner keeps the last
+  :data:`WINDOW_EVENTS` events it stepped; on an unrecoverable error it
+  writes them as a replayable trace file (the minimal repro input),
+  its path attached to the raised exception.
 
-The runner shares the observability stack in :mod:`repro.obs`: the
-system's structured tracer doubles as the crash window (``step``
-records in its ring buffer are replayable), fault injections and
-invariant violations are emitted as typed trace events, and an optional
+The runner attaches no observer of its own.  Fault injections and
+invariant violations are typed trace events: they reach whatever
+tracer the caller attached to the system, and the injector's ``log``
+keeps the fault records either way.  An optional
 :class:`~repro.obs.profiler.Profiler` times the invariant checker.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.common.dirty import DirtySet
 from repro.common.rng import DEFAULT_SEED
-from repro.cpu.system import EventChunk, split_chunks, timed_events
+from repro.cpu.system import EventChunk, TimedAccess, split_chunks, timed_events
 from repro.harness.checkpoint import save_checkpoint
 from repro.harness.faults import FaultInjector, FaultSpec
 from repro.harness.invariants import (
@@ -46,9 +47,10 @@ from repro.harness.invariants import (
     check_system_incremental,
 )
 from repro.obs import events as ev
-from repro.obs.events import timed_access_from_event
 from repro.obs.profiler import Profiler
-from repro.obs.tracer import Tracer
+
+#: Events the crash window keeps: the replayable tail written on error.
+WINDOW_EVENTS = 64
 
 
 class WatchdogTimeout(RuntimeError):
@@ -78,7 +80,6 @@ class HarnessConfig:
     timeout_seconds: float = 0.0
     faults: "Tuple[FaultSpec, ...]" = ()
     seed: int = DEFAULT_SEED
-    window_size: int = 64
     dump_path: "Optional[str]" = None
     #: Force full-state rescans on every check (``--check-invariants
     #: full``).  Default is incremental: designs mark mutated entries in
@@ -95,7 +96,6 @@ class HarnessRunner:
         system,
         config: "Optional[HarnessConfig]" = None,
         meta: "Optional[Dict[str, Any]]" = None,
-        tracer: "Optional[Tracer]" = None,
         profiler: "Optional[Profiler]" = None,
     ) -> None:
         self.system = system
@@ -104,21 +104,10 @@ class HarnessRunner:
         self.event_index = 0
         self.stats_reset = False
         self.profiler = profiler
-        # The system's structured tracer doubles as the crash window:
-        # its ring buffer holds the most recent ``step`` records, which
-        # are exactly the replayable events ``dump_window`` writes out.
-        # If the caller did not enable tracing, attach a ring-only
-        # tracer (no sink) sized to the configured window.
-        if tracer is not None:
-            system.attach_tracer(tracer)
-        elif not system.tracer.enabled:
-            system.attach_tracer(
-                Tracer(capacity=max(1, self.config.window_size))
-            )
-        self.tracer: Tracer = system.tracer
+        # The crash window: the most recent events stepped, oldest first.
+        self._window: "deque[TimedAccess]" = deque(maxlen=WINDOW_EVENTS)
         self.injector = (
-            FaultInjector(self.config.faults, self.config.seed,
-                          tracer=self.tracer)
+            FaultInjector(self.config.faults, self.config.seed)
             if self.config.faults
             else None
         )
@@ -153,10 +142,12 @@ class HarnessRunner:
         )
         index = self.event_index
         profiler = self.profiler
+        window = self._window
         try:
             for event in events:
                 if self.injector is not None:
                     self.injector.maybe_inject(system, index)
+                window.append(event)
                 system.step(event)
                 index += 1
                 self.event_index = index
@@ -177,18 +168,19 @@ class HarnessRunner:
                     )
         except (InvariantViolation, WatchdogTimeout) as error:
             error.dump_path = self.dump_window()
-            if isinstance(error, InvariantViolation) and error.access_index is None:
-                error.access_index = index
             if isinstance(error, InvariantViolation):
-                self.tracer.emit(
-                    ev.VIOLATION,
-                    cycle=max(core.cycles for core in system.cores),
-                    address=error.address,
-                    invariant=error.invariant,
-                    access_index=error.access_index,
-                    detail=str(error),
-                    dump_path=error.dump_path,
-                )
+                if error.access_index is None:
+                    error.access_index = index
+                if system.tracer.enabled:
+                    system.tracer.emit(
+                        ev.VIOLATION,
+                        cycle=max(core.cycles for core in system.cores),
+                        address=error.address,
+                        invariant=error.invariant,
+                        access_index=error.access_index,
+                        detail=str(error),
+                        dump_path=error.dump_path,
+                    )
             raise
 
     def _check(self, index: int) -> None:
@@ -223,22 +215,13 @@ class HarnessRunner:
             self.system, self.event_index, self.config.checkpoint_path, meta
         )
 
-    def window_events(self) -> list:
-        """The most recent workload events, rebuilt from the tracer.
-
-        Filters ``step`` records out of the tracer's ring buffer (other
-        event kinds share it) and reconstructs the replayable
-        :class:`~repro.cpu.system.TimedAccess` objects, newest last,
-        capped at the configured window size.
-        """
-        steps = [e for e in self.tracer.ring if e.kind == ev.STEP]
-        steps = steps[-max(1, self.config.window_size):]
-        return [timed_access_from_event(e) for e in steps]
+    def window_events(self) -> "list[TimedAccess]":
+        """The last :data:`WINDOW_EVENTS` events stepped, oldest first."""
+        return list(self._window)
 
     def dump_window(self) -> "Optional[str]":
         """Write the recent-event window as a replayable trace file."""
-        window = self.window_events()
-        if not window:
+        if not self._window:
             return None
         from repro.workloads import tracefile
 
@@ -250,7 +233,7 @@ class HarnessRunner:
             else:
                 path = "harness-window.trace"
         try:
-            tracefile.write_trace(window, path)
+            tracefile.write_trace(self._window, path)
         except OSError:  # pragma: no cover - dump is best-effort
             return None
         return path
@@ -264,7 +247,6 @@ def run_events(
     start_index: int = 0,
     meta: "Optional[Dict[str, Any]]" = None,
     stats_reset: bool = False,
-    tracer: "Optional[Tracer]" = None,
     profiler: "Optional[Profiler]" = None,
 ) -> HarnessRunner:
     """Warm up, reset statistics, and measure a workload's event chunks
@@ -278,7 +260,7 @@ def run_events(
     the runner (its ``system`` holds the final state).
     """
     _, chunks = split_chunks(chunks, start_index)
-    runner = HarnessRunner(system, config, meta, tracer=tracer, profiler=profiler)
+    runner = HarnessRunner(system, config, meta, profiler=profiler)
     runner.event_index = start_index
     runner.stats_reset = stats_reset
     if start_index < warmup_events or (

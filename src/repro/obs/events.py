@@ -4,9 +4,11 @@ Every observable occurrence in a run — an L2 access outcome, a
 controlled-replication pointer return, a MESIC transition, a capacity-
 stealing promotion, a bus broadcast, a harness fault or invariant
 violation — is recorded as one :class:`TraceEvent` and serialized as
-one JSON object per line (JSONL).  The harness's event-window dumps,
-the streaming trace sink, and the Perfetto exporter all read and write
-this schema; nothing else in the repository serializes events.
+one JSON object per line (JSONL).  The streaming trace sink and the
+Perfetto exporter read and write this schema; nothing else in the
+repository serializes these records.  (The harness's crash-window dumps
+are workload trace files, :mod:`repro.workloads.tracefile`, not event
+records.)
 
 Record schema (one JSON object per ``.jsonl`` line)::
 
@@ -238,32 +240,6 @@ def validate_jsonl(path: str) -> "Tuple[int, List[str]]":
     return count, errors
 
 
-def timed_access_from_event(event: TraceEvent):
-    """Rebuild the replayable :class:`TimedAccess` behind a ``step`` record.
-
-    The inverse of the ``step`` emission in :meth:`CmpSystem.step`; used
-    by the harness to turn its ring-buffer window into a replayable
-    trace file.  Imports lazily — :mod:`repro.cpu.system` imports the
-    tracer via the design base class, and this module must stay
-    importable from there.
-    """
-    if event.kind != STEP:
-        raise ValueError(f"expected a {STEP!r} event, got {event.kind!r}")
-    from repro.common.types import Access, AccessType, SharingClass
-    from repro.cpu.system import TimedAccess
-
-    data = event.data
-    access = Access(
-        event.core if event.core is not None else 0,
-        event.address if event.address is not None else 0,
-        AccessType(data.get("type", "read")),
-        SharingClass(data.get("sharing", "private")),
-    )
-    return TimedAccess(
-        access, gap=int(data.get("gap", 0)), colocated=int(data.get("colocated", 0))
-    )
-
-
 __all__ = [
     "ACCESS",
     "BUS",
@@ -287,7 +263,6 @@ __all__ = [
     "VIOLATION",
     "WORKER_DEATH",
     "read_jsonl",
-    "timed_access_from_event",
     "validate_jsonl",
     "validate_record",
 ]

@@ -9,9 +9,9 @@ path:
   one attribute load and one branch per potential event — no record is
   ever constructed;
 * **enabled** — every event is appended to a bounded ring buffer (the
-  most recent N events, the harness's crash window) and, when a sink is
-  configured, streamed to a JSONL file so arbitrarily long runs can be
-  traced without holding them in memory.
+  most recent N events) and, when a sink is configured, streamed to a
+  JSONL file so arbitrarily long runs can be traced without holding
+  them in memory.
 
 The ring buffer *overflows by design*: when full, the oldest event is
 dropped (and counted in :attr:`Tracer.dropped`); the JSONL sink still

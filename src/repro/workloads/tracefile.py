@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from repro.common.types import Access, AccessType
 from repro.cpu.system import TimedAccess
@@ -27,7 +27,9 @@ class TraceFormatError(ValueError):
     """A line of the trace file could not be parsed."""
 
 
-def _parse_line(line: str, line_number: int) -> "TimedAccess | None":
+def _parse_line(
+    line: str, line_number: int, num_cores: "Optional[int]"
+) -> "TimedAccess | None":
     text = line.strip()
     if not text or text.startswith("#"):
         return None
@@ -39,6 +41,8 @@ def _parse_line(line: str, line_number: int) -> "TimedAccess | None":
     try:
         core = int(fields[0])
         address = int(fields[1], 16)
+        gap = int(fields[3]) if len(fields) > 3 else 0
+        colocated = int(fields[4]) if len(fields) > 4 else 0
     except ValueError as error:
         raise TraceFormatError(f"line {line_number}: {error}") from None
     kind = fields[2].upper()
@@ -48,22 +52,31 @@ def _parse_line(line: str, line_number: int) -> "TimedAccess | None":
         )
     if core < 0 or address < 0:
         raise TraceFormatError(f"line {line_number}: negative core or address")
-    gap = int(fields[3]) if len(fields) > 3 else 0
-    colocated = int(fields[4]) if len(fields) > 4 else 0
+    if num_cores is not None and core >= num_cores:
+        raise TraceFormatError(
+            f"line {line_number}: core {core} is outside the "
+            f"{num_cores}-core machine"
+        )
     if gap < 0 or colocated < 0:
         raise TraceFormatError(f"line {line_number}: negative gap/colocated")
     access_type = AccessType.WRITE if kind == "W" else AccessType.READ
     return TimedAccess(Access(core, address, access_type), gap, colocated)
 
 
-def read_trace(source: PathOrFile) -> "Iterator[TimedAccess]":
-    """Yield events from a trace file (streaming; constant memory)."""
+def read_trace(
+    source: PathOrFile, num_cores: "Optional[int]" = None
+) -> "Iterator[TimedAccess]":
+    """Yield events from a trace file (streaming; constant memory).
+
+    With ``num_cores``, a line naming a core outside the machine is a
+    :class:`TraceFormatError` too.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            yield from read_trace(handle)
+            yield from read_trace(handle, num_cores)
         return
     for line_number, line in enumerate(source, start=1):
-        event = _parse_line(line, line_number)
+        event = _parse_line(line, line_number, num_cores)
         if event is not None:
             yield event
 

@@ -174,6 +174,18 @@ class TestHarnessFlags:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line", ["0 zz R", "9 10 R"], ids=["malformed", "core-outside-machine"]
+    )
+    def test_trace_run_bad_line_exits_2_one_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "bad.trace"
+        trace.write_text(f"# comment\n0 40 R\n{line}\n")
+        code, out, err = run_cli_err(capsys, "trace", "run", str(trace))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert f"{trace}: line 3: " in err
+        assert "Traceback" not in err
+
     def test_paranoid_run_passes(self, capsys):
         code, out = run_cli(
             capsys,
@@ -195,7 +207,8 @@ class TestHarnessFlags:
         assert code == 3
         assert "invariant violation: [" in err
         assert "replayable event window" in err
-        assert (tmp_path / "fault.ck.window").exists()
+        window = (tmp_path / "fault.ck.window").read_text().splitlines()
+        assert len([line for line in window if not line.startswith("#")]) == 64
 
     def test_watchdog_exits_4(self, tmp_path, capsys):
         checkpoint = tmp_path / "hang.ck"

@@ -98,11 +98,16 @@ class TestTraceFile:
 
     @pytest.mark.parametrize(
         "bad",
-        ["0 40", "0 40 X", "x 40 R", "0 zz R", "-1 40 R", "0 40 R -2"],
+        ["0 40", "0 40 X", "x 40 R", "0 zz R", "-1 40 R", "0 40 R -2", "0 40 R x"],
     )
     def test_malformed_lines_rejected(self, bad):
         with pytest.raises(tracefile.TraceFormatError):
             list(tracefile.read_trace(io.StringIO(bad + "\n")))
+
+    def test_core_outside_machine_rejected(self):
+        trace = io.StringIO("3 40 R\n4 40 R\n")
+        with pytest.raises(tracefile.TraceFormatError, match="line 2: core 4"):
+            list(tracefile.read_trace(trace, num_cores=4))
 
     def test_trace_drives_a_design(self):
         """A parsed trace is directly consumable by the system."""

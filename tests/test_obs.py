@@ -534,51 +534,63 @@ def test_stats_cache_unreadable_file_starts_empty(tmp_path):
 # Harness integration: one record type across tracer, faults, and dumps
 
 
-def test_harness_runner_attaches_ring_tracer_sized_to_window():
-    from repro.harness import HarnessConfig, HarnessRunner
+def step_key(event):
+    """A workload event as comparable values."""
+    access = event.access
+    return (
+        access.core, access.address, access.type, access.sharing,
+        event.gap, event.colocated,
+    )
+
+
+def test_harnessed_run_attaches_no_tracer():
+    from repro.harness import HarnessConfig, run_events
 
     system = small_system()
-    runner = HarnessRunner(system, HarnessConfig(window_size=8))
-    assert system.tracer.enabled
-    assert runner.tracer is system.tracer
-    assert runner.tracer.capacity == 8
+    chunks = make_workload("oltp").chunks(accesses_per_core=100)
+    run_events(system, chunks, 100, HarnessConfig(check_every=50))
+    assert system.tracer is NO_TRACE
 
 
-def test_harness_runner_reuses_an_enabled_tracer():
-    from repro.harness import HarnessConfig, HarnessRunner
+@pytest.mark.parametrize("ring", [None, 8], ids=["untraced", "traced-ring-8"])
+def test_window_is_the_last_64_events_of_the_stream(ring):
+    """The window is the last 64 events, whatever tracer the system has."""
+    from repro.experiments.runner import build_design
+    from repro.harness import HarnessConfig, run_events
 
-    tracer = Tracer(capacity=128)
-    system = small_system(tracer=tracer)
-    runner = HarnessRunner(system, HarnessConfig(window_size=8))
-    assert runner.tracer is tracer  # no second tracer created
+    tracer = Tracer(capacity=ring) if ring else None
+    system = CmpSystem(build_design("cmp-nurapid"), tracer=tracer)
+    workload = make_workload("oltp")
+    runner = run_events(
+        system, workload.chunks(accesses_per_core=250), 0,
+        HarnessConfig(check_every=100),
+    )
+    expected = list(workload.events(accesses_per_core=250))[-64:]
+    assert list(map(step_key, runner.window_events())) == list(
+        map(step_key, expected)
+    )
+    assert system.tracer is (tracer or NO_TRACE)
 
 
-def test_window_dump_replays_last_steps_from_tracer_ring(tmp_path):
+def test_window_dump_replays_the_last_64_events(tmp_path):
     from repro.harness import HarnessConfig, HarnessRunner
     from repro.workloads import tracefile
 
     system = small_system()
-    config = HarnessConfig(
-        window_size=16, dump_path=str(tmp_path / "window.trace")
-    )
+    config = HarnessConfig(dump_path=str(tmp_path / "window.trace"))
     runner = HarnessRunner(system, config)
     workload = make_workload("oltp")
     events = list(workload.events(accesses_per_core=200))
     runner.run(iter(events))
 
-    window = runner.window_events()
-    assert len(window) == 16
-    expected = events[-16:]
-    assert [w.access.address for w in window] == [
-        e.access.address for e in expected
-    ]
-    assert [w.gap for w in window] == [e.gap for e in expected]
+    expected = events[-64:]
+    assert runner.window_events() == expected
 
     path = runner.dump_window()
     assert path == config.dump_path
     replayed = list(tracefile.read_trace(path))
-    assert [r.access.address for r in replayed] == [
-        e.access.address for e in expected
+    assert [(r.access.core, r.access.address, r.gap) for r in replayed] == [
+        (e.access.core, e.access.address, e.gap) for e in expected
     ]
 
 
@@ -588,12 +600,12 @@ def test_fault_injections_are_trace_events():
     from repro.harness import FaultSpec, HarnessConfig, HarnessRunner
 
     # drop-bus needs a snoopy bus: the private-MESI design has one.
+    tracer = Tracer()
     system = CmpSystem(
-        PrivateCaches(PrivateCacheParams(geometry=CacheGeometry(4 * KB, 2, 128)))
+        PrivateCaches(PrivateCacheParams(geometry=CacheGeometry(4 * KB, 2, 128))),
+        tracer=tracer,
     )
-    config = HarnessConfig(
-        faults=(FaultSpec("drop-bus", 5),), window_size=2048
-    )
+    config = HarnessConfig(faults=(FaultSpec("drop-bus", 5),))
     runner = HarnessRunner(system, config)
     workload = make_workload("oltp")
     runner.run(workload.events(accesses_per_core=20))
@@ -605,7 +617,7 @@ def test_fault_injections_are_trace_events():
     assert record.data["fault"] == "drop-bus"
     assert record.data["applied"] is True
     # The same record object streams through the system's tracer.
-    assert record in runner.tracer.events(ev.FAULT)
+    assert record in tracer.events(ev.FAULT)
     assert validate_record(record.to_dict()) == []
 
 
@@ -613,11 +625,11 @@ def test_invariant_violation_emits_violation_event(tmp_path):
     from repro.harness import FaultSpec, HarnessConfig, HarnessRunner
     from repro.harness.invariants import InvariantViolation
 
-    system = small_system()
+    tracer = Tracer()
+    system = small_system(tracer=tracer)
     config = HarnessConfig(
         check_every=1,
         faults=(FaultSpec("flip-pointer", 40),),
-        window_size=1024,
         dump_path=str(tmp_path / "window.trace"),
     )
     runner = HarnessRunner(system, config)
@@ -625,7 +637,7 @@ def test_invariant_violation_emits_violation_event(tmp_path):
     with pytest.raises(InvariantViolation) as caught:
         runner.run(workload.events(accesses_per_core=500))
 
-    violations = runner.tracer.events(ev.VIOLATION)
+    violations = tracer.events(ev.VIOLATION)
     assert len(violations) == 1
     event = violations[0]
     assert event.data["invariant"] == caught.value.invariant

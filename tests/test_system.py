@@ -13,12 +13,14 @@ from repro.common.params import NurapidParams
 from repro.cpu.core import InOrderCore
 from repro.cpu.system import (
     CmpSystem,
+    DeferredEventError,
     EventChunk,
     TimedAccess,
     run_workload,
     split_chunks,
 )
-from repro.experiments.runner import DESIGN_FACTORIES, build_design
+from repro.experiments.runner import BUS_MODELS, DESIGN_FACTORIES, build_design
+from repro.harness import FaultInjector, FaultSpec
 from repro.workloads.base import BATCH
 from repro.workloads.multiprogrammed import make_mix
 from repro.workloads.multithreaded import make_workload
@@ -217,35 +219,76 @@ class TestEventChunk:
         assert np.array_equal(rest[0].address, chunks[1].address[7:])
 
 
+def across_bus_models(cases):
+    """Cross ``(id, *values)`` cases with every bus model, as the last value.
+
+    An atomic case keeps the bare id; the others append the bus model.
+    """
+    return [
+        pytest.param(
+            *values,
+            bus_model,
+            id=case_id if bus_model == "atomic" else f"{case_id}-{bus_model}",
+        )
+        for case_id, *values in cases
+        for bus_model in BUS_MODELS
+    ]
+
+
 class TestColumnarLoop:
     """``run_chunks``'s plain loop against ``run``, the general loop."""
 
-    @pytest.mark.parametrize("blocking", [False, True], ids=["store-buffer", "blocking"])
-    @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))
-    def test_plain_loop_matches_general_loop(self, design, blocking):
+    @pytest.mark.parametrize(
+        "design,blocking,bus_model",
+        across_bus_models(
+            (f"{design}-{mode}", design, blocking)
+            for design in sorted(DESIGN_FACTORIES)
+            for mode, blocking in (("store-buffer", False), ("blocking", True))
+        ),
+    )
+    def test_plain_loop_matches_general_loop(self, design, blocking, bus_model):
         params = SystemParams(blocking_stores=blocking)
         for workload in (make_workload("apache", seed=3), make_mix("MIX1", seed=3)):
             warmup = 600 * workload.num_cores
-            columnar = CmpSystem(build_design(design, bus_model="atomic"), params)
+            columnar = CmpSystem(build_design(design, bus_model=bus_model), params)
             columnar.run_chunks(workload.chunks(accesses_per_core=1200), warmup)
-            general = CmpSystem(build_design(design, bus_model="atomic"), params)
+            general = CmpSystem(build_design(design, bus_model=bus_model), params)
             events = workload.events(accesses_per_core=1200)
             general.run(itertools.islice(events, warmup))
             general.reset_stats()
             general.run(events)
             assert columnar.stats().fingerprint() == general.stats().fingerprint()
 
-    @pytest.mark.parametrize("design", ["private", "cmp-nurapid"])
-    def test_plain_loop_across_chunks(self, design):
+    @pytest.mark.parametrize(
+        "design,bus_model",
+        across_bus_models((design, design) for design in ("private", "cmp-nurapid")),
+    )
+    def test_plain_loop_across_chunks(self, design, bus_model):
         """Core clocks carry from chunk to chunk, and the warm-up boundary
         falls inside the second chunk."""
         workload = make_workload("oltp", seed=3)
         length, warmup = BATCH + 300, (BATCH + 100) * workload.num_cores
-        columnar = CmpSystem(build_design(design, bus_model="atomic"))
+        columnar = CmpSystem(build_design(design, bus_model=bus_model))
         columnar.run_chunks(workload.chunks(accesses_per_core=length), warmup)
-        general = CmpSystem(build_design(design, bus_model="atomic"))
+        general = CmpSystem(build_design(design, bus_model=bus_model))
         events = workload.events(accesses_per_core=length)
         general.run(itertools.islice(events, warmup))
         general.reset_stats()
         general.run(events)
         assert columnar.stats().fingerprint() == general.stats().fingerprint()
+
+    def test_deferred_event_is_a_named_error(self):
+        """An armed race defers a snoop past its transaction.  The plain
+        loop cannot drain it as ``step`` would, so it raises, right
+        after the access and again before a later call runs any event."""
+        system = CmpSystem(build_design("private", bus_model="eventq"))
+        FaultInjector((FaultSpec("race-reorder", 0),)).maybe_inject(system, 0)
+        assert system.design.bus.race_pending == "race-reorder"
+        workload = make_workload("oltp", seed=3)
+        with pytest.raises(DeferredEventError, match="pending after an L2 access"):
+            system.run_chunks(workload.chunks(accesses_per_core=2000))
+        assert system.design.queue.pending
+        clocks = [core.cycles for core in system.cores]
+        with pytest.raises(DeferredEventError):
+            system.run_chunks(workload.chunks(accesses_per_core=10))
+        assert [core.cycles for core in system.cores] == clocks
