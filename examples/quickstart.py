@@ -16,8 +16,8 @@ expect the relative numbers to sharpen with longer traces.
 Set ``REPRO_CHECK_INVARIANTS=N`` to run the model invariant checker
 every N accesses (paranoid mode) — CI uses this as a smoke test that
 every design stays structurally legal under real traffic.  Set
-``REPRO_BUS_MODEL=eventq`` to rebase every design's interconnect on
-the discrete-event scheduler (bit-identical results by construction).
+``REPRO_BUS_MODEL=eventq`` to attach an event queue to every design's
+interconnect (bit-identical results by construction).
 
 Observability (applied to the cmp-nurapid run only, so the other
 designs stay untouched baselines):

@@ -40,6 +40,7 @@ import os
 import sys
 from typing import Iterator, Optional, Sequence
 
+from repro.common.params import SystemParams
 from repro.common.rng import DEFAULT_SEED
 from repro.common.types import MissClass
 from repro.cpu.system import CmpSystem, EventChunk
@@ -716,9 +717,23 @@ def cmd_trace_generate(args) -> int:
 
 
 def cmd_trace_run(args) -> int:
-    design = build_design(args.design)
-    system = CmpSystem(design)
+    """Replay a trace file on the machine its header names.
+
+    Without a machine line (``trace generate``'s output) the trace runs
+    on the default 4-core machine and ``REPRO_BUS_MODEL``'s backend.
+    """
     try:
+        machine = tracefile.read_machine(args.trace, BUS_MODELS)
+        num_cores, bus_model = machine or (None, None)
+        try:
+            design = build_design(
+                args.design, bus_model=bus_model, num_cores=num_cores
+            )
+        except ValueError as error:
+            raise CliError(f"{args.trace}: {error}") from None
+        system = CmpSystem(
+            design, None if machine is None else SystemParams(num_cores=num_cores)
+        )
         system.run(tracefile.read_trace(args.trace, system.params.num_cores))
     except tracefile.TraceFormatError as error:
         raise CliError(f"{args.trace}: {error}") from None
@@ -863,9 +878,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--bus-model",
         choices=BUS_MODELS,
-        help="interconnect backend: atomic (synchronous, default) or "
-        "eventq (split-phase discrete-event schedule; bit-identical "
-        "at zero occupancy, required for race faults)",
+        help="interconnect backend: atomic (default), eventq (atomic "
+        "plus the event queue that race faults need; bit-identical to "
+        "atomic) or mesh (2D mesh NoC with directory coherence)",
     )
     _add_workload_options(run_parser)
     _add_obs_options(run_parser)

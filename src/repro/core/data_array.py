@@ -37,17 +37,19 @@ class Frame:
 class DGroup:
     """One distance group: a pool of frames with a free list.
 
-    Frames are created on first allocation.  The free list pops fresh
-    indices in ascending order, after every freed one, so the created
-    frames (``frames``) are always a prefix of the d-group, and an index
-    past them reads as a free frame.
+    The free list is a stack of freed indices plus ``fresh``, the next
+    never-used index.  Allocation pops freed indices first (LIFO), then
+    fresh ones in ascending order.  Frames are created on first
+    allocation, so the created frames (``frames``) are always a prefix
+    of the d-group, and an index past them reads as a free frame.
     """
 
     def __init__(self, index: int, num_frames: int) -> None:
         self.index = index
         self.num_frames = num_frames
         self.frames: "list[Frame]" = []
-        self._free = list(range(num_frames - 1, -1, -1))
+        self._freed: "list[int]" = []
+        self.fresh = 0
 
     def frame(self, index: int) -> Frame:
         """The frame at ``index``, creating the frames up to it."""
@@ -60,20 +62,24 @@ class DGroup:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self._freed) + self.num_frames - self.fresh
 
     @property
     def occupied_count(self) -> int:
         return self.num_frames - self.free_count
 
     def has_free(self) -> bool:
-        return bool(self._free)
+        return bool(self._freed) or self.fresh < self.num_frames
 
     def allocate(self) -> int:
         """Take a free frame index; caller must then occupy it."""
-        if not self._free:
+        if self._freed:
+            index = self._freed.pop()
+        elif self.fresh < self.num_frames:
+            index = self.fresh
+            self.fresh = index + 1
+        else:
             raise RuntimeError(f"d-group {self.index} has no free frames")
-        index = self._free.pop()
         self.frame(index)
         return index
 
@@ -81,7 +87,7 @@ class DGroup:
         frame = self.frame(frame_index)
         if frame.valid:
             raise RuntimeError("release of an occupied frame; free it first")
-        self._free.append(frame_index)
+        self._freed.append(frame_index)
 
     def random_occupied(
         self,
@@ -179,9 +185,11 @@ class DataArray:
     def state_dict(self) -> dict:
         """Columnar snapshot: occupied frames sparse, free lists in order.
 
-        The free list's *order* is model state, not bookkeeping —
-        :meth:`DGroup.allocate` pops from its end, so a resumed run must
-        see the same allocation sequence.
+        The free list's *order* is model state, not bookkeeping — a
+        resumed run must see the same allocation sequence.  Each
+        d-group writes its freed stack (``free``, popped from the end)
+        and ``fresh``; the never-used indices past ``fresh`` cost
+        nothing.
         """
         groups = []
         for dgroup in self.dgroups:
@@ -203,7 +211,8 @@ class DataArray:
                 dirty.append(frame.dirty)
             groups.append({
                 "num_frames": dgroup.num_frames,
-                "free": np.asarray(dgroup._free, dtype=np.int32),
+                "free": np.asarray(dgroup._freed, dtype=np.int32),
+                "fresh": dgroup.fresh,
                 "frame": np.asarray(indices, dtype=np.int32),
                 "address": np.asarray(addresses, dtype=np.int64),
                 "rev_core": np.asarray(rev_core, dtype=np.int32),
@@ -267,11 +276,26 @@ class DataArray:
                     int(columns["rev_way"][row]),
                 )
                 frame.dirty = bool(columns["dirty"][row])
-            free_list = [int(index) for index in free]
-            if sorted(free_list + sorted(occupied)) != list(range(num_frames)):
+            freed = [int(index) for index in free]
+            if "fresh" in group_state:
+                fresh = int(group_state["fresh"])
+            else:
+                # A full free list: its leading run n-1, n-2, ... is the
+                # never-used tail.  A freed index that extends the run
+                # pops in the same order either way.
+                run = 0
+                while run < len(freed) and freed[run] == num_frames - 1 - run:
+                    run += 1
+                fresh = num_frames - run
+                freed = freed[run:]
+            if not 0 <= fresh <= num_frames or sorted(
+                freed + sorted(occupied)
+            ) != list(range(fresh)):
                 raise StateDictError(
                     f"{gpath}.free",
-                    f"free list ({len(free_list)}) and occupied frames "
-                    f"({len(occupied)}) do not partition {num_frames} frames",
+                    f"free list ({len(freed)}) and occupied frames "
+                    f"({len(occupied)}) do not partition the {fresh} "
+                    f"frames below fresh",
                 )
-            dgroup._free = free_list
+            dgroup._freed = freed
+            dgroup.fresh = fresh

@@ -278,24 +278,22 @@ class NurapidCache(L2Design):
                     f"race-delay-repl: BusRepl @{address:#x} frame {ptr} "
                     "freed before invalidation delivery"
                 )
-                self.queue.schedule(
-                    2 * self.bus_latency, self._deliver_bus_repl,
-                    (address, ptr), label="bus-repl-late",
-                    track="nurapid-repl",
+                self.queue.at(
+                    self.queue.now + 2 * self.bus_latency,
+                    self._deliver_bus_repl, (address, ptr),
+                    label="bus-repl-late",
                 )
             elif self.noc is not None and self.queue is not None:
                 # Mesh backend: BusRepl invalidations are hop-timed
-                # forwards from the home bank (drained before the frame
-                # is freed below, same as the broadcast's sweep).
+                # forwards from the home bank (all applied before the
+                # frame is freed below, same as the broadcast's sweep).
                 self._forward_invalidations(
                     address,
                     [
-                        (core, self._deliver_repl_invalidation,
-                         (core, address, ptr))
-                        for core, entry in list(self._sharers(address))
+                        core for core, entry in list(self._sharers(address))
                         if entry.fwd == ptr and not entry.busy
                     ],
-                    label="mesh-repl",
+                    self._deliver_repl_invalidation, ptr,
                 )
             else:
                 for core, entry in list(self._sharers(address)):
@@ -574,8 +572,8 @@ class NurapidCache(L2Design):
         ]
         if self.noc is not None and self.queue is not None and victims:
             # Mesh backend: the invalidations travel as hop-timed
-            # forward messages from the home directory bank and are
-            # drained before this call returns.  Per-victim handling is
+            # forward messages from the home directory bank and apply
+            # before this call returns.  Per-victim handling is
             # order-independent (each victim touches only its own tag,
             # its own L1, and — as owner — its own frame; ownership
             # transfer rewrites the reverse pointer to the survivor,
@@ -584,12 +582,8 @@ class NurapidCache(L2Design):
             # ascending-core sweep.
             self._forward_invalidations(
                 address,
-                [
-                    (core, self._deliver_invalidation,
-                     (core, address, keep_core, keep_entry is not None))
-                    for core, _entry in victims
-                ],
-                label="mesh-inval",
+                [core for core, _entry in victims],
+                self._deliver_invalidation, keep_core, keep_entry is not None,
             )
             return
         for core, entry in victims:
@@ -622,7 +616,7 @@ class NurapidCache(L2Design):
     def _deliver_invalidation(
         self, core: int, address: int, keep_core: int, keep_valid: bool
     ) -> None:
-        """Mesh delivery of one invalidation (args picklable by design)."""
+        """Mesh delivery of one invalidation forward."""
         entry = self.tags[core].lookup(address, touch=False)
         if entry is None:
             return
@@ -633,34 +627,33 @@ class NurapidCache(L2Design):
         self._invalidate_one_sharer(core, entry, address, keep_core, keep_entry)
 
     def _forward_invalidations(
-        self,
-        address: int,
-        deliveries: "list[tuple[int, object, tuple]]",
-        label: str,
+        self, address: int, cores: "list[int]", deliver, *args
     ) -> None:
-        """Schedule invalidation forwards on the event queue and drain.
+        """Deliver one invalidation forward per core, in arrival order.
 
-        Each delivery rides the mesh from the block's home directory
+        Each forward rides the mesh from the block's home directory
         bank to its target core (the forward leg of the transaction;
-        the request leg is accounted by ``_record_bus``).  Everything
-        fires inside this call — no mesh event is ever pending at a
-        checkpoint boundary.
+        the request leg is accounted by ``_record_bus``) and applies as
+        ``deliver(core, address, *args)``.  Forwards apply in hop-time
+        order (a stable sort), each after every deferred delivery due
+        by its cycle.
         """
         noc = self.noc
         queue = self.queue
         base = max(self.current_time, queue.now)
+        queue.run_until(base)
         home = noc.directory.home(address)
-        last = base
-        for core, action, args in deliveries:
-            time = (
+        arrivals = [
+            (
                 base + noc.router_latency
-                + noc.hop_latency * noc.topology.hops(home, core)
+                + noc.hop_latency * noc.topology.hops(home, core),
+                core,
             )
-            last = max(last, time)
-            queue.at(
-                time, action, args, label=label, track=("nurapid-inval", core)
-            )
-        queue.run_until(last)
+            for core in cores
+        ]
+        for time, core in sorted(arrivals, key=lambda arrival: arrival[0]):
+            queue.run_until(time)
+            deliver(core, address, *args)
 
     # ------------------------------------------------------------------
     # Hit handling

@@ -339,8 +339,8 @@ class CmpSystem:
         faults' late deliveries) fire first, by the cores' virtual
         clocks, so the harness's invariant check — which runs after
         each step — observes the open race window.  In normal
-        operation the queue is already empty here: every transaction
-        drains inside its issuing call.  The ``step`` record is
+        operation the queue is already empty here: transactions run
+        inline and schedule nothing.  The ``step`` record is
         emitted before execution, so a trace already holds an access
         that blows up mid-protocol.
         """
@@ -393,9 +393,9 @@ class CmpSystem:
         accesses instead, which is bit-identical.
 
         The columnar loop never drains the interconnect's event queue
-        as :meth:`step` does: every transaction drains its own events,
-        so the queue is empty after each L2 access unless a race fault
-        deferred one.  Such a pending event raises
+        as :meth:`step` does: transactions run inline, so the queue is
+        empty after each L2 access unless a race fault deferred a
+        delivery.  Such a pending event raises
         :class:`DeferredEventError` right after the access that left
         it, before a later transaction could fire it at another time
         than :meth:`step` would.

@@ -136,12 +136,13 @@ def build_design(
     """Instantiate a design by its paper name.
 
     ``bus_model`` selects the interconnect backend: ``"atomic"`` (the
-    synchronous default), ``"eventq"`` (split-phase transactions on a
-    discrete-event queue — bit-identical at zero occupancy), or
-    ``"mesh"`` (2D mesh NoC + directory coherence, bit-identical to the
-    bus at 4 cores and zero occupancy — the backend that scales).  None
-    defers to the ``REPRO_BUS_MODEL`` environment variable, so CI can
-    run whole suites under an alternate backend unchanged.
+    default), ``"eventq"`` (the same inline transactions with an event
+    queue attached for the race faults' deferred deliveries —
+    bit-identical to atomic), or ``"mesh"`` (2D mesh NoC + directory
+    coherence, bit-identical to the bus at 4 cores and zero occupancy —
+    the backend that scales).  None defers to the ``REPRO_BUS_MODEL``
+    environment variable, so CI can run whole suites under an alternate
+    backend unchanged.
 
     ``num_cores`` scales the parameterized designs to an N-tile machine
     (4/8/16/64 for square-ish meshes); None keeps the paper's 4-core

@@ -145,34 +145,20 @@ def run_bus_contention(
     )
     baseline = None
     for label, occupancy in (("uncontended (paper)", 0), ("8-cycle occupancy", 8), ("16-cycle occupancy", 16)):
-        # Atomic backend (closed-form queueing: wait = busy_until - now)
-        # alongside the discrete-event backend, whose split-phase
-        # schedule realizes the same contention as actual bus-grant
-        # events.  Matching rows cross-validate the two models.
-        for backend_label, use_eventq in (("", False), (" [eventq]", True)):
-            design = PrivateCaches(bus_occupancy=occupancy)
-            if use_eventq:
-                from repro.interconnect.eventq import attach_eventq
-
-                attach_eventq(design)
-            _, stats = run_multithreaded(design, WORKLOAD, config)
-            raw[label + backend_label] = stats
-            if baseline is None:
-                baseline = stats.throughput
-            report.add(
-                f"{label}{backend_label}: relative performance",
-                None,
-                stats.throughput / baseline if baseline else 0.0,
-                unit="x",
-            )
+        design = PrivateCaches(bus_occupancy=occupancy)
+        _, stats = run_multithreaded(design, WORKLOAD, config)
+        raw[label] = stats
+        if baseline is None:
+            baseline = stats.throughput
+        report.add(
+            f"{label}: relative performance",
+            None,
+            stats.throughput / baseline if baseline else 0.0,
+            unit="x",
+        )
     report.notes.append(
         "the paper notes that ignoring bus-latency overheads *helps* "
         "private caches; this sweep quantifies how much."
-    )
-    report.notes.append(
-        "[eventq] rows rerun the same occupancy on the discrete-event "
-        "interconnect backend; equal numbers validate the atomic "
-        "model's closed-form queueing against real grant scheduling."
     )
     return SensitivityResult(report=report, raw=raw)
 

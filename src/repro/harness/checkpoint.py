@@ -86,10 +86,11 @@ class Checkpoint:
 # ----------------------------------------------------------------------
 # Pending event-queue deferrals
 #
-# Only interconnect deferrals can be pending at a step boundary (normal
-# transactions drain inside their issuing call), and their bound actions
-# live on the design, its bus, or its crossbar.  Encoding is by owner
-# key + method name; arguments become tagged primitive tuples.
+# Interconnect transactions run inline, so only the race faults' two
+# deferred deliveries can be pending: race-reorder's late snoop, bound
+# to the bus, and race-delay-repl's late BusRepl, bound to the design.
+# Encoding is by owner key + method name; arguments become tagged
+# primitive tuples.
 
 
 def _action_owners(system) -> "Dict[str, Any]":
@@ -98,22 +99,16 @@ def _action_owners(system) -> "Dict[str, Any]":
     bus = getattr(design, "bus", None)
     if bus is not None:
         owners["bus"] = bus
-    crossbar = getattr(design, "crossbar", None)
-    if crossbar is not None:
-        owners["crossbar"] = crossbar
-    noc = getattr(design, "noc", None)
-    if noc is not None:
-        owners["noc"] = noc
     return owners
 
 
-def _bus_model_of(design, queue) -> str:
-    """The envelope's interconnect backend tag for ``design``."""
+def bus_model_of(design) -> str:
+    """The ``--bus-model`` name of ``design``'s interconnect backend."""
     from repro.interconnect.mesh import mesh_noc
 
     if mesh_noc(design) is not None:
         return "mesh"
-    return "eventq" if queue is not None else "atomic"
+    return "eventq" if getattr(design, "queue", None) is not None else "atomic"
 
 
 def _encode_action(system, event) -> "Tuple[str, str]":
@@ -125,7 +120,7 @@ def _encode_action(system, event) -> "Tuple[str, str]":
                 return (key, name)
     raise CheckpointError(
         f"pending event {event.label!r} at t={event.time} has an action "
-        f"({action!r}) not owned by the design, bus, or crossbar; it "
+        f"({action!r}) not owned by the design or its bus; it "
         "cannot be checkpointed"
     )
 
@@ -192,10 +187,8 @@ def _encode_pending_events(system) -> "List[Dict[str, Any]]":
     for event in queue.pending_events():
         events.append({
             "time": event.time,
-            "priority": event.priority,
             "seq": event.seq,
             "label": event.label,
-            "track": event.track,
             "action": _encode_action(system, event),
             "args": [
                 _encode_arg(system, arg, event.label) for arg in event.args
@@ -242,8 +235,8 @@ def _restore_pending_events(
             ) from None
         try:
             queue.restore_event(
-                int(state["time"]), int(state["priority"]), int(state["seq"]),
-                action, args, str(state.get("label", "")), state.get("track"),
+                int(state["time"]), int(state["seq"]), action, args,
+                str(state.get("label", "")),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(f"{epath}: {error}") from None
@@ -281,7 +274,7 @@ def save_checkpoint(
         "magic": _MAGIC,
         "version": FORMAT_VERSION,
         "design": meta.get("design") or getattr(design, "name", None),
-        "bus_model": _bus_model_of(design, queue),
+        "bus_model": bus_model_of(design),
         "seed": meta.get("seed"),
         "event_index": event_index,
         "meta": meta,

@@ -36,8 +36,9 @@ access.  These model the paper's "random perturbations in memory
 system timing" and double-counting bugs; they leave the model legal,
 so detection is by comparing statistics against a fault-free run.
 
-Protocol race faults (require the ``eventq`` bus model; perturb the
-event *schedule*, never state directly):
+Protocol race faults (require the ``eventq`` bus model, whose event
+queue holds the deferred deliveries; perturb the event *schedule*,
+never state directly):
 
 =====================  ================================================
 ``race-reorder``        a bus grant is reordered: one holder's snoop of

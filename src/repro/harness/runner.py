@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 from repro.common.dirty import DirtySet
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.system import EventChunk, TimedAccess, split_chunks, timed_events
-from repro.harness.checkpoint import save_checkpoint
+from repro.harness.checkpoint import bus_model_of, save_checkpoint
 from repro.harness.faults import FaultInjector, FaultSpec
 from repro.harness.invariants import (
     InvariantViolation,
@@ -220,7 +220,11 @@ class HarnessRunner:
         return list(self._window)
 
     def dump_window(self) -> "Optional[str]":
-        """Write the recent-event window as a replayable trace file."""
+        """Write the recent-event window as a replayable trace file.
+
+        Its machine line names the core count and bus model, so
+        ``repro trace run`` replays it on the same machine.
+        """
         if not self._window:
             return None
         from repro.workloads import tracefile
@@ -232,8 +236,9 @@ class HarnessRunner:
                 path = str(checkpoint.with_name(checkpoint.name + ".window"))
             else:
                 path = "harness-window.trace"
+        machine = (len(self.system.cores), bus_model_of(self.system.design))
         try:
-            tracefile.write_trace(self._window, path)
+            tracefile.write_trace(self._window, path, machine)
         except OSError:  # pragma: no cover - dump is best-effort
             return None
         return path

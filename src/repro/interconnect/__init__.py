@@ -9,12 +9,7 @@ from repro.interconnect.bus import (
     Snooper,
 )
 from repro.interconnect.crossbar import Crossbar
-from repro.interconnect.eventq import (
-    EventQueue,
-    ScheduledEvent,
-    TIEBREAKS,
-    attach_eventq,
-)
+from repro.interconnect.eventq import EventQueue, ScheduledEvent, attach_eventq
 
 __all__ = [
     "BusOp",
@@ -26,6 +21,5 @@ __all__ = [
     "SnoopBus",
     "SnoopReply",
     "Snooper",
-    "TIEBREAKS",
     "attach_eventq",
 ]

@@ -11,19 +11,19 @@ All designs that use the bus charge Table 1's 32-cycle latency per
 transaction; per the paper we ignore additional arbitration overheads,
 which is conservative *against* CMP-NuRAPID's competitors.
 
-Two execution backends share the latency/statistics math:
-
-* **atomic** (default, ``queue is None``) — one synchronous call snoops
-  every agent in attach order;
-* **eventq** (``queue`` set, normally via
-  :func:`repro.interconnect.eventq.attach_eventq`) — the transaction is
-  decomposed into split phases (request → arbitrate/grant → snoop per
-  agent → completion) scheduled on the event queue and drained before
-  :meth:`SnoopBus.issue` returns, so the synchronous API, statistics,
-  and trace sequence are unchanged at zero occupancy.  The harness's
-  protocol *race* faults perturb this schedule (a victim's snoop
-  deferred past completion, or its reply discarded) — corruptions of
-  event ordering, not of state.
+A transaction runs inline on every backend: ``issue`` snoops every
+other agent in attach order and returns the aggregated reply.  With an
+event queue attached (``queue`` set, normally via
+:func:`repro.interconnect.eventq.attach_eventq`), the snoops apply at
+the transaction's grant cycle, after the queue fires every deferred
+delivery due by then, and the queue runs up to the completion cycle
+before ``issue`` returns.  The harness's protocol *race* faults need
+that queue: ``race-reorder`` defers the victim's snoop past
+completion onto it, and ``race-stale-snoop`` drops the victim's reply
+from the aggregation — corruptions of event ordering, not of state.
+With a tracer attached and non-zero occupancy, the queue-backed bus
+also records the ``grant`` and ``complete`` phases of each
+transaction.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ class SnoopBus:
     #: Structured event tracer (disabled by default); the system routes
     #: its tracer here so bus broadcasts appear in recorded traces.
     tracer: "object" = NO_TRACE
-    #: Event queue enabling the split-phase backend (None = atomic).
+    #: Event queue holding the race faults' deferred deliveries (None
+    #: on the atomic backend).
     queue: "Optional[object]" = None
     #: Armed race fault (one of :data:`BUS_RACE_KINDS`); *sticky* — it
     #: stays armed until an eligible transaction consumes it, so a race
@@ -173,24 +174,57 @@ class SnoopBus:
             # invalidation happens, which the invariant checker must
             # flag as an exclusivity violation downstream.
             return result
-        if self.queue is not None:
-            return self._issue_eventq(txn, now, wait, fault, result)
-        rounds = 2 if fault == "dup" else 1
-        for round_index in range(rounds):
+        queue = self.queue
+        victim = None
+        if queue is not None:
+            # Snoops apply at the grant, after every deferred delivery
+            # due by then; the transaction completes at ``done``.
+            start = max(now, queue.now)
+            grant = start + wait
+            done = start + latency
+            victim = self._race_victim(txn) if self.race_pending else None
+            trace_phases = self.tracer.enabled and self.occupancy
+            if trace_phases:
+                # The grant record precedes deliveries due at its cycle.
+                queue.run_until(grant - 1)
+                self._trace_phase(self.tracer, txn, "grant", grant)
+            queue.run_until(grant)
+        for core, snooper in self._snoopers:
+            if core == txn.issuer:
+                continue
+            if victim is not None and core == victim[1]:
+                if victim[0] == "race-reorder":
+                    # The victim's snoop is reordered after the
+                    # completion: its reply is lost and its state
+                    # transition fires late, from the queue.
+                    queue.at(
+                        done + 2 * self.latency + 1, self._snoop_apply,
+                        (snooper, txn), label="bus-snoop-late",
+                    )
+                else:
+                    # race-stale-snoop: the victim transitions on time
+                    # but its reply is stale and never reaches the
+                    # issuer's aggregation.
+                    snooper.snoop(txn)
+                continue
+            self._collect(result, core, snooper.snoop(txn))
+        if fault == "dup":
+            # The duplicated broadcast re-runs the snoopers (their
+            # state transitions apply twice) but takes the second
+            # round's replies, so a flushed supplier is not
+            # double-claimed as two data sources.
+            result.supplier = None
             for core, snooper in self._snoopers:
-                if core == txn.issuer:
-                    continue
-                self._collect(result, core, snooper.snoop(txn))
-            if round_index == 0 and rounds == 2:
-                # The duplicated broadcast re-runs the snoopers (their
-                # state transitions apply twice) but takes the second
-                # round's replies, so a flushed supplier is not
-                # double-claimed as two data sources.
-                result.supplier = None
+                if core != txn.issuer:
+                    self._collect(result, core, snooper.snoop(txn))
+        if queue is not None:
+            queue.run_until(done)
+            if trace_phases:
+                self._trace_phase(self.tracer, txn, "complete", done)
         return result
 
     # ------------------------------------------------------------------
-    # Shared reply aggregation
+    # Reply aggregation and phase records
 
     @staticmethod
     def _collect(result: BusResult, core: int, reply: SnoopReply) -> None:
@@ -207,101 +241,17 @@ class SnoopBus:
             if reply.pointer is not None:
                 result.pointer = reply.pointer
 
-    # ------------------------------------------------------------------
-    # Event-queue backend (split-phase transactions)
-
-    def _issue_eventq(
-        self, txn: BusTransaction, now: int, wait: int, fault: "Optional[str]",
-        result: BusResult,
-    ) -> BusResult:
-        """Schedule the transaction's phases and drain to completion.
-
-        Times are anchored at ``max(now, queue.now)`` (the queue never
-        runs backwards); the *returned* latency was already computed
-        from ``now`` exactly as in atomic mode, so statistics match
-        bit-for-bit.  Extra per-phase trace events are emitted only
-        when the contention model is active — the zero-occupancy trace
-        sequence stays identical to atomic's single ``bus`` record.
-        """
-        queue = self.queue
-        t0 = max(now, queue.now)
-        grant_time = t0 + wait
-        done_time = t0 + result.latency
-        trace_phases = self.tracer.enabled and (self.occupancy or wait)
-        if trace_phases:
-            queue.at(
-                grant_time, self._trace_phase, (txn, "grant", grant_time),
-                priority=-1, label="bus-grant", track=("bus", txn.issuer),
-            )
-        victim = self._race_victim(txn) if self.race_pending else None
-        rounds = 2 if fault == "dup" else 1
-        for round_index in range(rounds):
-            priority = 3 * round_index
-            for core, snooper in self._snoopers:
-                if core == txn.issuer:
-                    continue
-                if victim is not None and core == victim[1] and round_index == 0:
-                    kind = victim[0]
-                    if kind == "race-reorder":
-                        # The victim's snoop is reordered after the
-                        # grant/completion: its reply is lost and its
-                        # state transition fires late, from the queue.
-                        queue.at(
-                            done_time + 2 * self.latency + 1,
-                            self._snoop_apply, (snooper, txn),
-                            label="bus-snoop-late", track=("bus", core),
-                        )
-                        continue
-                    # race-stale-snoop: the victim transitions on time
-                    # but its reply is stale and never reaches the
-                    # issuer's aggregation.
-                    queue.at(
-                        grant_time, self._snoop_apply, (snooper, txn),
-                        priority=priority,
-                        label="bus-snoop-stale", track=("bus", core),
-                    )
-                    continue
-                queue.at(
-                    grant_time, self._snoop_collect,
-                    (result, core, snooper, txn),
-                    priority=priority,
-                    label="bus-snoop", track=("bus", core),
-                )
-            if round_index == 0 and rounds == 2:
-                queue.at(
-                    grant_time, self._reset_supplier, (result,),
-                    priority=1, label="bus-dup-reset",
-                    track=("bus", txn.issuer),
-                )
-        if trace_phases:
-            queue.at(
-                done_time, self._trace_phase, (txn, "complete", done_time),
-                priority=4, label="bus-complete", track=("bus", txn.issuer),
-            )
-        queue.run_until(done_time)
-        return result
-
-    def _snoop_collect(
-        self, result: BusResult, core: int, snooper: Snooper,
-        txn: BusTransaction,
-    ) -> None:
-        self._collect(result, core, snooper.snoop(txn))
-
     @staticmethod
     def _snoop_apply(snooper: Snooper, txn: BusTransaction) -> None:
-        """Apply a snoop whose reply is lost (race perturbations)."""
+        """Apply a snoop whose reply is lost (the late race delivery)."""
         snooper.snoop(txn)
 
     @staticmethod
-    def _reset_supplier(result: BusResult) -> None:
-        result.supplier = None
-
-    def _trace_phase(self, txn: BusTransaction, phase: str, cycle: int) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.BUS, cycle=cycle, core=txn.issuer, address=txn.address,
-                op=txn.op.value, phase=phase,
-            )
+    def _trace_phase(tracer, txn: BusTransaction, phase: str, cycle: int) -> None:
+        tracer.emit(
+            ev.BUS, cycle=cycle, core=txn.issuer, address=txn.address,
+            op=txn.op.value, phase=phase,
+        )
 
     # ------------------------------------------------------------------
     # Versioned checkpointing

@@ -29,13 +29,11 @@ class Crossbar:
     #: Extra cycles per access, armed by the harness's ``delay-xbar``
     #: fault to model a degraded interconnect (0 in normal operation).
     fault_extra_latency: int = 0
-    #: Event queue enabling the split-phase backend (None = atomic).
-    #: With a queue attached, each access schedules its data-return
-    #: phase and drains to completion, so the synchronous latency
-    #: contract is preserved while the queue sees real traversal times.
+    #: Event queue holding the race faults' deferred deliveries (None
+    #: on the atomic backend).  With a queue attached, each access runs
+    #: it up to the data's return, so a delivery due by then fires
+    #: first.
     queue: "Optional[object]" = None
-    #: Data phases completed through the event queue (diagnostics).
-    completed: int = 0
 
     @property
     def num_cores(self) -> int:
@@ -46,14 +44,7 @@ class Crossbar:
         return len(self.dgroup_latencies[0]) if self.dgroup_latencies else 0
 
     def access(self, core: int, dgroup: int, now: int = 0) -> int:
-        """Record one data access and return its latency in cycles.
-
-        With an event queue attached, the traversal becomes a
-        split-phase transaction: the request is accounted immediately
-        and the data-return phase is scheduled at ``now + latency`` on
-        the requesting core's crossbar track, then drained — the caller
-        still observes the same latency synchronously.
-        """
+        """Record one data access and return its latency in cycles."""
         if not 0 <= core < self.num_cores:
             raise IndexError(f"core {core} out of range")
         if not 0 <= dgroup < self.num_dgroups:
@@ -62,16 +53,8 @@ class Crossbar:
         latency = self.dgroup_latencies[core][dgroup] + self.fault_extra_latency
         queue = self.queue
         if queue is not None:
-            done_time = max(now, queue.now) + latency
-            queue.at(
-                done_time, self._complete, (core, dgroup),
-                label="xbar-data", track=("xbar", core),
-            )
-            queue.run_until(done_time)
+            queue.run_until(max(now, queue.now) + latency)
         return latency
-
-    def _complete(self, core: int, dgroup: int) -> None:
-        self.completed += 1
 
     def state_dict(self) -> dict:
         from repro.common import serialization
@@ -84,7 +67,6 @@ class Crossbar:
                 self.traffic, lambda key: tuple(key)
             ),
             "fault_extra_latency": self.fault_extra_latency,
-            "completed": self.completed,
         }
 
     def load_state_dict(self, state: dict, path: str = "crossbar") -> None:
@@ -101,7 +83,6 @@ class Crossbar:
         self.fault_extra_latency = int(
             serialization.require(state, "fault_extra_latency", path)
         )
-        self.completed = int(serialization.require(state, "completed", path))
 
     def link_traffic(self, core: int, dgroup: int) -> int:
         return self.traffic[(core, dgroup)]

@@ -31,13 +31,14 @@ transaction latency.  Zero occupancy — the paper's uncontended
 assumption — makes every wait zero, which is what keeps the 4-core
 equivalence exact.
 
-**Execution.**  With an event queue attached (``build_design`` always
-pairs the mesh with one), request arrival, per-sharer forwards, and
-completion are scheduled as messages on the queue and drained before
-:meth:`MeshNoC.issue` returns — same split-phase structure as the
-eventq bus, so the synchronous design API is unchanged.  Race faults
-are a bus-schedule concept and are not supported here (the CLI rejects
-``--inject-fault race-* --bus-model mesh``).
+**Execution.**  A transaction runs inline, like the bus's: the
+directory's forwards reach their sharers in arrival order (hop-timed
+along each XY route) inside :meth:`MeshNoC.issue`, so the synchronous
+design API is unchanged.  ``build_design`` always pairs the mesh with
+an event queue; each forward then applies after every deferred
+delivery due by its cycle.  Race faults are a bus-schedule concept and
+are not supported here (the CLI rejects ``--inject-fault race-*
+--bus-model mesh``).
 """
 
 from __future__ import annotations
@@ -262,103 +263,47 @@ class MeshNoC:
             # invariant checker's to flag.
             self.directory.apply(txn)
             return result
-        if self.queue is not None:
-            self._issue_eventq(txn, now, home, holders, fault, result, latency)
-        else:
-            lookup = dict(self._snoopers)
-            rounds = 2 if fault == "dup" else 1
-            for round_index in range(rounds):
-                for core in holders:
-                    snooper = lookup.get(core)
-                    if snooper is not None:
-                        SnoopBus._collect(result, core, snooper.snoop(txn))
-                if round_index == 0 and rounds == 2:
-                    result.supplier = None
-        self.directory.apply(txn)
-        return result
-
-    def _issue_eventq(
-        self,
-        txn: BusTransaction,
-        now: int,
-        home: int,
-        holders: "List[int]",
-        fault: "Optional[str]",
-        result: BusResult,
-        latency: int,
-    ) -> None:
-        """Schedule the transaction's messages and drain to completion.
-
-        Request arrival at the home bank, one forward per recorded
-        sharer (hop-timed along its XY route), and completion are queue
-        events; everything drains inside this call, so no mesh event is
-        ever pending at a checkpoint boundary.  The returned latency
-        was computed up front exactly as in the direct path, so
-        statistics are bit-identical at zero occupancy.
-        """
-        queue = self.queue
-        t0 = max(now, queue.now)
-        arrive = t0 + self.router_latency + self.hop_latency * self.topology.hops(
-            txn.issuer, home
-        )
-        done = t0 + latency
-        trace_phases = self.tracer.enabled and self.occupancy
-        if trace_phases:
-            queue.at(
-                arrive, self._trace_phase, (txn, "home-arrive", arrive),
-                priority=-1, label="mesh-req", track=("mesh", txn.issuer),
-            )
+        # Each forward leaves the home bank when the request arrives and
+        # reaches its sharer ``reach`` cycles later; forwards apply in
+        # arrival order (a stable sort on that delay).  With a queue
+        # attached, each applies after every deferred delivery due by
+        # its cycle, and the queue runs up to the completion.
         lookup = dict(self._snoopers)
-        fwd_times = {
-            core: arrive + self.hop_latency * self.topology.hops(home, core)
+        reach = {
+            core: self.hop_latency * self.topology.hops(home, core)
             for core in holders
         }
-        last_fwd = max(fwd_times.values(), default=arrive)
-        rounds = 2 if fault == "dup" else 1
-        for round_index in range(rounds):
-            for core in holders:
-                snooper = lookup.get(core)
-                if snooper is None:
-                    continue
-                # A duplicated delivery re-snoops every sharer after the
-                # supplier reset (all at the last forward's time, per-
-                # core order kept by the queue's FIFO), mirroring the
-                # bus's two-round dup semantics.
-                time = fwd_times[core] if round_index == 0 else last_fwd
-                queue.at(
-                    time, self._snoop_collect, (result, core, snooper, txn),
-                    priority=3 * round_index, label="mesh-fwd",
-                    track=("mesh", core),
-                )
-            if round_index == 0 and rounds == 2:
-                queue.at(
-                    last_fwd, self._reset_supplier, (result,),
-                    priority=1, label="mesh-dup-reset",
-                    track=("mesh", txn.issuer),
-                )
-        if trace_phases:
-            queue.at(
-                done, self._trace_phase, (txn, "complete", done),
-                priority=4, label="mesh-complete", track=("mesh", txn.issuer),
+        targets = [(core, lookup[core]) for core in holders if core in lookup]
+        queue = self.queue
+        if queue is not None:
+            start = max(now, queue.now)
+            arrive = start + self.router_latency + self.hop_latency * (
+                self.topology.hops(txn.issuer, home)
             )
-        queue.run_until(done)
-
-    def _snoop_collect(
-        self, result: BusResult, core: int, snooper: Snooper,
-        txn: BusTransaction,
-    ) -> None:
-        SnoopBus._collect(result, core, snooper.snoop(txn))
-
-    @staticmethod
-    def _reset_supplier(result: BusResult) -> None:
-        result.supplier = None
-
-    def _trace_phase(self, txn: BusTransaction, phase: str, cycle: int) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.BUS, cycle=cycle, core=txn.issuer, address=txn.address,
-                op=txn.op.value, phase=phase,
-            )
+            trace_phases = self.tracer.enabled and self.occupancy
+            if trace_phases:
+                # The arrival record precedes deliveries due at its cycle.
+                queue.run_until(arrive - 1)
+                SnoopBus._trace_phase(self.tracer, txn, "home-arrive", arrive)
+        for core, snooper in sorted(targets, key=lambda target: reach[target[0]]):
+            if queue is not None:
+                queue.run_until(arrive + reach[core])
+            SnoopBus._collect(result, core, snooper.snoop(txn))
+        if fault == "dup":
+            # A duplicated delivery re-snoops every sharer after the
+            # supplier reset, all at the last forward's cycle and in
+            # directory order, mirroring the bus's two-round semantics.
+            result.supplier = None
+            if queue is not None:
+                queue.run_until(arrive + max(reach.values(), default=0))
+            for core, snooper in targets:
+                SnoopBus._collect(result, core, snooper.snoop(txn))
+        if queue is not None:
+            queue.run_until(start + latency)
+            if trace_phases:
+                SnoopBus._trace_phase(self.tracer, txn, "complete", start + latency)
+        self.directory.apply(txn)
+        return result
 
     # ------------------------------------------------------------------
     # Occupancy and accounting
@@ -556,8 +501,7 @@ def attach_mesh(design, seed: int = DEFAULT_SEED, **noc_kwargs) -> MeshNoC:
     mesh's diameter-calibrated constant, and its tag chokepoints keep
     the vectors current.  Designs with no interconnect role (shared /
     ideal) carry an inert NoC so the backend is uniform.  Always ends
-    by attaching the discrete event queue — the mesh is an
-    eventq-native backend.
+    by attaching an event queue, as the eventq backend does.
     """
     from repro.interconnect.eventq import attach_eventq
 

@@ -9,13 +9,20 @@ The format is one event per line::
 Lines starting with ``#`` and blank lines are ignored.  ``gap`` and
 ``colocated`` default to 0 (pure access trace).  The format is
 deliberately trivial so converters are one-liners.
+
+A leading comment may name the machine the trace was recorded on::
+
+    # machine: cores=16 bus_model=mesh
+
+The harness writes it into every crash window it dumps, so
+``repro trace run`` rebuilds that machine (:func:`read_machine`).
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.common.types import Access, AccessType
 from repro.cpu.system import TimedAccess
@@ -81,13 +88,64 @@ def read_trace(
             yield event
 
 
-def write_trace(events: "Iterable[TimedAccess]", destination: PathOrFile) -> int:
-    """Write events in the trace format; returns the event count."""
+#: Prefix of the optional machine comment line.
+MACHINE_PREFIX = "# machine:"
+
+
+def read_machine(
+    source: PathOrFile, bus_models: "Sequence[str]"
+) -> "Optional[Tuple[int, str]]":
+    """The ``(cores, bus_model)`` a trace's machine line names, or None.
+
+    Only the comment lines before the first event are searched.  A
+    machine line that does not read ``cores=<N> bus_model=<one of
+    bus_models>`` is a :class:`TraceFormatError` naming its line.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as handle:
+            return read_machine(handle, bus_models)
+    for line_number, line in enumerate(source, start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            return None
+        if not text.startswith(MACHINE_PREFIX):
+            continue
+        fields = dict(
+            field.partition("=")[::2]
+            for field in text[len(MACHINE_PREFIX):].split()
+        )
+        cores = fields.pop("cores", "")
+        bus_model = fields.pop("bus_model", None)
+        if fields or not cores.isdecimal() or int(cores) < 1 or (
+            bus_model not in bus_models
+        ):
+            raise TraceFormatError(
+                f"line {line_number}: malformed machine line {text!r}; "
+                f"expected 'cores=<N> bus_model=<{'|'.join(bus_models)}>'"
+            )
+        return int(cores), bus_model
+    return None
+
+
+def write_trace(
+    events: "Iterable[TimedAccess]",
+    destination: PathOrFile,
+    machine: "Optional[Tuple[int, str]]" = None,
+) -> int:
+    """Write events in the trace format; returns the event count.
+
+    ``machine``, a ``(cores, bus_model)`` pair, adds the machine line.
+    """
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as handle:
-            return write_trace(events, handle)
+            return write_trace(events, handle, machine)
     count = 0
     destination.write("# repro trace: core address(hex) R|W gap colocated\n")
+    if machine is not None:
+        cores, bus_model = machine
+        destination.write(
+            f"{MACHINE_PREFIX} cores={cores} bus_model={bus_model}\n"
+        )
     for event in events:
         access = event.access
         kind = "W" if access.is_write else "R"

@@ -49,6 +49,8 @@ from repro.harness import (
 )
 from repro.interconnect.bus import BusOp
 from repro.interconnect.eventq import attach_eventq
+from repro.interconnect.mesh import attach_mesh
+from repro.obs.tracer import Tracer
 from repro.workloads.multithreaded import make_workload
 
 SMALL_L1 = SystemParams(l1=L1Params(geometry=CacheGeometry(4 * KB, 2, 64)))
@@ -161,7 +163,7 @@ def test_checkpoint_carries_pending_deferred_event(tmp_path):
     system, design = race_system()
     queue = design.queue
     pending = [
-        (e.time, e.priority, e.seq, e.label, e.track)
+        (e.time, e.seq, e.label)
         for e in queue.pending_events()
     ]
     assert pending, "race-reorder did not defer a snoop delivery"
@@ -170,7 +172,7 @@ def test_checkpoint_carries_pending_deferred_event(tmp_path):
     resumed = load_checkpoint(path).system
     restored_queue = resumed.design.queue
     assert [
-        (e.time, e.priority, e.seq, e.label, e.track)
+        (e.time, e.seq, e.label)
         for e in restored_queue.pending_events()
     ] == pending
     for step_system in (system, resumed):
@@ -179,6 +181,34 @@ def test_checkpoint_carries_pending_deferred_event(tmp_path):
     assert system.stats().fingerprint() == resumed.stats().fingerprint()
     assert queue.fired == restored_queue.fired
     assert queue.pending == restored_queue.pending
+
+
+def contended_private(bus_model):
+    """Private caches on a bus with occupancy 8 or a mesh with link
+    occupancy 2: the settings that record phase trace records."""
+    if bus_model == "eventq":
+        design = PrivateCaches(bus_occupancy=8)
+        attach_eventq(design)
+    else:
+        design = PrivateCaches()
+        attach_mesh(design, link_occupancy=2)
+    return design
+
+
+@pytest.mark.parametrize("bus_model", ["eventq", "mesh"])
+def test_tracing_does_not_change_checkpoints(tmp_path, bus_model):
+    """A traced and an untraced run of one contended system snapshot to
+    the same bytes: phase trace records never touch the model's event
+    queue, whose counters every checkpoint stores."""
+    blobs = []
+    for tracer in (None, Tracer(capacity=16)):
+        system = CmpSystem(contended_private(bus_model), tracer=tracer)
+        system.run_chunks(make_workload("oltp", seed=3).chunks(1000))
+        path = tmp_path / f"traced-{tracer is not None}.ck"
+        save_checkpoint(system, 4000, path, {"design": "private"})
+        blobs.append(path.read_bytes())
+    assert tracer.emitted > 0
+    assert blobs[0] == blobs[1]
 
 
 # ----------------------------------------------------------------------

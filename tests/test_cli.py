@@ -455,6 +455,59 @@ class TestMeshCli:
         assert code == 2
         assert "7" in err
 
+    def test_scaled_crash_window_replays_on_its_machine(self, tmp_path, capsys):
+        """A 16-core mesh cell's crash window names its machine, and
+        ``trace run`` replays it there instead of on four cores."""
+        from repro.cpu.system import CmpSystem
+        from repro.experiments.runner import build_design
+        from repro.harness import (
+            FaultSpec,
+            HarnessConfig,
+            InvariantViolation,
+            run_events,
+        )
+        from repro.workloads.multithreaded import make_workload
+
+        window = tmp_path / "scaled.window"
+        system = CmpSystem(
+            build_design("cmp-nurapid", bus_model="mesh", num_cores=16)
+        )
+        config = HarnessConfig(
+            check_every=1,
+            faults=(FaultSpec("flip-pointer", 400),),
+            dump_path=str(window),
+        )
+        chunks = make_workload("oltp", num_cores=16).chunks(accesses_per_core=100)
+        with pytest.raises(InvariantViolation) as caught:
+            run_events(system, chunks, 0, config)
+        assert caught.value.dump_path == str(window)
+        code, out, err = run_cli_err(capsys, "trace", "run", str(window))
+        assert code == 0, err
+        assert "throughput" in out
+        assert window.read_text().splitlines()[1] == (
+            "# machine: cores=16 bus_model=mesh"
+        )
+
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            "cores=x bus_model=mesh",
+            "cores=0 bus_model=mesh",
+            "cores=16 bus_model=wishbone",
+            "cores=16",
+            "cores=16 bus_model=mesh design=private",
+        ],
+    )
+    def test_trace_run_bad_machine_line_exits_2_one_line(
+        self, tmp_path, capsys, machine
+    ):
+        trace = tmp_path / "bad.window"
+        trace.write_text(f"# repro trace\n# machine: {machine}\n0 40 R\n")
+        code, out, err = run_cli_err(capsys, "trace", "run", str(trace))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert f"{trace}: line 2: malformed machine line" in err
+
     def test_scalar_run_accepts_mesh(self, capsys):
         code, out = run_cli(
             capsys, "run", "--design", "private", "--bus-model", "mesh",

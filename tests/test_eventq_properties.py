@@ -1,13 +1,14 @@
 """Property-based tests: EventQueue scheduling guarantees.
 
-Hypothesis drives random schedules (times, priorities, tracks, delays,
-cancellations) against the discrete-event scheduler and checks the
-contracts the interconnect rebase leans on: every scheduled event fires
-exactly once, fire times are globally monotonic, same-track events are
-never reordered (under both tie-break policies), and the seeded
-tie-break is a pure function of the seed.  A final property closes the
-loop at the system level: random bus latencies and occupancies keep the
-atomic and eventq backends statistically identical.
+Hypothesis drives random schedules (times, a partial ``run_until``
+cut, past-time stragglers) against the event queue that holds the
+race faults' deferred deliveries, and checks the contracts those
+deliveries lean on: every scheduled event fires exactly once,
+``run_until`` fires exactly the events due by its time, fire times are
+globally monotonic, and equal times fire in schedule order.  A final
+property closes the loop at the system level: random bus latencies and
+occupancies keep the atomic and eventq backends statistically
+identical.
 """
 
 from hypothesis import given, settings
@@ -18,106 +19,55 @@ from repro.cpu.system import CmpSystem
 from repro.interconnect import EventQueue, attach_eventq
 from repro.workloads.multithreaded import make_workload
 
-#: One schedule entry: (time, priority, track id, cancel this one?).
-schedule_entries = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=50),
-        st.integers(min_value=-2, max_value=2),
-        st.integers(min_value=0, max_value=4),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=120,
+#: One schedule: the time of each event, in schedule order.
+schedule_times = st.lists(
+    st.integers(min_value=0, max_value=50), min_size=1, max_size=120
 )
-
-tiebreaks = st.sampled_from(["fifo", "seeded"])
 
 
 class Recorder:
-    """Collects (marker, args) pairs; picklable-action stand-in."""
+    """Collects (event id, fire time) pairs; picklable-action stand-in."""
 
-    def __init__(self):
+    def __init__(self, queue):
+        self.queue = queue
         self.calls = []
 
-    def hit(self, *args):
-        self.calls.append(args)
+    def hit(self, ident):
+        self.calls.append((ident, self.queue.now))
 
 
-def build_queue(entries, tiebreak, seed=7):
-    """Schedule every entry; returns (queue, recorder, cancelled ids)."""
-    queue = EventQueue(seed=seed, tiebreak=tiebreak, record_history=True)
-    recorder = Recorder()
-    cancelled = set()
-    for ident, (time, priority, track, cancel) in enumerate(entries):
-        event = queue.at(
-            time,
-            recorder.hit,
-            (ident,),
-            priority=priority,
-            label=f"e{ident}",
-            track=track,
-        )
-        if cancel:
-            queue.cancel(event)
-            cancelled.add(ident)
-    return queue, recorder, cancelled
+def build_queue(times):
+    """Schedule one event per time; returns (queue, recorder)."""
+    queue = EventQueue(seed=7)
+    recorder = Recorder(queue)
+    for ident, time in enumerate(times):
+        queue.at(time, recorder.hit, (ident,), label=f"e{ident}")
+    return queue, recorder
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=schedule_entries, tiebreak=tiebreaks)
-def test_every_event_fires_exactly_once(entries, tiebreak):
-    queue, recorder, cancelled = build_queue(entries, tiebreak)
-    queue.drain()
-    fired = [args[0] for args in recorder.calls]
-    assert sorted(fired) == sorted(
-        ident for ident in range(len(entries)) if ident not in cancelled
-    )
-    assert len(fired) == len(set(fired))  # no double-fire
+@given(times=schedule_times, cut=st.integers(min_value=0, max_value=50))
+def test_every_event_fires_exactly_once(times, cut):
+    queue, recorder = build_queue(times)
+    queue.run_until(cut)
+    due = {ident for ident, time in enumerate(times) if time <= cut}
+    assert {ident for ident, _ in recorder.calls} == due
+    assert queue.pending == len(times) - len(due)
+    queue.run_until(max(times))
+    fired = [ident for ident, _ in recorder.calls]
+    assert sorted(fired) == list(range(len(times)))  # each exactly once
     assert queue.pending == 0
     assert queue.fired == len(fired)
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=schedule_entries, tiebreak=tiebreaks)
-def test_timestamps_monotonic(entries, tiebreak):
-    queue, _, _ = build_queue(entries, tiebreak)
-    queue.drain()
-    times = [time for time, _, _, _ in queue.history]
-    assert times == sorted(times)
-
-
-@settings(max_examples=100, deadline=None)
-@given(entries=schedule_entries, tiebreak=tiebreaks)
-def test_same_track_never_reordered(entries, tiebreak):
-    """Per-track FIFO: within one track, schedule order is fire order.
-
-    Holds under *both* tie-breaks — the seeded shuffle only permutes
-    ties between different tracks.
-    """
-    queue, recorder, cancelled = build_queue(entries, tiebreak)
-    queue.drain()
-    fired = [args[0] for args in recorder.calls]
-    by_track = {}
-    for ident in fired:
-        by_track.setdefault(entries[ident][2], []).append(ident)
-    for track, idents in by_track.items():
-        # Same-time+priority entries on one track must keep schedule
-        # order; differing times already sort — so the full per-track
-        # sequence must be ordered by (time, priority, schedule index).
-        keyed = [(entries[i][0], entries[i][1], i) for i in idents]
-        assert keyed == sorted(keyed), f"track {track} reordered"
-
-
-@settings(max_examples=50, deadline=None)
-@given(entries=schedule_entries, seed=st.integers(min_value=0, max_value=2**31))
-def test_seeded_tiebreak_deterministic(entries, seed):
-    """Same seed -> identical fire order; the shuffle is replayable."""
-    orders = []
-    for _ in range(2):
-        queue, recorder, _ = build_queue(entries, "seeded", seed=seed)
-        queue.drain()
-        orders.append([args[0] for args in recorder.calls])
-    assert orders[0] == orders[1]
+@given(times=schedule_times)
+def test_timestamps_monotonic(times):
+    queue, recorder = build_queue(times)
+    queue.run_until(max(times))
+    fire_times = [time for _, time in recorder.calls]
+    assert fire_times == sorted(fire_times)
+    assert fire_times == [times[ident] for ident, _ in recorder.calls]
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,26 +79,25 @@ def test_seeded_tiebreak_deterministic(entries, seed):
 )
 def test_past_scheduling_clamps_forward(times, advance):
     """An event scheduled before ``now`` fires at ``now``, never earlier."""
-    queue = EventQueue(record_history=True)
-    recorder = Recorder()
+    queue = EventQueue()
+    recorder = Recorder(queue)
     queue.run_until(advance)
     assert queue.now == advance
     for time in times:
         queue.at(time, recorder.hit, (time,))
-    queue.drain()
+    queue.run_until(max(times + [advance]))
     assert len(recorder.calls) == len(times)
-    for fired_time, _, _, _ in queue.history:
+    for _, fired_time in recorder.calls:
         assert fired_time >= advance
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=schedule_entries)
-def test_fifo_ties_fire_in_schedule_order(entries):
-    """The fifo policy is globally FIFO among (time, priority) ties."""
-    queue, recorder, cancelled = build_queue(entries, "fifo")
-    queue.drain()
-    fired = [args[0] for args in recorder.calls]
-    keyed = [(entries[i][0], entries[i][1], i) for i in fired]
+@given(times=schedule_times)
+def test_fifo_ties_fire_in_schedule_order(times):
+    """Equal times fire in schedule order: the queue is FIFO on ties."""
+    queue, recorder = build_queue(times)
+    queue.run_until(max(times))
+    keyed = [(times[ident], ident) for ident, _ in recorder.calls]
     assert keyed == sorted(keyed)
 
 

@@ -69,6 +69,11 @@ def step(system, core, address, access_type=READ):
     system.step(TimedAccess(Access(core, address, access_type)))
 
 
+def deliver_deferred(queue):
+    """Fire every pending deferred delivery."""
+    queue.run_until(max(event.time for event in queue.pending_events()))
+
+
 # ----------------------------------------------------------------------
 # Engineered minimal races (library level)
 
@@ -100,7 +105,7 @@ def test_reorder_heals_when_deferred_snoop_delivers():
     it closes the race window and the model is legal again."""
     system, design = provoke_bus_race("race-reorder")
     assert design.queue.pending > 0
-    design.queue.drain()
+    deliver_deferred(design.queue)
     check_system(system)
 
 
@@ -145,7 +150,7 @@ def test_delay_repl_breaks_tag_pointer_then_heals():
     with pytest.raises(InvariantViolation) as caught:
         check_system(system)
     assert caught.value.invariant == "tag-pointer"
-    design.queue.drain()
+    deliver_deferred(design.queue)
     check_system(system)  # delivery invalidates the stale sharers
 
 
@@ -180,7 +185,7 @@ def test_checkpoint_roundtrips_pending_deferred_event(tmp_path):
     assert queue.pending == 1
     with pytest.raises(InvariantViolation):
         check_system(restored)  # the window is still open after resume
-    queue.drain()
+    deliver_deferred(queue)
     check_system(restored)  # and the deferred delivery still heals it
 
 

@@ -226,6 +226,77 @@ def test_first_use_frames_match_dgroups_built_full(seed):
     assert plain(lazy.state_dict()) == plain(full.state_dict())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.integers(min_value=1, max_value=12),
+    ops=st.lists(st.integers(min_value=0, max_value=99), max_size=80),
+)
+def test_free_list_matches_a_full_reference_list(frames, ops):
+    """The freed stack plus ``fresh`` allocates exactly as the full
+    descending list it replaces: freed indices LIFO, then fresh ones in
+    ascending order."""
+    group = DGroup(0, frames)
+    reference = list(range(frames - 1, -1, -1))
+    held = []
+    for op in ops:
+        if op % 2 and held:
+            index = held.pop(op % len(held))
+            group.release(index)
+            reference.append(index)
+        elif reference:
+            index = group.allocate()
+            assert index == reference.pop()
+            group.frames[index].valid = True
+            held.append(index)
+            group.frames[index].valid = False
+        assert group.free_count == len(reference)
+        assert group.has_free() == bool(reference)
+    while reference:
+        assert group.allocate() == reference.pop()
+    assert not group.has_free()
+
+
+def old_layout(state):
+    """``state`` as a snapshot that keeps each d-group's full free list:
+    the never-used tail, descending, under the freed stack."""
+    for group in state["dgroups"]:
+        tail = range(group["num_frames"] - 1, group.pop("fresh") - 1, -1)
+        group["free"] = np.asarray(
+            list(tail) + group["free"].tolist(), dtype=np.int32
+        )
+    return state
+
+
+def allocation_order(data):
+    """Every index each d-group still hands out, in allocation order."""
+    return [
+        [group.allocate() for _ in range(group.free_count)]
+        for group in data.dgroups
+    ]
+
+
+@pytest.mark.parametrize("extend_run", [False, True])
+def test_old_layout_state_loads_to_the_same_allocation_sequence(extend_run):
+    """A snapshot written with full free lists, as the committed
+    CMP-NuRAPID checkpoint fixtures are, resumes the same allocations.
+    With ``extend_run`` a freed index sits just below the never-used
+    tail, so the old list reads as one longer descending run."""
+    data = DataArray(num_dgroups=2, frames_per_dgroup=8)
+    ptrs = [FramePtr(g, data[g].allocate()) for g in (0, 0, 0, 1, 1)]
+    for i, ptr in enumerate(ptrs):
+        data.occupy(ptr, 0x1000 * i, TagPtr(0, i, 0))
+    data.free(ptrs[2] if extend_run else ptrs[0])
+    data.free(ptrs[3])
+    state = data.state_dict()
+    restored = DataArray(num_dgroups=2, frames_per_dgroup=8)
+    restored.load_state_dict(old_layout(data.state_dict()))
+    if extend_run:  # the freed index joined the never-used tail
+        assert restored[0].fresh == data[0].fresh - 1
+    else:
+        assert plain(restored.state_dict()) == plain(state)
+    assert allocation_order(restored) == allocation_order(data)
+
+
 def reachable(root, kinds):
     """Every instance of ``kinds`` reachable from ``root`` through
     containers and the simulator's own objects."""
@@ -264,4 +335,11 @@ def test_fresh_system_holds_no_entries_or_frames(design_name, bus_model, num_cor
     assert len(arrays) > len(system.l1s)  # the L1s and the L2's arrays
     assert [sum(map(len, array._sets)) for array in arrays] == [0] * len(arrays)
     assert [len(dgroup.frames) for dgroup in dgroups] == [0] * len(dgroups)
+    # No per-frame free list either: the never-used frames are a count.
+    assert [
+        name
+        for dgroup in dgroups
+        for name, value in vars(dgroup).items()
+        if isinstance(value, list) and value
+    ] == []
     assert bool(dgroups) == design_name.startswith("cmp-nurapid")
