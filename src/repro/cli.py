@@ -28,8 +28,9 @@ Also installed as the ``repro-sim`` console script.
 Exit codes: 0 success; 1 chaos scenario failed; 2 usage error
 (malformed or contradictory arguments, unreadable files); 3 invariant
 violation detected; 4 watchdog timeout; 5 a bench gate failed (a cell
-regressed against its rolling baseline, or a pooled sweep's results
-diverged from the serial sweep's); 6 a sweep finished but quarantined
+regressed against its rolling baseline, a cell's timed repeats
+simulated different stats, or a pooled sweep's results diverged from
+the serial sweep's); 6 a sweep finished but quarantined
 one or more poison cells (inspect with ``repro quarantine``).
 """
 
@@ -579,14 +580,17 @@ def cmd_bench(args) -> int:
     cell_timeout, max_retries = _resolve_supervision(args)
     plan = perflab.load_plan(args.plan)
     out = args.out or perflab.default_output_path()
-    record = perflab.run_plan(
-        plan,
-        quick=args.quick,
-        out=out,
-        jobs=args.jobs,
-        cell_timeout=cell_timeout,
-        max_retries=max_retries,
-    )
+    try:
+        record = perflab.run_plan(
+            plan,
+            quick=args.quick,
+            jobs=args.jobs,
+            cell_timeout=cell_timeout,
+            max_retries=max_retries,
+        )
+    except perflab.RepeatDivergenceError as error:
+        print(f"error: timed repeats diverged: {error}", file=sys.stderr)
+        return perflab.REGRESSION_EXIT
     print(perflab.render_record(record))
     perflab.write_record(record, out)
     print(f"wrote {out}")
@@ -617,8 +621,6 @@ def cmd_bench_report(args) -> int:
         f"trend report over {len(runs)} run(s) "
         f"({runs[0].run_id} .. {runs[-1].run_id}) -> {report.markdown_path}"
     )
-    for chart in report.chart_paths:
-        print(f"  chart: {chart}")
     for verdict in report.verdicts:
         print(f"  {verdict.line()}")
     if report.regressions:
@@ -987,15 +989,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="run a declarative bench plan (throughput and miss rate per "
-        "cell, optional sweep leg) into a v2 BENCH_<date>.json record; "
-        "'bench report' renders trend reports over BENCH_*.json history",
+        help="run a declarative bench plan (reference-speed throughput "
+        "and miss rate per cell, optional sweep leg) into a v2 "
+        "BENCH_<date>.json record; 'bench report' renders trend reports "
+        "over BENCH_*.json history",
     )
     bench_parser.add_argument(
         "--plan",
         default=os.path.join("plans", "default.toml"),
         metavar="FILE",
-        help="bench plan to run (TOML or JSON; default: "
+        help="TOML bench plan to run (default: "
         "plans/default.toml in the current directory)",
     )
     bench_parser.add_argument(
@@ -1003,9 +1006,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="workers for the plan's stats pass (default: the plan's "
-        "[run] jobs, else REPRO_JOBS, else 1); the sweep leg sizes its "
-        "pool from [sweep] jobs",
+        help="workers for the plan's sweep leg (default: REPRO_JOBS, "
+        "floored at 2); cells are always timed one at a time",
     )
     bench_parser.add_argument(
         "--quick",
@@ -1022,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench_parser.add_subparsers(dest="bench_command")
     report_parser = bench_sub.add_parser(
         "report",
-        help="render a markdown + PNG trend report over accumulated "
+        help="render a text trend report (trend.md) over accumulated "
         "BENCH_*.json files and gate the latest run per cell (exit 5 "
         "names regressed cells)",
     )
@@ -1037,8 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir",
         default=os.path.join("benchmarks", "reports"),
         metavar="DIR",
-        help="where trend.md and the PNG curves go "
-        "(default: benchmarks/reports)",
+        help="where trend.md goes (default: benchmarks/reports)",
     )
     report_parser.add_argument(
         "--plan",

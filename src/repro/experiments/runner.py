@@ -117,9 +117,12 @@ def _build_scaled(name: str, num_cores: int, bus_model: str) -> L2Design:
             params=params, enable_cr=enable_cr, enable_isc=enable_isc,
             preferences=preferences,
         )
-    if name in ("uniform-shared", "ideal"):
-        # Core count lives in the system, not these designs.
-        return DESIGN_FACTORIES[name]()
+    # One shared array serves every tile; the core count sizes the
+    # machine the system builds and the L1s an eviction invalidates.
+    if name == "uniform-shared":
+        return SharedCache(num_cores=num_cores)
+    if name == "ideal":
+        return IdealCache(num_cores=num_cores)
     raise ValueError(
         f"design {name!r} does not support num_cores={num_cores}; "
         "scalable designs: private, uniform-shared, ideal, and the "

@@ -1,19 +1,20 @@
-"""Perf lab: declarative bench plans, capture bundles, trend reports.
+"""Perf lab: declarative bench plans, reference-speed records, trend reports.
 
 The perf lab is what ``repro bench`` runs — a small benchmarking
 system:
 
-* :mod:`repro.perflab.plan` — TOML/JSON **bench plans** describing a
-  grid of designs x workloads x bus models, run sizing, per-cell
-  capture, and per-cell gate thresholds (``plans/default.toml`` is the
+* :mod:`repro.perflab.plan` — TOML **bench plans** describing a grid
+  of designs x workloads x bus models, run sizing, the optional sweep
+  leg, and per-cell gate thresholds (``plans/default.toml`` is the
   plan ``repro bench`` runs by default);
-* :mod:`repro.perflab.runner` — executes a plan through the supervised
-  parallel executor into a ``repro-bench-v2`` record with an
-  environment fingerprint and opt-in per-cell capture bundles;
+* :mod:`repro.perflab.runner` — times each cell's repeats at reference
+  speed (the host's sampled speed scaled out) into a
+  ``repro-bench-v2`` record with an environment fingerprint, taking
+  each cell's stats from the timed runs themselves;
 * :mod:`repro.perflab.history` — loads accumulated ``BENCH_*.json``
   files into aligned per-cell trends;
-* :mod:`repro.perflab.report` — rolling-baseline verdicts, markdown +
-  PNG trend reports, and the per-cell regression gate behind
+* :mod:`repro.perflab.report` — rolling-baseline verdicts, the text
+  trend report, and the per-cell regression gate behind
   ``repro bench report`` (exit 5 names the offending cells).
 """
 
@@ -30,11 +31,9 @@ from repro.perflab.history import (
 )
 from repro.perflab.plan import (
     BenchPlan,
-    CapturePolicy,
     GatePolicy,
     PlanCell,
     PlanError,
-    SweepPolicy,
     load_plan,
     plan_from_dict,
 )
@@ -46,33 +45,41 @@ from repro.perflab.report import (
     write_report,
 )
 from repro.perflab.runner import (
+    REFERENCE_S,
     REGRESSION_EXIT,
     SCHEMA_V2,
+    TIMING,
+    RepeatDivergenceError,
+    SpeedSampler,
+    at_reference_speed,
     default_output_path,
     environment_fingerprint,
     measure_sweep,
+    reference_work,
     render_record,
     run_plan,
     stats_digest,
-    sweep_gate_fields,
     write_record,
 )
 
 __all__ = [
     "BenchPlan",
     "BenchRun",
-    "CapturePolicy",
     "CellTrend",
     "CellVerdict",
     "GatePolicy",
     "HistoryError",
     "PlanCell",
     "PlanError",
+    "REFERENCE_S",
     "REGRESSION_EXIT",
+    "RepeatDivergenceError",
     "SCHEMA_V2",
-    "SweepPolicy",
+    "SpeedSampler",
+    "TIMING",
     "TrendPoint",
     "TrendReport",
+    "at_reference_speed",
     "build_trends",
     "default_output_path",
     "discover_history",
@@ -83,11 +90,11 @@ __all__ = [
     "load_plan",
     "measure_sweep",
     "plan_from_dict",
+    "reference_work",
     "render_markdown",
     "render_record",
     "run_plan",
     "stats_digest",
-    "sweep_gate_fields",
     "upgrade_record",
     "write_record",
     "write_report",

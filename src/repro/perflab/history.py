@@ -10,10 +10,12 @@ per-cell time series:
   after ``BENCH_20260806.json``), so a day with several runs keeps its
   intra-day order.
 * **Environment alignment** — every run carries an environment
-  fingerprint; :func:`env_key` reduces it to the fields that change
-  what a wall-clock number *means* (CPU count, Python minor version).
-  The trend engine compares a run only against prior runs with the same
-  key, so a laptop run never gates a CI run.
+  fingerprint, and newer runs a timing protocol; :func:`env_key`
+  reduces them to the fields that change what a throughput number
+  *means* (CPU count, Python minor version, retired engine, timing
+  protocol).  The trend engine compares a run only against prior runs
+  with the same key, so a laptop run never gates a CI run and a raw
+  wall-clock record never gates a reference-speed one.
 """
 
 from __future__ import annotations
@@ -47,13 +49,15 @@ class BenchRun:
     #: Measured accesses per core; runs of different lengths are not
     #: throughput-comparable (cold-start fractions differ).
     accesses: "Optional[int]" = None
+    #: The record's timing protocol; None for raw wall-clock records.
+    timing: "Optional[str]" = None
 
     @property
     def env_key(self) -> str:
-        return env_key(self.environment)
+        return env_key(self.environment, self.timing)
 
 
-def env_key(environment: dict) -> str:
+def env_key(environment: dict, timing: "Optional[str]" = None) -> str:
     """The alignment key: runs compare only within the same key.
 
     A non-scalar ``engine`` field is part of the key.  New records
@@ -61,6 +65,11 @@ def env_key(environment: dict) -> str:
     retired batch engine's throughput means something different from a
     scalar run's, so those runs keep their own rolling baseline.
     Scalar (and engine-free) records share the historical key.
+
+    So is the record's ``timing`` protocol: reference-speed
+    throughputs (:data:`~repro.perflab.runner.TIMING`) and the raw
+    best-of wall clock of records without the field are different
+    quantities, so neither gates the other.
     """
     cpus = environment.get("cpus", "?")
     python = str(environment.get("python", "?"))
@@ -69,6 +78,8 @@ def env_key(environment: dict) -> str:
     engine = environment.get("engine")
     if engine and engine != "scalar":
         key += f"/engine={engine}"
+    if timing:
+        key += f"/timing={timing}"
     return key
 
 
@@ -102,6 +113,7 @@ def upgrade_record(record: dict, run_id: str,
         sweep=record.get("sweep"),
         path=path,
         accesses=record.get("accesses_per_core"),
+        timing=record.get("timing"),
     )
 
 
@@ -149,7 +161,6 @@ class TrendPoint:
     env: str
     throughput: "Optional[float]"
     miss_rate: "Optional[float]" = None
-    latency_p95: "Optional[float]" = None
     fingerprint: "Optional[str]" = None
     accesses: "Optional[int]" = None
 
@@ -168,7 +179,6 @@ def build_trends(runs: "Sequence[BenchRun]") -> "Dict[str, CellTrend]":
     for run in runs:
         for label, cell in sorted(run.cells.items()):
             trend = trends.setdefault(label, CellTrend(label))
-            latency = cell.get("latency") or {}
             trend.points.append(
                 TrendPoint(
                     run_id=run.run_id,
@@ -176,7 +186,6 @@ def build_trends(runs: "Sequence[BenchRun]") -> "Dict[str, CellTrend]":
                     env=run.env_key,
                     throughput=cell.get("throughput_accesses_per_sec"),
                     miss_rate=cell.get("miss_rate"),
-                    latency_p95=latency.get("p95"),
                     fingerprint=cell.get("fingerprint"),
                     accesses=run.accesses,
                 )

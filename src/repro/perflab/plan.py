@@ -1,13 +1,13 @@
 """Declarative bench plans: the grid a perf-lab run measures.
 
-A *plan* is a TOML or JSON file describing a benchmark campaign —
-which (design, workload, bus-model) cells to time, how long each run
-is, what to capture per cell, and how strictly each cell is gated
-against its own history.  ``plans/default.toml`` is the plan
-``repro bench`` runs when given no ``--plan``; CI's tiny smoke plan
-lives next to it.
+A *plan* is a TOML file describing a benchmark campaign: which
+(design, workload, bus-model) cells to time, how long each run is,
+whether to add the serial-vs-pool sweep leg, and how strictly each
+cell is gated against its own history.  ``plans/default.toml`` is the
+plan ``repro bench`` runs when given no ``--plan``; CI's tiny smoke
+plan lives next to it.
 
-Schema (TOML shown; JSON mirrors it with the same keys)::
+Schema (all eleven keys)::
 
     [plan]
     name = "default"            # required; appears in BENCH records
@@ -20,33 +20,20 @@ Schema (TOML shown; JSON mirrors it with the same keys)::
 
     [run]
     accesses_per_core = 40000   # measured accesses per core per repeat
-    warmup_per_core = 0         # warm-up accesses per core (not timed)
-    repeats = 3                 # timing repeats; best-of wins
-    jobs = 0                    # workers for the stats pass (0 = auto)
+    warmup_per_core = 0         # warm-up per core (timed, not counted)
+    repeats = 3                 # timed repeats; the median is recorded
 
-    [sweep]                     # optional serial-vs-pool wall-clock leg
-    enabled = true
-    quick = false
-    jobs = 0                    # 0 = auto (REPRO_JOBS, floored at 2)
-
-    [capture]                   # opt-in per-cell capture bundle
-    profile = false             # profiler section timings (JSON)
-    trace = false               # JSONL event trace + Perfetto export
-    metrics = false             # interval metrics series (JSON)
-    metrics_every = 10000
+    [sweep]
+    enabled = true              # serial-vs-pool wall-clock leg
 
     [gate]
     threshold = 0.2             # max fractional throughput drop
-    window = 5                  # rolling-baseline window (median)
-    miss_rate_increase = 0.0    # allowed absolute miss-rate increase
-    min_speedup = 0.0           # sweep speedup floor (0 = don't gate);
-                                # never applied on single-CPU hosts
 
     [gate.cells]                # per-cell threshold overrides
     "oltp/cmp-nurapid/atomic" = 0.15
 
 Everything except ``[plan] name`` has a default, so the minimal plan
-is three lines.  Unknown tables, unknown keys, unknown design /
+is two lines.  Unknown tables, unknown keys, unknown design /
 workload / bus-model names, and out-of-range numbers are all rejected
 with a :class:`PlanError` naming the offending key — a plan typo must
 fail the run, not silently measure the wrong grid.
@@ -54,7 +41,6 @@ fail the run, not silently measure the wrong grid.
 
 from __future__ import annotations
 
-import json
 import os
 import tomllib
 from dataclasses import dataclass, field
@@ -90,45 +76,15 @@ class PlanCell:
 
 @dataclass(frozen=True)
 class GatePolicy:
-    """Per-cell regression thresholds for the trend engine."""
+    """Per-cell throughput thresholds for the trend engine."""
 
     #: Default allowed fractional throughput drop vs the rolling baseline.
     threshold: float = 0.2
-    #: Rolling-baseline window: median of up to this many prior runs.
-    window: int = 5
-    #: Allowed absolute miss-rate increase (deterministic metric; the
-    #: default tolerates float noise only).
-    miss_rate_increase: float = 0.0
-    #: Sweep-speedup floor (0 disables); skipped on single-CPU hosts.
-    min_speedup: float = 0.0
     #: Cell label -> threshold override.
     cells: "Dict[str, float]" = field(default_factory=dict)
 
     def threshold_for(self, label: str) -> float:
         return self.cells.get(label, self.threshold)
-
-
-@dataclass(frozen=True)
-class CapturePolicy:
-    """What to bundle per cell, beyond the timing numbers."""
-
-    profile: bool = False
-    trace: bool = False
-    metrics: bool = False
-    metrics_every: int = 10_000
-
-    @property
-    def any(self) -> bool:
-        return self.profile or self.trace or self.metrics
-
-
-@dataclass(frozen=True)
-class SweepPolicy:
-    """The optional serial-vs-pool wall-clock measurement."""
-
-    enabled: bool = True
-    quick: bool = False
-    jobs: int = 0  # 0 = auto
 
 
 @dataclass(frozen=True)
@@ -143,9 +99,9 @@ class BenchPlan:
     accesses_per_core: int = 40_000
     warmup_per_core: int = 0
     repeats: int = 3
-    jobs: int = 0  # stats-pass workers; 0 = auto (REPRO_JOBS, else 1)
-    sweep: SweepPolicy = SweepPolicy()
-    capture: CapturePolicy = CapturePolicy()
+    #: Add the serial-vs-pool sweep leg
+    #: (:func:`~repro.perflab.runner.measure_sweep`).
+    sweep: bool = True
     gate: GatePolicy = GatePolicy()
     #: Where the plan was loaded from (None for in-memory plans).
     path: "Optional[str]" = None
@@ -183,9 +139,6 @@ class BenchPlan:
             },
             "gate": {
                 "threshold": self.gate.threshold,
-                "window": self.gate.window,
-                "miss_rate_increase": self.gate.miss_rate_increase,
-                "min_speedup": self.gate.min_speedup,
                 "cells": dict(self.gate.cells),
             },
         }
@@ -253,8 +206,7 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
     """Validate a parsed plan document into a :class:`BenchPlan`."""
     if not isinstance(raw, dict):
         raise PlanError(f"plan document must be a table, got {type(raw).__name__}")
-    _require(raw, "plan file",
-             ("plan", "grid", "run", "sweep", "capture", "gate"))
+    _require(raw, "plan file", ("plan", "grid", "run", "sweep", "gate"))
 
     plan_table = raw.get("plan", {})
     _require(plan_table, "[plan]", ("name", "description"))
@@ -277,36 +229,18 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
 
     run = raw.get("run", {})
     _require(run, "[run]", ("accesses_per_core", "warmup_per_core",
-                            "repeats", "jobs"))
+                            "repeats"))
     accesses = _int(run, "accesses_per_core", defaults.accesses_per_core,
                     "run", minimum=1)
     warmup = _int(run, "warmup_per_core", defaults.warmup_per_core, "run")
     repeats = _int(run, "repeats", defaults.repeats, "run", minimum=1)
-    jobs = _int(run, "jobs", defaults.jobs, "run")
 
     sweep_table = raw.get("sweep", {})
-    _require(sweep_table, "[sweep]", ("enabled", "quick", "jobs"))
-    sweep = SweepPolicy(
-        enabled=_bool(sweep_table, "enabled", True, "sweep"),
-        quick=_bool(sweep_table, "quick", False, "sweep"),
-        jobs=_int(sweep_table, "jobs", 0, "sweep"),
-    )
-
-    capture_table = raw.get("capture", {})
-    _require(capture_table, "[capture]",
-             ("profile", "trace", "metrics", "metrics_every"))
-    capture = CapturePolicy(
-        profile=_bool(capture_table, "profile", False, "capture"),
-        trace=_bool(capture_table, "trace", False, "capture"),
-        metrics=_bool(capture_table, "metrics", False, "capture"),
-        metrics_every=_int(capture_table, "metrics_every", 10_000,
-                           "capture", minimum=1),
-    )
+    _require(sweep_table, "[sweep]", ("enabled",))
+    sweep = _bool(sweep_table, "enabled", defaults.sweep, "sweep")
 
     gate_table = raw.get("gate", {})
-    _require(gate_table, "[gate]",
-             ("threshold", "window", "miss_rate_increase", "min_speedup",
-              "cells"))
+    _require(gate_table, "[gate]", ("threshold", "cells"))
     overrides_table = gate_table.get("cells", {})
     if not isinstance(overrides_table, dict):
         raise PlanError("[gate.cells] must be a table of label -> threshold")
@@ -327,12 +261,6 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
     gate = GatePolicy(
         threshold=_number(gate_table, "threshold", defaults.gate.threshold,
                           "gate", lo=0.0, hi=1.0),
-        window=_int(gate_table, "window", defaults.gate.window, "gate",
-                    minimum=1),
-        miss_rate_increase=_number(gate_table, "miss_rate_increase",
-                                   defaults.gate.miss_rate_increase, "gate"),
-        min_speedup=_number(gate_table, "min_speedup",
-                            defaults.gate.min_speedup, "gate"),
         cells=overrides,
     )
 
@@ -345,50 +273,29 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
         accesses_per_core=accesses,
         warmup_per_core=warmup,
         repeats=repeats,
-        jobs=jobs,
         sweep=sweep,
-        capture=capture,
         gate=gate,
         path=path,
     )
 
 
 def load_plan(path: str) -> BenchPlan:
-    """Load and validate a plan file (``.toml`` or ``.json``)."""
+    """Load and validate a TOML plan file."""
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            raw = tomllib.load(handle)
     except OSError as error:
         raise PlanError(f"cannot read plan {path}: {error}") from None
-    if path.endswith(".json"):
-        try:
-            raw = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise PlanError(f"{path} is not valid JSON: {error}") from None
-    else:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise PlanError(f"{path} is not valid UTF-8: {error}") from None
-        raw = _parse_toml(text, path)
-    return plan_from_dict(raw, path=os.path.abspath(path))
-
-
-def _parse_toml(text: str, path: str) -> dict:
-    """Parse plan TOML with the stdlib ``tomllib``."""
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as error:
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as error:
         raise PlanError(f"{path} is not valid TOML: {error}") from None
+    return plan_from_dict(raw, path=os.path.abspath(path))
 
 
 __all__ = [
     "BenchPlan",
-    "CapturePolicy",
     "GatePolicy",
     "PlanCell",
     "PlanError",
-    "SweepPolicy",
     "load_plan",
     "plan_from_dict",
 ]

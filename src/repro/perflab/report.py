@@ -1,28 +1,22 @@
-"""Trend engine: per-cell verdicts and rendered reports over history.
+"""Trend engine: per-cell verdicts and a text report over history.
 
 Takes the runs :mod:`repro.perflab.history` loaded, computes per-cell
 throughput / miss-rate deltas against a **rolling baseline** (the
-median of up to ``gate.window`` prior comparable runs — same cell,
-same environment key, same run length), and renders:
-
-* ``trend.md`` — verdict table for the latest run, sweep-speedup
-  status, and per-cell history tables;
-* ``throughput.png`` / ``miss_rate.png`` / ``latency_p95.png`` — trend
-  curves from the built-in numpy renderer (:mod:`repro.perflab.chartpng`).
+median of up to :data:`WINDOW` prior comparable runs — same cell,
+same environment key, same run length), and writes ``trend.md``: the
+verdict table for the latest run, the latest sweep, and each cell's
+history as text bars (:func:`repro.experiments.charts.render_grouped_bars`)
+above its table.
 
 Gate semantics:
 
 * each cell's allowed fractional throughput drop comes from the plan —
   ``[gate] threshold`` with ``[gate.cells]`` per-cell overrides — so a
   noisy cell can be gated loosely without loosening the rest;
-* miss rate is deterministic, so any increase beyond
-  ``gate.miss_rate_increase`` (default 0, i.e. *any* increase) is a
-  regression — a model change hiding behind a wall-clock win still
-  trips the gate;
-* the sweep speedup is gated only when ``gate.min_speedup`` > 0 **and**
-  the run's host had more than one CPU (a single-CPU host records its
-  speedup but is never judged by it — the skip is stated in the
-  verdict);
+* miss rate is deterministic, so any increase beyond float round-off
+  is a regression — a model change hiding behind a wall-clock win
+  still trips the gate;
+* a pooled sweep that diverged from serial is always a regression;
 * cells with no comparable history are ``skipped``, never failed.
 
 A run with any ``regression`` verdict makes ``repro bench report``
@@ -35,14 +29,17 @@ from __future__ import annotations
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.perflab import chartpng
+from repro.experiments.charts import BarGroup, render_grouped_bars
 from repro.perflab.history import BenchRun, CellTrend, TrendPoint, build_trends
 from repro.perflab.plan import BenchPlan, GatePolicy
 
 #: Default allowed fractional throughput drop when no plan supplies one.
 DEFAULT_THRESHOLD = 0.2
+
+#: Rolling-baseline window: the median of up to this many prior runs.
+WINDOW = 5
 
 #: Tolerance for float round-off on the deterministic miss-rate check.
 _MISS_EPS = 1e-9
@@ -77,7 +74,6 @@ class TrendReport:
     trends: "Dict[str, CellTrend]"
     verdicts: "List[CellVerdict]" = field(default_factory=list)
     markdown_path: "Optional[str]" = None
-    chart_paths: "List[str]" = field(default_factory=list)
 
     @property
     def regressions(self) -> "List[CellVerdict]":
@@ -122,11 +118,12 @@ def evaluate(
                 threshold=threshold,
             ))
             continue
-        prior = _comparable(trend, latest)[-gate.window:]
+        prior = _comparable(trend, latest)[-WINDOW:]
         if not prior:
             verdicts.append(CellVerdict(
                 label, SKIPPED,
-                "no comparable history (same environment and run length)",
+                "no comparable history "
+                "(same environment, timing and run length)",
                 latest=latest.throughput, threshold=threshold,
             ))
             continue
@@ -147,10 +144,9 @@ def evaluate(
                 f"the rolling baseline {baseline:,.0f} "
                 f"(threshold {threshold:.0%}, window of {len(prior)})"
             )
-        if miss_delta is not None and miss_delta > gate.miss_rate_increase + _MISS_EPS:
+        if miss_delta is not None and miss_delta > _MISS_EPS:
             problems.append(
-                f"miss rate rose {miss_delta:+.4f} vs the rolling baseline "
-                f"(allowed {gate.miss_rate_increase:+.4f})"
+                f"miss rate rose {miss_delta:+.4f} vs the rolling baseline"
             )
         if problems:
             verdict.status = REGRESSION
@@ -161,69 +157,17 @@ def evaluate(
                 f"over {len(prior)} comparable run(s)"
             )
         verdicts.append(verdict)
-    verdicts.extend(_sweep_verdicts(latest_run, gate))
-    return verdicts
-
-
-def _sweep_verdicts(run: BenchRun, gate: GatePolicy) -> "List[CellVerdict]":
-    sweep = run.sweep
-    if not sweep:
-        return []
-    verdicts: "List[CellVerdict]" = []
-    if sweep.get("identical") is False:
+    sweep = latest_run.sweep
+    if sweep and sweep.get("identical") is False:
         verdicts.append(CellVerdict(
             "sweep/bit-identity", REGRESSION,
             "parallel sweep diverged from serial: "
             + ", ".join(sweep.get("mismatches", ())),
         ))
-    if gate.min_speedup > 0:
-        eligible = sweep.get("speedup_gate_eligible")
-        if eligible is None:  # pre-gating record: infer from cpus if known
-            cpus = sweep.get("cpus") or run.environment.get("cpus")
-            eligible = cpus is None or cpus > 1
-        if not eligible:
-            verdicts.append(CellVerdict(
-                "sweep/speedup", SKIPPED,
-                sweep.get(
-                    "speedup_gate_note",
-                    "skipped: single-CPU host — speedup recorded, not gated",
-                ),
-            ))
-        elif sweep.get("speedup", 0.0) < gate.min_speedup:
-            verdicts.append(CellVerdict(
-                "sweep/speedup", REGRESSION,
-                f"sweep speedup {sweep.get('speedup')}x is below the "
-                f"plan floor {gate.min_speedup:g}x",
-            ))
-        else:
-            verdicts.append(CellVerdict(
-                "sweep/speedup", OK,
-                f"sweep speedup {sweep.get('speedup')}x "
-                f">= floor {gate.min_speedup:g}x",
-            ))
     return verdicts
 
 
 # -- rendering ---------------------------------------------------------
-
-
-def _chart_series(
-    runs: "Sequence[BenchRun]",
-    trends: "Dict[str, CellTrend]",
-    metric: str,
-) -> "Dict[str, List[Tuple[float, float]]]":
-    """``{cell label: [(run index, value), ...]}`` for one metric."""
-    order = {run.run_id: index for index, run in enumerate(runs)}
-    series: "Dict[str, List[Tuple[float, float]]]" = {}
-    for label in sorted(trends):
-        points = [
-            (float(order[p.run_id]), float(getattr(p, metric)))
-            for p in trends[label].points
-            if getattr(p, metric) is not None and p.run_id in order
-        ]
-        if points:
-            series[label] = points
-    return series
 
 
 def _verdict_table(verdicts: "Sequence[CellVerdict]") -> "List[str]":
@@ -247,11 +191,22 @@ def _verdict_table(verdicts: "Sequence[CellVerdict]") -> "List[str]":
     return lines
 
 
+def _history_chart(trend: CellTrend) -> str:
+    """The cell's throughput as one text bar per run."""
+    values = {
+        point.run_id: point.throughput
+        for point in trend.points if point.throughput is not None
+    }
+    return render_grouped_bars(
+        [BarGroup("throughput (acc/s)", values)],
+        reference=None, fmt="{:,.0f}",
+    )
+
+
 def render_markdown(
     runs: "Sequence[BenchRun]",
     trends: "Dict[str, CellTrend]",
     verdicts: "Sequence[CellVerdict]",
-    chart_files: "Sequence[str]" = (),
     plan: "Optional[BenchPlan]" = None,
 ) -> str:
     """The full trend report as markdown text."""
@@ -265,13 +220,13 @@ def render_markdown(
     if plan is not None:
         lines.append(
             f"Gate: plan **{plan.name}** — default threshold "
-            f"{plan.gate.threshold:.0%}, window {plan.gate.window}, "
+            f"{plan.gate.threshold:.0%}, window {WINDOW}, "
             f"{len(plan.gate.cells)} per-cell override(s)."
         )
     else:
         lines.append(
             f"Gate: no plan given — default threshold "
-            f"{DEFAULT_THRESHOLD:.0%} for every cell."
+            f"{DEFAULT_THRESHOLD:.0%} for every cell, window {WINDOW}."
         )
     lines += ["", "## Verdicts", ""]
     lines += _verdict_table(verdicts)
@@ -286,36 +241,23 @@ def render_markdown(
             lines.append(f"- `{v.label}`: {v.reason}")
     else:
         lines.append("No regressions against the rolling baselines.")
-    if chart_files:
-        lines += ["", "## Trend curves", ""]
-        for chart in chart_files:
-            name = os.path.basename(chart)
-            lines.append(f"![{name}]({name})")
-        lines += [
-            "",
-            "Series are colored in cell-label order (legend below):",
-            "",
-        ]
-        for index, label in enumerate(sorted(trends)):
-            lines.append(f"{index + 1}. `{label}`")
     lines += ["", "## Per-cell history", ""]
     for label in sorted(trends):
-        lines += [f"### `{label}`", ""]
+        lines += [f"### `{label}`", "", "```text",
+                  _history_chart(trends[label]), "```", ""]
         lines += [
-            "| run | environment | acc/s | miss rate | p95 latency |",
-            "|---|---|---|---|---|",
+            "| run | environment | acc/s | miss rate |",
+            "|---|---|---|---|",
         ]
         for point in trends[label].points:
             lines.append(
-                "| {run} | {env} | {tput} | {miss} | {p95} |".format(
+                "| {run} | {env} | {tput} | {miss} |".format(
                     run=point.run_id,
                     env=point.env,
                     tput=f"{point.throughput:,.0f}"
                     if point.throughput is not None else "—",
                     miss=f"{point.miss_rate:.4f}"
                     if point.miss_rate is not None else "—",
-                    p95=f"{point.latency_p95:g}cy"
-                    if point.latency_p95 is not None else "—",
                 )
             )
         lines.append("")
@@ -330,8 +272,6 @@ def render_markdown(
             f"({sweep.get('speedup', '?')}x, "
             f"{'bit-identical' if sweep.get('identical') else 'MISMATCH'})."
         )
-        if not sweep.get("speedup_gate_eligible", True):
-            lines.append(sweep.get("speedup_gate_note", ""))
     return "\n".join(lines) + "\n"
 
 
@@ -340,7 +280,7 @@ def write_report(
     out_dir: str,
     plan: "Optional[BenchPlan]" = None,
 ) -> TrendReport:
-    """Evaluate the gate and write ``trend.md`` + PNG curves to ``out_dir``."""
+    """Evaluate the gate and write ``trend.md`` to ``out_dir``."""
     if not runs:
         raise ValueError("cannot report on an empty BENCH history")
     runs = list(runs)
@@ -348,25 +288,18 @@ def write_report(
     gate = plan.gate if plan is not None else None
     verdicts = evaluate(runs, trends, gate)
     os.makedirs(out_dir, exist_ok=True)
-    charts: "List[str]" = []
-    for metric in ("throughput", "miss_rate", "latency_p95"):
-        series = _chart_series(runs, trends, metric)
-        if series:
-            path = os.path.join(out_dir, f"{metric}.png")
-            chartpng.write_png(path, chartpng.line_chart(series))
-            charts.append(path)
-    markdown = render_markdown(runs, trends, verdicts, charts, plan)
     markdown_path = os.path.join(out_dir, "trend.md")
     with open(markdown_path, "w", encoding="utf-8") as handle:
-        handle.write(markdown)
+        handle.write(render_markdown(runs, trends, verdicts, plan))
     return TrendReport(
         runs=runs, trends=trends, verdicts=verdicts,
-        markdown_path=markdown_path, chart_paths=charts,
+        markdown_path=markdown_path,
     )
 
 
 __all__ = [
     "DEFAULT_THRESHOLD",
+    "WINDOW",
     "CellVerdict",
     "OK",
     "REGRESSION",

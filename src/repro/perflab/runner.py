@@ -1,31 +1,30 @@
-"""Plan runner: execute a bench plan into a v2 capture bundle.
+"""Plan runner: execute a bench plan into a ``repro-bench-v2`` record.
 
-One :func:`run_plan` call executes every cell of a
+One :func:`run_plan` call times every cell of a
 :class:`~repro.perflab.plan.BenchPlan` and produces one
-``repro-bench-v2`` record — the unit the trend engine
+``repro-bench-v2`` record, the unit the trend engine
 (:mod:`repro.perflab.history` / :mod:`repro.perflab.report`)
-accumulates over time.  Each run has three passes per bus-model group:
+accumulates over time.  Each cell is simulated only in its
+``repeats`` timed runs, uninstrumented and in process: the first
+run's :class:`SimulationStats` give the cell's miss rate and
+fingerprint digest, and every later run must reproduce that digest
+(:class:`RepeatDivergenceError` otherwise).
 
-1. **Stats pass** — the grid's cells go through the existing
-   supervised parallel executor (:func:`repro.experiments.parallel.
-   run_cells`): per-cell :class:`SimulationStats` with heartbeats,
-   retries, and quarantine exactly as experiment sweeps get them.
-   Deterministic metrics (miss rate, the stats fingerprint digest)
-   come from here, so they are bit-identical across hosts and pool
-   sizes.
-2. **Timing pass** — best-of-``repeats`` wall-clock per cell,
-   uninstrumented and in-process.
-3. **Capture pass** (opt-in per plan) — one instrumented re-run per
-   cell with the profiler, interval metrics, and/or the event tracer
-   attached, written into a ``<out>.capture/<cell>/`` bundle directory
-   (``profile.json``, ``metrics.json``, ``trace.jsonl`` +
-   ``trace.perfetto.json``).  Instrumentation never touches the timed
-   runs, so capture cannot skew the trend.
+Shared hosts drift in speed by up to 2x over seconds to minutes, so
+raw wall clock cannot tell a slower simulator from a slower VM.  While
+a run is timed, a :class:`SpeedSampler` times a fixed loop
+(:func:`reference_work`) every :data:`SAMPLE_EVERY` seconds; the run's
+raw seconds exclude those samples and are scaled to the host speed
+:data:`REFERENCE_S` was set at.  A cell's throughput is the median
+over its repeats of accesses per reference-speed second; the best of
+noisy ratios reads high, so best-of spreads wider (DESIGN.md §12 has
+the measurements).
 
 The record also carries an **environment fingerprint** (CPU count,
-Python/numpy versions, platform, git SHA) — the trend engine aligns
-runs by cell *and* environment so a laptop run never gates a CI run.
-With ``[sweep]`` enabled, :func:`measure_sweep` adds a serial-vs-pool
+Python/numpy versions, platform, git SHA) and its ``timing`` protocol;
+the trend engine compares a run only with runs of the same
+environment key and protocol, so a laptop run never gates a CI run.
+With ``[sweep] enabled``, :func:`measure_sweep` adds a serial-vs-pool
 wall-clock leg that also proves the pool bit-identical to serial.
 """
 
@@ -35,11 +34,13 @@ import hashlib
 import json
 import os
 import platform
+import signal
+import statistics
 import subprocess
 import time
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cpu.system import CmpSystem
 from repro.experiments import parallel
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -48,20 +49,29 @@ from repro.experiments.runner import (
     run_mix,
     run_multithreaded,
 )
-from repro.obs.metrics import MetricsCollector
-from repro.obs.perfetto import export_jsonl
-from repro.obs.profiler import Profiler
-from repro.obs.tracer import Tracer
 from repro.perflab.plan import BenchPlan, PlanCell
-from repro.workloads.multiprogrammed import make_mix
-from repro.workloads.multithreaded import make_workload
 
 #: Schema tag for plan-driven bench records.
 SCHEMA_V2 = "repro-bench-v2"
 
 #: Exit code for a failed bench gate: a throughput or miss-rate
-#: regression, or a pooled sweep whose results diverged from serial.
+#: regression, a repeat whose stats differ from the cell's first run,
+#: or a pooled sweep whose results diverged from serial.
 REGRESSION_EXIT = 5
+
+#: The record's ``timing`` field: throughputs at reference speed, the
+#: median over repeats.  Records without the field timed raw best-of
+#: wall clock and are never compared with these.
+TIMING = "reference-speed"
+
+#: Iterations of :func:`reference_work`, and its duration on the host
+#: the constant was set on (2-vCPU Linux VM, Python 3.11, fast phase).
+#: ``bench/tracer.py`` samples with the same loop and constant.
+REFERENCE_ITERATIONS = 10_000
+REFERENCE_S = 1.5e-3
+
+#: Seconds between reference samples while a run is timed.
+SAMPLE_EVERY = 0.025
 
 
 def environment_fingerprint() -> dict:
@@ -101,94 +111,120 @@ def stats_digest(stats) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _cell_chunks(cell: PlanCell, config):
-    """(event chunks, warmup event count) for a cell."""
-    maker = make_mix if cell.multiprogrammed else make_workload
-    workload = maker(cell.workload, seed=config.seed)
-    total = config.warmup_per_core + config.measure_per_core
-    chunks = workload.chunks(accesses_per_core=total)
-    return chunks, config.warmup_per_core * workload.num_cores
+def reference_work() -> None:
+    """A fixed pure-Python loop whose duration samples the host's speed."""
+    table = dict.fromkeys(range(64), 0)
+    for i in range(REFERENCE_ITERATIONS):
+        table[i & 63] = table[i & 63] + (i >> 3)
 
 
-def _time_cell(cell: PlanCell, config, repeats: int) -> "tuple[float, List[float]]":
-    """Best-of-``repeats`` throughput for one cell (accesses/second).
+class SpeedSampler:
+    """Samples the host's speed with :func:`reference_work` while entered.
+
+    Entering takes one sample and arms a one-shot ``ITIMER_REAL`` timer;
+    each sample re-arms it, so a slow sample never queues another.
+    Exiting disarms the timer and restores the previous ``SIGALRM``
+    handler, so no timer outlives the timed run and a worker forked
+    after it inherits none.  Main thread only, as ``signal`` requires.
+    """
+
+    def __init__(self) -> None:
+        #: Durations of the samples taken, in seconds.
+        self.samples: "List[float]" = []
+        self._armed = False
+        self._previous = None
+
+    def _sample(self, signum=None, frame=None) -> None:
+        start = time.perf_counter()
+        reference_work()
+        self.samples.append(time.perf_counter() - start)
+        if self._armed:
+            signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY)
+
+    def __enter__(self) -> "SpeedSampler":
+        self._previous = signal.signal(signal.SIGALRM, self._sample)
+        self._sample()
+        self._armed = True
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # A sample already pending sees _armed off and re-arms nothing.
+        self._armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+
+
+def at_reference_speed(raw_seconds: float,
+                       samples: "Sequence[float]") -> float:
+    """``raw_seconds`` scaled to the host speed :data:`REFERENCE_S` was set at.
+
+    The run's speed is the mean of the fastest three quarters of its
+    ``samples``: a sample that an interrupt or a preemption lands in
+    reads slow, not the host.
+    """
+    fastest = sorted(samples)[: max(1, len(samples) * 3 // 4)]
+    return raw_seconds * REFERENCE_S / statistics.mean(fastest)
+
+
+def cell_timing(accesses: int,
+                repeats: "Sequence[Tuple[float, Sequence[float]]]") -> dict:
+    """A cell's timing fields from each repeat's (raw seconds, samples).
+
+    ``throughput_accesses_per_sec`` is the median over repeats of
+    ``accesses`` per reference-speed second; each repeat's raw and
+    reference-speed seconds are kept beside it.
+    """
+    reference = [at_reference_speed(raw, samples) for raw, samples in repeats]
+    return {
+        "throughput_accesses_per_sec": round(
+            statistics.median(accesses / seconds for seconds in reference), 1
+        ),
+        "repeat_seconds": [round(raw, 4) for raw, _ in repeats],
+        "reference_seconds": [round(seconds, 4) for seconds in reference],
+    }
+
+
+class RepeatDivergenceError(RuntimeError):
+    """A timed repeat's stats digest differed from the cell's first run's."""
+
+
+def _time_cell(cell: PlanCell, config, repeats: int) -> dict:
+    """Simulate ``cell`` ``repeats`` times, timed; returns its record fields.
 
     The whole path is timed — workload generation, L1s, the design —
     with construction outside the clock.  Tag entries and data frames
     are created on first fill, so their allocation is inside it.
     """
     run = run_mix if cell.multiprogrammed else run_multithreaded
-    best = 0.0
-    seconds: "List[float]" = []
-    for _ in range(repeats):
+    timings: "List[Tuple[float, List[float]]]" = []
+    first = None
+    for repeat in range(1, repeats + 1):
         design = build_design(cell.design, bus_model=cell.bus_model)
         start = time.perf_counter()
-        system, _ = run(design, cell.workload, config)
-        elapsed = time.perf_counter() - start
-        seconds.append(round(elapsed, 4))
-        total = config.measure_per_core * len(system.cores)
-        best = max(best, total / elapsed if elapsed else 0.0)
-    return best, seconds
-
-
-def _capture_cell(cell: PlanCell, plan: BenchPlan, capture_dir: str) -> dict:
-    """One instrumented run of ``cell``; returns the bundle manifest."""
-    config = plan.config()
-    os.makedirs(capture_dir, exist_ok=True)
-    manifest: "Dict[str, object]" = {}
-    tracer = None
-    collector = None
-    profiler = None
-    if plan.capture.trace:
-        trace_path = os.path.join(capture_dir, "trace.jsonl")
-        tracer = Tracer(sink=trace_path)
-        manifest["trace"] = "trace.jsonl"
-    if plan.capture.metrics:
-        collector = MetricsCollector(sample_every=plan.capture.metrics_every)
-    if plan.capture.profile:
-        profiler = Profiler()
-
-    design = build_design(cell.design, bus_model=cell.bus_model)
-    system = CmpSystem(design, tracer=tracer, metrics=collector)
-    if profiler is not None:
-        profiler.instrument(system)
-    system.run_chunks(*_cell_chunks(cell, config))
-
-    if collector is not None:
-        series = collector.finish()
-        metrics_path = os.path.join(capture_dir, "metrics.json")
-        series.to_json(metrics_path)
-        manifest["metrics"] = "metrics.json"
-        latency = collector.registry.histogram("l2.latency")
-        manifest["latency"] = {
-            "mean": round(latency.mean, 3),
-            "p50": round(latency.percentile(0.50), 3),
-            "p95": round(latency.percentile(0.95), 3),
-            "p99": round(latency.percentile(0.99), 3),
-        }
-    if profiler is not None:
-        profile_path = os.path.join(capture_dir, "profile.json")
-        with open(profile_path, "w", encoding="utf-8") as handle:
-            json.dump(profiler.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        manifest["profile"] = "profile.json"
-    if tracer is not None:
-        tracer.close()
-        perfetto_path = os.path.join(capture_dir, "trace.perfetto.json")
-        export_jsonl(os.path.join(capture_dir, "trace.jsonl"), perfetto_path)
-        manifest["perfetto"] = "trace.perfetto.json"
-    return manifest
-
-
-def cell_slug(label: str) -> str:
-    """A filesystem-safe name for one cell's capture directory."""
-    return label.replace("/", "-")
+        with SpeedSampler() as sampler:
+            system, stats = run(design, cell.workload, config)
+        elapsed = time.perf_counter() - start - sum(sampler.samples)
+        timings.append((elapsed, sampler.samples))
+        digest = stats_digest(stats)
+        if first is None:
+            first, first_digest = stats, digest
+        elif digest != first_digest:
+            raise RepeatDivergenceError(
+                f"{cell.label}: repeat {repeat} simulated stats digest "
+                f"{digest}, repeat 1 simulated {first_digest}"
+            )
+    accesses = config.measure_per_core * len(system.cores)
+    return {
+        **cell_timing(accesses, timings),
+        "miss_rate": round(first.accesses.miss_rate, 6),
+        "fingerprint": first_digest,
+    }
 
 
 def run_plan(
     plan: BenchPlan,
     quick: bool = False,
-    out: "Optional[str]" = None,
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
@@ -196,86 +232,41 @@ def run_plan(
     """Execute ``plan`` and return the ``repro-bench-v2`` record.
 
     ``quick`` shrinks run lengths to CI smoke sizing, the sweep leg's
-    too; ``out`` names the record's output path so the capture bundle
-    can sit next to it (the caller still writes the record itself);
-    ``jobs`` overrides the plan's stats-pass worker count.  A cell
-    that exhausts its supervised retries raises
-    :class:`~repro.experiments.parallel.QuarantinedCellError`, exactly
-    like an experiment sweep.
+    too.  ``jobs`` sizes the sweep leg's pool (default ``REPRO_JOBS``,
+    floored at 2), whose workers ``cell_timeout``/``max_retries``
+    supervise.  Cells are timed one at a time, in plan order.
     """
     if quick:
-        plan = _quicken(plan)
-    config = plan.config()
-    cells = plan.cells()
-    resolved_jobs = parallel.resolve_jobs(
-        jobs if jobs is not None else (plan.jobs or None)
-    )
-
-    # Stats pass: through the supervised executor, one bus-model group
-    # at a time (the executor resolves one bus model per invocation;
-    # separate caches keep the groups' records from colliding on the
-    # bus-model-free cache key).
-    stats_by_label: "Dict[str, object]" = {}
-    for bus_model in plan.bus_models:
-        group = [cell for cell in cells if cell.bus_model == bus_model]
-        grid = [
-            parallel.Cell(cell.workload, cell.design, cell.multiprogrammed)
-            for cell in group
-        ]
-        cache = StatsCache()
-        report = parallel.run_cells(
-            grid, config, cache, jobs=resolved_jobs, bus_model=bus_model,
-            cell_timeout=cell_timeout, max_retries=max_retries,
+        plan = replace(
+            plan,
+            accesses_per_core=min(plan.accesses_per_core, 20_000),
+            repeats=min(plan.repeats, 2),
         )
-        if report.quarantined:
-            raise parallel.QuarantinedCellError(report.quarantined, None)
-        for plan_cell, grid_cell in zip(group, grid):
-            stats_by_label[plan_cell.label] = cache._cache[grid_cell.key(config)]
-
-    # Timing pass: uninstrumented best-of-repeats, in plan order.
-    capture_base = f"{os.path.splitext(out)[0]}.capture" if out else None
-    records: "Dict[str, dict]" = {}
-    for cell in cells:
-        stats = stats_by_label[cell.label]
-        best, seconds = _time_cell(cell, config, plan.repeats)
-        record = {
+    config = plan.config()
+    records = {
+        cell.label: {
             "workload": cell.workload,
             "design": cell.design,
             "bus_model": cell.bus_model,
             "multiprogrammed": cell.multiprogrammed,
-            "throughput_accesses_per_sec": round(best, 1),
-            "repeat_seconds": seconds,
-            "miss_rate": round(stats.accesses.miss_rate, 6),
-            "fingerprint": stats_digest(stats),
+            **_time_cell(cell, config, plan.repeats),
         }
-        # Capture pass: one extra instrumented run, never the timed one.
-        if plan.capture.any and capture_base is not None:
-            capture_dir = os.path.join(capture_base, cell_slug(cell.label))
-            manifest = _capture_cell(cell, plan, capture_dir)
-            latency = manifest.pop("latency", None)
-            if latency is not None:
-                record["latency"] = latency
-            record["capture"] = {
-                "dir": os.path.relpath(capture_dir,
-                                       os.path.dirname(out) or "."),
-                **manifest,
-            }
-        records[cell.label] = record
-
+        for cell in plan.cells()
+    }
     result = {
         "schema": SCHEMA_V2,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "plan": plan.to_dict(),
         "environment": environment_fingerprint(),
+        "timing": TIMING,
         "accesses_per_core": config.measure_per_core,
         "repeats": plan.repeats,
         "cells": records,
     }
-    if plan.sweep.enabled:
-        sweep_jobs = plan.sweep.jobs or None
+    if plan.sweep:
         result["sweep"] = measure_sweep(
-            jobs=max(parallel.resolve_jobs(sweep_jobs), 2),
-            quick=quick or plan.sweep.quick,
+            jobs=max(parallel.resolve_jobs(jobs), 2),
+            quick=quick,
             cell_timeout=cell_timeout,
             max_retries=max_retries,
         )
@@ -309,13 +300,15 @@ def measure_sweep(jobs: int, quick: bool = False,
                                 cell_timeout=cell_timeout,
                                 max_retries=max_retries)
     parallel_seconds = time.perf_counter() - start
+    if report.quarantined:
+        raise parallel.QuarantinedCellError(report.quarantined, None)
 
     mismatches = [
         cell.label for cell in cells
         if serial_cache._cache[cell.key(config)].fingerprint()
         != pool_cache._cache[cell.key(config)].fingerprint()
     ]
-    result = {
+    return {
         "cells": len(cells),
         "jobs": jobs,
         "serial_seconds": round(serial_seconds, 3),
@@ -326,41 +319,6 @@ def measure_sweep(jobs: int, quick: bool = False,
         "mismatches": mismatches,
         "retried": [cell.label for cell in report.retried],
     }
-    result.update(sweep_gate_fields(os.cpu_count() or 1))
-    return result
-
-
-def sweep_gate_fields(cpus: int) -> dict:
-    """Gate-eligibility fields for a sweep measurement on this host.
-
-    A single-CPU host cannot beat serial wall-clock with a process pool
-    (speedup <= 1.0 by construction, pure scheduling overhead), so its
-    parallel-vs-serial comparison must never contribute to a regression
-    verdict.  The skip is recorded in the result so trend reports can
-    show *why* no speedup verdict exists for the run.
-    """
-    if cpus <= 1:
-        return {
-            "cpus": cpus,
-            "speedup_gate_eligible": False,
-            "speedup_gate_note": (
-                "skipped: single-CPU host — a worker pool cannot beat "
-                "serial wall-clock here, so the speedup is recorded but "
-                "never gated on"
-            ),
-        }
-    return {"cpus": cpus, "speedup_gate_eligible": True}
-
-
-def _quicken(plan: BenchPlan) -> BenchPlan:
-    """The plan resized for CI smoke runs."""
-    from dataclasses import replace
-
-    return replace(
-        plan,
-        accesses_per_core=min(plan.accesses_per_core, 20_000),
-        repeats=min(plan.repeats, 2),
-    )
 
 
 def default_output_path(today: "Optional[str]" = None,
@@ -398,18 +356,15 @@ def render_record(record: dict) -> str:
     lines = [
         f"plan: {plan.get('name', '?')} "
         f"({record.get('accesses_per_core', run.get('accesses_per_core', '?'))} "
-        f"accesses/core, best of {record.get('repeats', '?')})"
+        f"accesses/core, median of {record.get('repeats', '?')} "
+        f"at reference speed)"
     ]
     for label, cell in record.get("cells", {}).items():
-        line = (
+        lines.append(
             f"  {label:<34} "
             f"{cell['throughput_accesses_per_sec']:>12,.0f} accesses/s  "
             f"miss {100.0 * cell['miss_rate']:.2f}%"
         )
-        latency = cell.get("latency")
-        if latency:
-            line += f"  p95 {latency['p95']:g}cy"
-        lines.append(line)
     sweep = record.get("sweep")
     if sweep:
         note = "bit-identical" if sweep.get("identical") else "MISMATCH"
@@ -418,8 +373,6 @@ def render_record(record: dict) -> str:
             f"-> {sweep['jobs']} jobs {sweep['parallel_seconds']}s "
             f"({sweep['speedup']}x, {note})"
         )
-        if not sweep.get("speedup_gate_eligible", True):
-            lines.append(f"  speedup gate {sweep.get('speedup_gate_note', 'skipped')}")
     env = record.get("environment", {})
     if env:
         lines.append(
@@ -431,15 +384,21 @@ def render_record(record: dict) -> str:
 
 
 __all__ = [
+    "REFERENCE_S",
     "REGRESSION_EXIT",
     "SCHEMA_V2",
-    "cell_slug",
+    "SAMPLE_EVERY",
+    "TIMING",
+    "RepeatDivergenceError",
+    "SpeedSampler",
+    "at_reference_speed",
+    "cell_timing",
     "default_output_path",
     "environment_fingerprint",
     "measure_sweep",
+    "reference_work",
     "render_record",
     "run_plan",
     "stats_digest",
-    "sweep_gate_fields",
     "write_record",
 ]

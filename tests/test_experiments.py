@@ -27,7 +27,9 @@ from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
     build_design,
+    run_multithreaded,
 )
+from repro.harness import check_system
 
 TINY = ExperimentConfig(warmup_per_core=2500, measure_per_core=2500)
 
@@ -68,6 +70,19 @@ class TestRunner:
     def test_build_design_unknown_name(self):
         with pytest.raises(KeyError):
             build_design("magic-cache")
+
+    @pytest.mark.parametrize("name", ["uniform-shared", "ideal"])
+    def test_scaled_shared_designs_build_every_core(self, name):
+        # The shared array's core count sizes the system and the L1s an
+        # eviction invalidates, so a 16-core build must carry 16 cores.
+        design = build_design(name, num_cores=16)
+        assert design.num_cores == 16
+        system, stats = run_multithreaded(
+            design, "oltp", ExperimentConfig(10, 50), num_cores=16
+        )
+        assert len(system.cores) == 16
+        assert len(stats.per_core) == 16
+        check_system(system)
 
     def test_stats_cache_memoizes(self, cache):
         first = cache.get(

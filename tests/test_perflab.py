@@ -2,26 +2,34 @@
 
 Layout mirrors the package: plan parsing/validation, one tiny real
 ``run_plan`` execution (module-scoped — the record feeds several
-tests), history loading (the committed ``BENCH_*.json`` records and
-same-day ordering), rolling-baseline verdicts incl. the
-injected-regression case CI's perf-lab-smoke job re-checks
-end-to-end, the PNG renderer, and the bench satellites (single-CPU
-sweep gating, collision-safe output paths).
+tests), reference-speed timing (the sampler and the statistic),
+history loading (the committed ``BENCH_*.json`` records, which must
+pass their own gate, and same-day ordering), rolling-baseline
+verdicts incl. the injected-regression case CI's perf-lab-smoke job
+re-checks end-to-end, the text report, and collision-safe output
+paths.
 """
 
+import contextlib
+import dataclasses
 import glob
 import json
 import os
+import signal
+import time
 
 import pytest
 
 from repro.perflab import (
+    REFERENCE_S,
     REGRESSION_EXIT,
+    TIMING,
     BenchPlan,
-    CapturePolicy,
     GatePolicy,
     PlanError,
-    SweepPolicy,
+    RepeatDivergenceError,
+    SpeedSampler,
+    at_reference_speed,
     build_trends,
     default_output_path,
     load_history,
@@ -29,13 +37,13 @@ from repro.perflab import (
     plan_from_dict,
     run_plan,
     stats_digest,
-    sweep_gate_fields,
     upgrade_record,
     write_record,
 )
-from repro.perflab import chartpng, report as trend_report
+from repro.perflab import report as trend_report
+from repro.perflab import runner as plan_runner
 from repro.perflab.history import HistoryError, discover_history, env_key
-from repro.perflab.runner import environment_fingerprint
+from repro.perflab.runner import cell_timing, environment_fingerprint
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PLANS = os.path.join(REPO, "plans")
@@ -47,7 +55,7 @@ TINY_PLAN = BenchPlan(
     bus_models=("atomic",),
     accesses_per_core=2_000,
     repeats=1,
-    sweep=SweepPolicy(enabled=False),
+    sweep=False,
 )
 
 
@@ -71,15 +79,6 @@ class TestPlanValidation:
             "oltp/cmp-nurapid/atomic",
         ]
 
-    def test_json_plans_load(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({
-            "plan": {"name": "j"},
-            "grid": {"designs": ["private"], "workloads": ["MIX1"]},
-        }))
-        plan = load_plan(str(path))
-        assert plan.cells()[0].multiprogrammed
-
     @pytest.mark.parametrize("raw, fragment", [
         ({}, "name"),
         ({"plan": {"name": "x"}, "typo": {}}, "typo"),
@@ -96,10 +95,31 @@ class TestPlanValidation:
         ({"plan": {"name": "x"},
           "gate": {"cells": {"oltp/ideal/atomic": 0.1}}}, "ideal"),
         ({"plan": {"name": "x"}, "batch": {}}, "batch"),
+        # Keys the eleven-key schema removed are unknown keys now.
+        ({"plan": {"name": "x"}, "run": {"jobs": 2}}, "jobs"),
+        ({"plan": {"name": "x"}, "sweep": {"jobs": 2}}, "jobs"),
+        ({"plan": {"name": "x"}, "sweep": {"quick": True}}, "quick"),
+        ({"plan": {"name": "x"}, "gate": {"window": 5}}, "window"),
+        ({"plan": {"name": "x"}, "gate": {"miss_rate_increase": 0.1}},
+         "miss_rate_increase"),
+        ({"plan": {"name": "x"}, "gate": {"min_speedup": 1.2}},
+         "min_speedup"),
+        ({"plan": {"name": "x"}, "capture": {"profile": True}}, "capture"),
+        ({"plan": {"name": "x"}, "capture": {"trace": True}}, "capture"),
+        ({"plan": {"name": "x"}, "capture": {"metrics": True}}, "capture"),
+        ({"plan": {"name": "x"}, "capture": {"metrics_every": 500}},
+         "capture"),
+        # Plans are TOML only: a JSON plan fails naming its file.
+        pytest.param('{"plan": {"name": "j"}}', "plan.json", id="json-plan"),
     ])
-    def test_invalid_plans_name_the_key(self, raw, fragment):
+    def test_invalid_plans_name_the_key(self, raw, fragment, tmp_path):
         with pytest.raises(PlanError, match=fragment):
-            plan_from_dict(raw)
+            if isinstance(raw, str):
+                path = tmp_path / "plan.json"
+                path.write_text(raw)
+                load_plan(str(path))
+            else:
+                plan_from_dict(raw)
 
     @pytest.mark.parametrize("text", [
         "[unclosed\n", "novalue\n", "x = \n", 'x = "unterminated\n',
@@ -127,7 +147,7 @@ class TestPlanValidation:
 @pytest.fixture(scope="module")
 def tiny_record(tmp_path_factory):
     out = tmp_path_factory.mktemp("perflab") / "BENCH_19990101.json"
-    record = run_plan(TINY_PLAN, out=str(out))
+    record = run_plan(TINY_PLAN)
     write_record(record, str(out))
     return record, str(out)
 
@@ -139,10 +159,13 @@ class TestRunPlan:
         assert set(record["cells"]) == {
             "oltp/private/atomic", "oltp/cmp-nurapid/atomic",
         }
+        assert record["timing"] == TIMING
         for cell in record["cells"].values():
             assert cell["throughput_accesses_per_sec"] > 0
             assert 0.0 <= cell["miss_rate"] <= 1.0
             assert len(cell["fingerprint"]) == 16
+            assert len(cell["repeat_seconds"]) == TINY_PLAN.repeats
+            assert len(cell["reference_seconds"]) == TINY_PLAN.repeats
         env = record["environment"]
         assert env["cpus"] >= 1 and env["python"] and env["numpy"]
         assert "throughput_accesses_per_sec" not in record
@@ -162,31 +185,105 @@ class TestRunPlan:
         assert cell["fingerprint"] == stats_digest(stats)
         assert cell["miss_rate"] == round(stats.accesses.miss_rate, 6)
 
-    def test_capture_bundle(self, tmp_path):
-        plan = BenchPlan(
-            name="cap",
-            designs=("private",),
-            accesses_per_core=1_500,
-            repeats=1,
-            sweep=SweepPolicy(enabled=False),
-            capture=CapturePolicy(profile=True, trace=True, metrics=True,
-                                  metrics_every=500),
+    def test_repeat_divergence_names_the_cell(
+            self, tmp_path, monkeypatch, capsys):
+        # The timed repeats are the only simulations, so a repeat whose
+        # stats differ from the first must fail the run, naming the cell.
+        from repro.cli import main
+
+        real_run = plan_runner.run_multithreaded
+        calls = []
+
+        def diverging_run(design, workload, config):
+            calls.append(workload)
+            if len(calls) % 2 == 0:
+                config = dataclasses.replace(config, seed=config.seed + 1)
+            return real_run(design, workload, config)
+
+        monkeypatch.setattr(plan_runner, "run_multithreaded", diverging_run)
+        plan = BenchPlan(name="diverge", designs=("private",),
+                         accesses_per_core=500, repeats=2, sweep=False)
+        with pytest.raises(RepeatDivergenceError,
+                           match="oltp/private/atomic: repeat 2"):
+            run_plan(plan)
+
+        path = tmp_path / "diverge.toml"
+        path.write_text(
+            '[plan]\nname = "diverge"\n[grid]\ndesigns = ["private"]\n'
+            '[run]\naccesses_per_core = 500\nrepeats = 2\n'
+            '[sweep]\nenabled = false\n'
         )
-        out = tmp_path / "BENCH_19990102.json"
-        record = run_plan(plan, out=str(out))
-        cell = record["cells"]["oltp/private/atomic"]
-        bundle = tmp_path / "BENCH_19990102.capture" / "oltp-private-atomic"
-        assert cell["capture"]["dir"] == os.path.join(
-            "BENCH_19990102.capture", "oltp-private-atomic"
+        out = tmp_path / "BENCH_19990103.json"
+        assert main(["bench", "--plan", str(path), "--out", str(out)]) == (
+            REGRESSION_EXIT
         )
-        for name in ("profile.json", "metrics.json", "trace.jsonl",
-                     "trace.perfetto.json"):
-            assert (bundle / name).is_file(), name
-        assert cell["latency"]["p95"] >= cell["latency"]["p50"] > 0
+        assert "oltp/private/atomic" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_environment_fingerprint_keys(self):
         env = environment_fingerprint()
         assert set(env) == {"cpus", "python", "numpy", "platform", "git_sha"}
+
+
+# ---------------------------------------------------------------------------
+# Reference-speed timing
+
+
+class TestReferenceSpeed:
+    def test_fastest_three_quarters_set_the_speed(self):
+        # Eight samples: the fastest six (mean 2x the reference loop's
+        # time) set the speed; the two slowest, where an interrupt
+        # landed, are dropped.
+        samples = [2 * REFERENCE_S] * 6 + [40 * REFERENCE_S, 90 * REFERENCE_S]
+        assert at_reference_speed(1.0, samples) == pytest.approx(0.5)
+        # Fewer than four samples: the fastest one alone.
+        assert at_reference_speed(1.0, [4 * REFERENCE_S, 5 * REFERENCE_S]) == (
+            pytest.approx(0.25)
+        )
+
+    def test_cell_throughput_is_the_median_over_repeats(self):
+        # The same raw 2 s, sampled at half, reference and quarter speed,
+        # is 1.0, 2.0 and 0.5 s at reference speed.
+        repeats = [
+            (2.0, [2 * REFERENCE_S]),
+            (2.0, [REFERENCE_S]),
+            (2.0, [4 * REFERENCE_S]),
+        ]
+        fields = cell_timing(1_000, repeats)
+        assert fields["reference_seconds"] == [1.0, 2.0, 0.5]
+        assert fields["repeat_seconds"] == [2.0, 2.0, 2.0]
+        # Median of 1000, 500 and 2000 accesses/s, not the best (2000).
+        assert fields["throughput_accesses_per_sec"] == 1000.0
+
+    def test_sampler_restores_handler_and_disarms_timer(self):
+        # A worker forked after a timed run must inherit no timer, and
+        # whoever held SIGALRM before must hold it again.
+        def sentinel(signum, frame):
+            raise AssertionError("the sampler's timer leaked")
+
+        previous = signal.signal(signal.SIGALRM, sentinel)
+        try:
+            for fail in (False, True):
+                expect = pytest.raises(RuntimeError) if fail else (
+                    contextlib.nullcontext())
+                with expect:
+                    with SpeedSampler() as sampler:
+                        deadline = time.perf_counter() + 0.12
+                        while time.perf_counter() < deadline:
+                            pass
+                        if fail:
+                            raise RuntimeError("the timed run failed")
+                assert len(sampler.samples) >= 2  # entry + timer samples
+                assert signal.getsignal(signal.SIGALRM) is sentinel
+                assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_run_plan_leaves_no_timer_armed(self, tiny_record):
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        handler = signal.getsignal(signal.SIGALRM)
+        assert not isinstance(getattr(handler, "__self__", None),
+                              SpeedSampler)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +328,26 @@ class TestHistory:
     def test_env_key(self):
         assert env_key({"cpus": 4, "python": "3.11.7"}) == "cpus=4/py=3.11"
         assert env_key({}) == "cpus=?/py=?"
+
+    def test_committed_history_passes_its_gate(
+            self, tmp_path, monkeypatch, capsys):
+        # The gate CI runs over the committed records reads them only:
+        # nothing may be simulated.
+        from repro.cli import main
+        from repro.cpu.system import CmpSystem
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("bench report simulated a cell")
+
+        monkeypatch.setattr(CmpSystem, "__init__", no_simulation)
+        monkeypatch.chdir(REPO)
+        code = main([
+            "bench", "report", "--history", "BENCH_*.json",
+            "--plan", os.path.join("plans", "default.toml"),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "trend.md").is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +429,16 @@ class TestGate:
         assert verdicts[0].status == trend_report.SKIPPED
 
     def test_miss_rate_increase_trips(self):
+        # Miss rate is deterministic: any rise beyond float round-off
+        # regresses, under the default gate and a plan's alike.
         runs = [
             _v2_run("BENCH_20260101", {LABEL: 100.0}, miss_rate=0.20),
-            _v2_run("BENCH_20260102", {LABEL: 100.0}, miss_rate=0.25),
+            _v2_run("BENCH_20260102", {LABEL: 100.0}, miss_rate=0.2001),
         ]
-        verdicts = trend_report.evaluate(runs, build_trends(runs))
-        assert verdicts[0].status == trend_report.REGRESSION
-        assert "miss rate rose" in verdicts[0].reason
-        tolerant = trend_report.evaluate(
-            runs, build_trends(runs), GatePolicy(miss_rate_increase=0.1)
-        )
-        assert tolerant[0].status == trend_report.OK
+        for gate in (None, GatePolicy(threshold=0.5)):
+            verdicts = trend_report.evaluate(runs, build_trends(runs), gate)
+            assert verdicts[0].status == trend_report.REGRESSION
+            assert "miss rate rose" in verdicts[0].reason
 
     def test_rolling_baseline_is_median_of_window(self):
         # One outlier run must not drag the baseline: 100, 5, 100 -> the
@@ -336,30 +452,6 @@ class TestGate:
         verdicts = trend_report.evaluate(runs, build_trends(runs))
         assert verdicts[0].status == trend_report.OK
         assert verdicts[0].baseline == 100.0
-
-    def test_single_cpu_sweep_speedup_not_gated(self):
-        sweep = {"identical": True, "speedup": 0.8, "cells": 4, "jobs": 2,
-                 "serial_seconds": 1.0, "parallel_seconds": 1.25,
-                 **sweep_gate_fields(1)}
-        runs = [_v2_run("BENCH_20260101", {LABEL: 100.0}, cpus=1,
-                        sweep=sweep)]
-        verdicts = trend_report.evaluate(
-            runs, build_trends(runs), GatePolicy(min_speedup=1.2)
-        )
-        sweep_verdicts = [v for v in verdicts if v.label == "sweep/speedup"]
-        assert sweep_verdicts[0].status == trend_report.SKIPPED
-        assert "single-CPU" in sweep_verdicts[0].reason
-
-    def test_multi_cpu_sweep_speedup_gated(self):
-        sweep = {"identical": True, "speedup": 0.8, "cells": 4, "jobs": 2,
-                 "serial_seconds": 1.0, "parallel_seconds": 1.25,
-                 **sweep_gate_fields(4)}
-        runs = [_v2_run("BENCH_20260101", {LABEL: 100.0}, sweep=sweep)]
-        verdicts = trend_report.evaluate(
-            runs, build_trends(runs), GatePolicy(min_speedup=1.2)
-        )
-        sweep_verdicts = [v for v in verdicts if v.label == "sweep/speedup"]
-        assert sweep_verdicts[0].status == trend_report.REGRESSION
 
     def test_sweep_divergence_is_always_a_regression(self):
         sweep = {"identical": False, "mismatches": ["oltp/private"],
@@ -380,6 +472,8 @@ class TestGate:
 
 class TestReportRendering:
     def test_write_report_renders_markdown_and_pngs(self, tmp_path):
+        # The report is text only: trend.md carries each cell's history
+        # as bars above its table, and no image is written.
         runs = [
             _v2_run("BENCH_20260101", {LABEL: 100.0}),
             _v2_run("BENCH_20260102", {LABEL: 60.0}),
@@ -390,59 +484,21 @@ class TestReportRendering:
         assert "| oltp/private/atomic |" in text
         assert "**regression**" in text
         assert "1 regression(s)" in text
-        for chart in result.chart_paths:
-            width, height = chartpng.read_png_size(chart)
-            assert width > 0 and height > 0
-        names = {os.path.basename(p) for p in result.chart_paths}
-        assert {"throughput.png", "miss_rate.png"} <= names
+        history = text[text.index(f"### `{LABEL}`"):]
+        bars = [line for line in history.splitlines() if "#" * 10 in line]
+        assert len(bars) == 2
+        assert "BENCH_20260101" in bars[0] and bars[0].endswith(" 100")
+        assert "BENCH_20260102" in bars[1] and bars[1].endswith(" 60")
+        assert bars[0].count("#") > bars[1].count("#")
+        assert history.index("BENCH_20260101 ") < history.index("| run |")
+        assert os.listdir(tmp_path) == ["trend.md"]
 
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             trend_report.write_report([], str(tmp_path))
 
 
-class TestChartPng:
-    def test_png_roundtrip(self, tmp_path):
-        canvas = chartpng.line_chart(
-            {"a": [(0, 1.0), (1, 2.0), (2, 1.5)],
-             "b": [(0, 3.0), (1, 2.5)]},
-            size=(320, 200),
-        )
-        assert canvas.shape == (200, 320, 3)
-        path = str(tmp_path / "chart.png")
-        chartpng.write_png(path, canvas)
-        assert chartpng.read_png_size(path) == (320, 200)
-        # Both series actually left ink on the canvas.
-        assert (canvas != 255).any(axis=2).sum() > 100
-
-    def test_read_png_size_rejects_non_png(self, tmp_path):
-        path = tmp_path / "not.png"
-        path.write_bytes(b"definitely not a png")
-        with pytest.raises(ValueError):
-            chartpng.read_png_size(str(path))
-
-    def test_format_tick(self):
-        assert chartpng.format_tick(0) == "0"
-        assert chartpng.format_tick(226_000) == "226k"
-        assert chartpng.format_tick(1_500_000) == "1.5M"
-        assert chartpng.format_tick(0.25) == "0.25"
-
-
-# ---------------------------------------------------------------------------
-# Bench satellites
-
-
 class TestBenchSatellites:
-    def test_sweep_gate_fields_single_cpu(self):
-        fields = sweep_gate_fields(1)
-        assert fields["speedup_gate_eligible"] is False
-        assert "single-CPU" in fields["speedup_gate_note"]
-
-    def test_sweep_gate_fields_multi_cpu(self):
-        fields = sweep_gate_fields(8)
-        assert fields["speedup_gate_eligible"] is True
-        assert "speedup_gate_note" not in fields
-
     def test_default_output_path_collision_safe(self, tmp_path):
         first = default_output_path("20260101", str(tmp_path))
         assert os.path.basename(first) == "BENCH_20260101.json"
@@ -466,6 +522,12 @@ def _engine_run(run_id, throughput, engine=None):
     run = _v2_run(run_id, throughput)
     if engine is not None:
         run.environment["engine"] = engine
+    return run
+
+
+def _timed_run(run_id, throughput, timing):
+    run = _v2_run(run_id, throughput)
+    run.timing = timing
     return run
 
 
@@ -512,6 +574,22 @@ class TestEngineAlignment:
         runs.append(
             _engine_run("BENCH_20260105", {LABEL: 10.0}, engine="batch")
         )
+        verdicts = trend_report.evaluate(runs, build_trends(runs))
+        assert [v.status for v in verdicts] == [trend_report.SKIPPED]
+        assert "no comparable history" in verdicts[0].reason
+
+    @pytest.mark.parametrize("history, latest", [
+        (None, TIMING),  # raw wall-clock history, reference-speed run
+        (TIMING, None),  # and the reverse
+    ])
+    def test_raw_and_reference_speed_runs_never_gate_each_other(
+            self, history, latest):
+        """A slow run after fast history of the other protocol skips."""
+        runs = [
+            _timed_run(f"BENCH_202601{i:02d}", {LABEL: 500.0}, history)
+            for i in range(1, 5)
+        ]
+        runs.append(_timed_run("BENCH_20260105", {LABEL: 10.0}, latest))
         verdicts = trend_report.evaluate(runs, build_trends(runs))
         assert [v.status for v in verdicts] == [trend_report.SKIPPED]
         assert "no comparable history" in verdicts[0].reason
