@@ -254,8 +254,9 @@ def save_checkpoint(
 ) -> None:
     """Atomically write a snapshot of ``system`` to ``path``.
 
-    The state-dict envelope is gzip-compressed (the sparse columnar
-    arrays compress well) and written atomically (temp file +
+    The state-dict envelope is gzip-compressed at level 1 (the sparse
+    columnar arrays compress well even there, and level 9 took 3.5-4.5x
+    as long for a 15% smaller file) and written atomically (temp file +
     ``os.replace``), so a killed run never leaves a truncated snapshot
     under the final name.
     """
@@ -281,7 +282,9 @@ def save_checkpoint(
         "state": state,
     }
     blob = gzip.compress(
-        pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL), mtime=0
+        pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL),
+        compresslevel=1,
+        mtime=0,
     )
     with open(temp, "wb") as handle:
         handle.write(blob)

@@ -21,6 +21,16 @@ robustness machinery long simulations need:
   writes them as a replayable trace file (the minimal repro input),
   its path attached to the raised exception.
 
+Workload chunks (:meth:`HarnessRunner.run_chunks`, and so
+:func:`run_events`) run in *pieces* through
+:meth:`CmpSystem.run_chunks`' columnar loop, cut at every check and
+checkpoint boundary, so each check, checkpoint and clock comparison
+happens at the same event index, on the same model state, as in the
+per-event loop (:meth:`HarnessRunner.run`).  Runs that a fault can
+reach, systems with a tracer or metrics collector, and check
+intervals shorter than :data:`MIN_SEGMENT` keep the per-event loop
+(:meth:`HarnessRunner.takes_pieces`).
+
 The runner attaches no observer of its own.  Fault injections and
 invariant violations are typed trace events: they reach whatever
 tracer the caller attached to the system, and the injector's ``log``
@@ -34,7 +44,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.common.dirty import DirtySet
 from repro.common.rng import DEFAULT_SEED
@@ -51,6 +61,14 @@ from repro.obs.profiler import Profiler
 
 #: Events the crash window keeps: the replayable tail written on error.
 WINDOW_EVENTS = 64
+
+#: Shortest check interval that runs in pieces.  Each piece pays about
+#: 100 us whatever its length (its clock columns, the columnar loop's
+#: setup, the crash window's objects), on 4 cores and on 16, so at
+#: shorter intervals stepping one event at a time is cheaper.  Measured
+#: on cmp-nurapid over oltp, pieces tie at 32 and win at 64 on both
+#: (DESIGN.md §10).
+MIN_SEGMENT = 64
 
 
 class WatchdogTimeout(RuntimeError):
@@ -112,6 +130,9 @@ class HarnessRunner:
             else None
         )
         self._deadline: "Optional[float]" = None
+        self._checkpoint_every = (
+            self.config.checkpoint_every if self.config.checkpoint_path else 0
+        )
         self._cycle_watermarks = [core.cycles for core in system.cores]
         # Incremental checking: designs mark mutated entries; the check
         # rescans only those.  ``check_full`` keeps the old behaviour.
@@ -125,23 +146,17 @@ class HarnessRunner:
 
     # ------------------------------------------------------------------
 
-    def run(self, events: "Iterable") -> None:
-        """Execute ``events``, applying the configured machinery.
+    def run(self, events: "Iterable[TimedAccess]") -> None:
+        """Execute ``events`` one at a time, applying the configured
+        machinery after each.
 
         Raises :class:`InvariantViolation` on a failed check (with the
         event-window dump path attached), :class:`WatchdogTimeout` on
         an exceeded wall-clock budget.
         """
-        config = self.config
-        if config.timeout_seconds and self._deadline is None:
-            self._deadline = time.monotonic() + config.timeout_seconds
+        self._arm_deadline()
         system = self.system
-        check_every = config.check_every
-        checkpoint_every = (
-            config.checkpoint_every if config.checkpoint_path else 0
-        )
         index = self.event_index
-        profiler = self.profiler
         window = self._window
         try:
             for event in events:
@@ -150,38 +165,157 @@ class HarnessRunner:
                 window.append(event)
                 system.step(event)
                 index += 1
-                self.event_index = index
-                self._check_monotonic(index)
-                if check_every and index % check_every == 0:
-                    if profiler is not None:
-                        with profiler.section("invariant-check"):
-                            self._check(index)
-                    else:
-                        self._check(index)
-                if checkpoint_every and index % checkpoint_every == 0:
-                    self.checkpoint()
-                if self._deadline is not None and time.monotonic() > self._deadline:
-                    raise WatchdogTimeout(
-                        f"run exceeded {config.timeout_seconds:g}s "
-                        f"wall-clock budget at event {index}",
-                        event_index=index,
-                    )
+                self._boundary(index)
         except (InvariantViolation, WatchdogTimeout) as error:
-            error.dump_path = self.dump_window()
-            if isinstance(error, InvariantViolation):
-                if error.access_index is None:
-                    error.access_index = index
-                if system.tracer.enabled:
-                    system.tracer.emit(
-                        ev.VIOLATION,
-                        cycle=max(core.cycles for core in system.cores),
-                        address=error.address,
-                        invariant=error.invariant,
-                        access_index=error.access_index,
-                        detail=str(error),
-                        dump_path=error.dump_path,
-                    )
+            self._report(error, index)
             raise
+
+    def run_chunks(self, chunks: "Iterable[EventChunk]") -> None:
+        """Execute workload chunks, like :meth:`run` over their events.
+
+        Each chunk runs in pieces through :meth:`CmpSystem.run_chunks`,
+        cut at every event index that is a multiple of ``check_every``
+        or of the checkpoint interval; after each piece come the steps
+        :meth:`run` takes after each event.  The watchdog is read once
+        per piece, so it fires at most one piece (at most a chunk)
+        late.  The choice of loop is made once per call: see
+        :meth:`takes_pieces`.
+        """
+        if not self.takes_pieces():
+            self.run(timed_events(chunks))
+            return
+        self._arm_deadline()
+        index = self.event_index
+        try:
+            for chunk in chunks:
+                start = 0
+                for end in self._piece_ends(index, len(chunk)):
+                    self._run_piece(chunk[start:end], index)
+                    index += end - start
+                    start = end
+                    self._boundary(index)
+        except (InvariantViolation, WatchdogTimeout) as error:
+            self._report(error, index)
+            raise
+
+    def takes_pieces(self) -> bool:
+        """Whether :meth:`run_chunks` runs pieces, not the per-event loop.
+
+        The per-event loop stays for runs a fault can reach (a fault
+        lands before one particular event, and a race fault's deferred
+        delivery drains only in :meth:`CmpSystem.step`: an injector, or
+        a restored snapshot with a race armed or a delivery pending),
+        for check intervals below :data:`MIN_SEGMENT`, and for systems
+        with a tracer or metrics collector, which
+        :meth:`CmpSystem.run_chunks` steps one event at a time anyway.
+        """
+        system = self.system
+        design = system.design
+        queue = getattr(design, "queue", None)
+        race = (
+            (queue is not None and queue.pending)
+            or getattr(getattr(design, "bus", None), "race_pending", None)
+            or getattr(design, "race_delay_repl", False)
+        )
+        check_every = self.config.check_every
+        return not (
+            self.injector is not None
+            or race
+            or 0 < check_every < MIN_SEGMENT
+            or system.tracer.enabled
+            or system.metrics is not None
+        )
+
+    def _piece_ends(self, index: int, length: int) -> "Iterator[int]":
+        """Where the pieces of a chunk of ``length`` events that starts
+        at event ``index`` end, as offsets into the chunk: each check or
+        checkpoint boundary inside it, then its end."""
+        intervals = [
+            every for every in (self.config.check_every, self._checkpoint_every)
+            if every
+        ]
+        offset = 0
+        while offset < length:
+            here = index + offset
+            offset = min(
+                [length] + [(here // every + 1) * every - index for every in intervals]
+            )
+            yield offset
+
+    def _run_piece(self, piece: EventChunk, index: int) -> None:
+        """Run ``piece``, which starts at event ``index``, in the
+        columnar loop and add its tail to the crash window.
+
+        Inside a piece a core's clock can fall only through a negative
+        gap or colocated count, rejected here before the piece runs, or
+        a negative stall, which :meth:`CmpSystem.run_chunks` raises at
+        its L1 miss.  Either reports the ``access_index`` the per-event
+        loop would, and a stall's window ends at its event.
+        """
+        if piece.gap.min() < 0 or piece.colocated.min() < 0:
+            at = index + 1 + int(((piece.gap < 0) | (piece.colocated < 0)).argmax())
+            raise InvariantViolation(
+                "timestamp-monotonic",
+                f"event {at} has a negative gap or colocated count",
+                access_index=at,
+            )
+        try:
+            self.system.run_chunks((piece,))
+        except InvariantViolation as error:
+            offset = error.access_index
+            self._window.extend(piece[: offset + 1][-WINDOW_EVENTS:].timed())
+            error.access_index = index + offset + 1
+            raise
+        self._window.extend(piece[-WINDOW_EVENTS:].timed())
+
+    def _boundary(self, index: int) -> None:
+        """The harness's work once ``index`` events have run, in order:
+        advance the index, compare each core's clock with its
+        watermark, run the check and the checkpoint due at ``index``,
+        then read the watchdog deadline."""
+        self.event_index = index
+        self._check_monotonic(index)
+        check_every = self.config.check_every
+        if check_every and index % check_every == 0:
+            if self.profiler is not None:
+                with self.profiler.section("invariant-check"):
+                    self._check(index)
+            else:
+                self._check(index)
+        if self._checkpoint_every and index % self._checkpoint_every == 0:
+            self.checkpoint()
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise WatchdogTimeout(
+                f"run exceeded {self.config.timeout_seconds:g}s "
+                f"wall-clock budget at event {index}",
+                event_index=index,
+            )
+
+    def _arm_deadline(self) -> None:
+        """Start the watchdog's clock at the first run of this runner."""
+        if self.config.timeout_seconds and self._deadline is None:
+            self._deadline = time.monotonic() + self.config.timeout_seconds
+
+    def _report(
+        self, error: "InvariantViolation | WatchdogTimeout", index: int
+    ) -> None:
+        """Dump the crash window for ``error``; a violation also gets its
+        ``access_index`` (``index`` if unset) and a trace record."""
+        error.dump_path = self.dump_window()
+        if isinstance(error, InvariantViolation):
+            if error.access_index is None:
+                error.access_index = index
+            system = self.system
+            if system.tracer.enabled:
+                system.tracer.emit(
+                    ev.VIOLATION,
+                    cycle=max(core.cycles for core in system.cores),
+                    address=error.address,
+                    invariant=error.invariant,
+                    access_index=error.access_index,
+                    detail=str(error),
+                    dump_path=error.dump_path,
+                )
 
     def _check(self, index: int) -> None:
         """One paranoid-mode invariant check (incremental by default)."""
@@ -273,8 +407,8 @@ def run_events(
     ):
         if start_index < warmup_events:
             warmup, chunks = split_chunks(chunks, warmup_events - start_index)
-            runner.run(timed_events(warmup))
+            runner.run_chunks(warmup)
         system.reset_stats()
         runner.stats_reset = True
-    runner.run(timed_events(chunks))
+    runner.run_chunks(chunks)
     return runner

@@ -20,7 +20,7 @@ Schema (all eleven keys)::
 
     [run]
     accesses_per_core = 40000   # measured accesses per core per repeat
-    warmup_per_core = 0         # warm-up per core (timed, not counted)
+    warmup_per_core = 0         # warm-up per core (timed and counted)
     repeats = 3                 # timed repeats; the median is recorded
 
     [sweep]

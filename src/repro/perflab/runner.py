@@ -21,7 +21,8 @@ noisy ratios reads high, so best-of spreads wider (DESIGN.md §12 has
 the measurements).
 
 The record also carries an **environment fingerprint** (CPU count,
-Python/numpy versions, platform, git SHA) and its ``timing`` protocol;
+Python/numpy versions, platform, git SHA and whether tracked files
+differed from it) and its ``timing`` protocol;
 the trend engine compares a run only with runs of the same
 environment key and protocol, so a laptop run never gates a CI run.
 With ``[sweep] enabled``, :func:`measure_sweep` adds a serial-vs-pool
@@ -82,6 +83,7 @@ def environment_fingerprint() -> dict:
         "numpy": _numpy_version(),
         "platform": f"{platform.system()}-{platform.machine()}",
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
     }
 
 
@@ -93,16 +95,27 @@ def _numpy_version() -> "Optional[str]":
     return numpy.__version__
 
 
-def _git_sha() -> "Optional[str]":
+def _git(*args: str) -> "Optional[str]":
+    """``git``'s output in the current directory; None outside a
+    checkout or without git."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
+            ["git", *args], capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_sha() -> "Optional[str]":
+    return (_git("rev-parse", "HEAD") or "").strip() or None
+
+
+def _git_dirty() -> "Optional[bool]":
+    """Whether tracked files differ from ``git_sha``: a record made from
+    such a tree measures a change on top of that commit."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
 
 
 def stats_digest(stats) -> str:
@@ -194,7 +207,9 @@ def _time_cell(cell: PlanCell, config, repeats: int) -> dict:
 
     The whole path is timed — workload generation, L1s, the design —
     with construction outside the clock.  Tag entries and data frames
-    are created on first fill, so their allocation is inside it.
+    are created on first fill, so their allocation is inside it.  The
+    throughput counts every access the timed run simulates, warm-up
+    included.
     """
     run = run_mix if cell.multiprogrammed else run_multithreaded
     timings: "List[Tuple[float, List[float]]]" = []
@@ -214,7 +229,9 @@ def _time_cell(cell: PlanCell, config, repeats: int) -> dict:
                 f"{cell.label}: repeat {repeat} simulated stats digest "
                 f"{digest}, repeat 1 simulated {first_digest}"
             )
-    accesses = config.measure_per_core * len(system.cores)
+    accesses = (config.warmup_per_core + config.measure_per_core) * len(
+        system.cores
+    )
     return {
         **cell_timing(accesses, timings),
         "miss_rate": round(first.accesses.miss_rate, 6),
@@ -379,6 +396,7 @@ def render_record(record: dict) -> str:
             f"environment: {env.get('cpus', '?')} cpu(s), "
             f"python {env.get('python', '?')}, numpy {env.get('numpy', '?')}, "
             f"git {str(env.get('git_sha'))[:12]}"
+            + (" (modified)" if env.get("git_dirty") else "")
         )
     return "\n".join(lines)
 

@@ -8,6 +8,8 @@ event-window dump.
 """
 
 import itertools
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -26,11 +28,13 @@ from repro.common.params import L1Params, SystemParams
 from repro.common.types import Access, AccessType
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem, TimedAccess, split_chunks
+from repro.experiments.runner import DESIGN_FACTORIES, build_design
 from repro.harness import (
     CheckpointError,
     FaultInjector,
     FaultSpec,
     HarnessConfig,
+    HarnessRunner,
     InvariantViolation,
     WatchdogTimeout,
     check_system,
@@ -38,6 +42,10 @@ from repro.harness import (
     run_events,
     save_checkpoint,
 )
+from repro.harness import runner as harness_runner
+from repro.harness.runner import MIN_SEGMENT, WINDOW_EVENTS
+from repro.obs.profiler import Profiler
+from repro.obs.tracer import Tracer
 from repro.workloads.base import BATCH
 from repro.workloads.multithreaded import make_workload
 
@@ -385,3 +393,206 @@ def test_watchdog_raises_with_dump(tmp_path):
     assert caught.value.event_index >= 1
     assert caught.value.dump_path == str(tmp_path / "hang.trace")
     assert (tmp_path / "hang.trace").exists()
+
+
+# ----------------------------------------------------------------------
+# Pieces: workload chunks through the columnar loop between boundaries
+
+#: A check and a checkpoint interval that divide neither BATCH nor each
+#: other, so pieces are cut mid-chunk at both.
+PIECE_CHECK_EVERY = 1_237
+PIECE_CHECKPOINT_EVERY = 2_999
+
+
+def _per_event(monkeypatch):
+    """Force every HarnessRunner onto the per-event loop."""
+    monkeypatch.setattr(HarnessRunner, "takes_pieces", lambda self: False)
+
+
+def _spied_run(system, chunks, warmup_events, tmp_path, monkeypatch):
+    """run_events with checks and checkpoints; returns the pickled
+    system state at each checkpoint and the profiler's check count."""
+    snapshots = []
+    monkeypatch.setattr(
+        harness_runner,
+        "save_checkpoint",
+        lambda system, index, path, meta: snapshots.append(
+            (index, pickle.dumps(system.state_dict()))
+        ),
+    )
+    profiler = Profiler()
+    config = HarnessConfig(
+        check_every=PIECE_CHECK_EVERY,
+        checkpoint_path=str(tmp_path / "pieces.ck"),
+        checkpoint_every=PIECE_CHECKPOINT_EVERY,
+    )
+    runner = run_events(system, chunks, warmup_events, config, profiler=profiler)
+    checks = profiler.snapshot()["invariant-check"]["calls"]
+    return runner.takes_pieces(), snapshots, checks
+
+
+@pytest.mark.parametrize(
+    "design, bus_model, cores",
+    [(name, bus, 4) for name in sorted(DESIGN_FACTORIES)
+     for bus in ("atomic", "eventq")]
+    + [("private", "mesh", 16), ("cmp-nurapid", "mesh", 16)],
+)
+def test_pieces_match_the_per_event_loop(
+    design, bus_model, cores, tmp_path, monkeypatch
+):
+    """Same fingerprint, same state at every checkpoint, same checks."""
+    per_core = 750 if cores == 16 else 3_000
+    warmup_events = cores * per_core // 3
+
+    def run(pieces):
+        system = CmpSystem(build_design(design, bus_model=bus_model,
+                                        num_cores=cores))
+        chunks = make_workload("oltp", seed=7, num_cores=cores).chunks(
+            accesses_per_core=per_core
+        )
+        with monkeypatch.context() as patch:
+            if not pieces:
+                _per_event(patch)
+            spied = _spied_run(system, chunks, warmup_events, tmp_path, patch)
+        return system.stats().fingerprint(), spied
+
+    fingerprint, (took_pieces, snapshots, checks) = run(pieces=True)
+    want_fingerprint, (_, want_snapshots, want_checks) = run(pieces=False)
+    assert took_pieces
+    assert fingerprint == want_fingerprint
+    assert [index for index, _ in snapshots] == [
+        index for index, _ in want_snapshots
+    ] == list(range(PIECE_CHECKPOINT_EVERY, cores * per_core + 1,
+                    PIECE_CHECKPOINT_EVERY))
+    assert snapshots == want_snapshots
+    assert checks == want_checks == cores * per_core // PIECE_CHECK_EVERY
+
+
+def _dumped_lines(path):
+    with open(path) as handle:
+        return [line for line in handle if not line.startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "corruption, cut", [("rewind-clock", 2_999), ("l1-orphan", 2_500)]
+)
+def test_pieces_report_a_violation_like_the_per_event_loop(
+    corruption, cut, tmp_path, monkeypatch
+):
+    """Run, corrupt the state, run again: both loops raise the same
+    invariant at the same index and dump the same 64 events."""
+
+    def report(pieces):
+        system = fresh_system("private")
+        dump = tmp_path / f"window-{pieces}.trace"
+        config = HarnessConfig(check_every=1_000, dump_path=str(dump))
+        with monkeypatch.context() as patch:
+            if not pieces:
+                _per_event(patch)
+            runner = HarnessRunner(system, config)
+            head, tail = split_chunks(oltp_chunks(2_000, seed=3), cut)
+            runner.run_chunks(head)
+            if corruption == "rewind-clock":
+                system.cores[0].cycles -= 50
+            else:
+                inject_now(system, corruption)
+            with pytest.raises(InvariantViolation) as caught:
+                runner.run_chunks(tail)
+        return caught.value, _dumped_lines(dump)
+
+    violation, lines = report(pieces=True)
+    want, want_lines = report(pieces=False)
+    assert violation.invariant == want.invariant
+    assert violation.access_index == want.access_index == 3_000
+    assert len(lines) == WINDOW_EVENTS
+    assert lines == want_lines
+
+
+def test_negative_stall_is_caught_at_its_event(tmp_path, monkeypatch):
+    """A load that stalls a negative number of cycles: both loops raise
+    timestamp-monotonic at its event, and the window ends there."""
+    bad_load = 300
+
+    def report(pieces):
+        system = fresh_system("cmp-nurapid")
+        design = system.design
+        original = design.access
+        loads = []
+
+        def access(access, now):
+            result = original(access, now=now)
+            if access.type is READ:
+                loads.append(access)
+                if len(loads) == bad_load:
+                    return replace(result, latency=-(10**9))
+            return result
+
+        dump = tmp_path / f"stall-{pieces}.trace"
+        config = HarnessConfig(check_every=500, dump_path=str(dump))
+        with monkeypatch.context() as patch:
+            patch.setattr(design, "access", access)
+            if not pieces:
+                _per_event(patch)
+            with pytest.raises(InvariantViolation) as caught:
+                run_events(system, oltp_chunks(2_000, seed=3), 400, config)
+        return caught.value, _dumped_lines(dump), loads[bad_load - 1]
+
+    violation, lines, load = report(pieces=True)
+    want, want_lines, want_load = report(pieces=False)
+    assert violation.invariant == want.invariant == "timestamp-monotonic"
+    assert violation.access_index == want.access_index
+    assert load == want_load
+    core, address, kind = lines[-1].split()[:3]
+    assert (int(core), int(address, 16), kind) == (load.core, load.address, "R")
+    assert lines == want_lines
+
+
+def test_pieces_reject_a_negative_count_before_running_it(tmp_path):
+    """No generator or trace file yields a negative gap, but a piece that
+    holds one is refused at that event, before any of it runs."""
+    system = fresh_system("private")
+    head, tail = split_chunks(oltp_chunks(2_000, seed=3), 1_000)
+    runner = HarnessRunner(
+        system, HarnessConfig(check_every=500, dump_path=str(tmp_path / "w.trace"))
+    )
+    runner.run_chunks(head)
+    chunk = next(iter(tail))
+    chunk.gap[10] = -5
+    ran = system.stats().fingerprint()
+    with pytest.raises(InvariantViolation) as caught:
+        runner.run_chunks([chunk])
+    assert caught.value.invariant == "timestamp-monotonic"
+    assert caught.value.access_index == 1_011
+    assert runner.event_index == 1_000
+    assert system.stats().fingerprint() == ran
+
+
+@pytest.mark.parametrize(
+    "config, setup, pieces",
+    [
+        (HarnessConfig(faults=(FaultSpec("drop-bus", 10**9),)), None, False),
+        (HarnessConfig(check_every=1), None, False),
+        (HarnessConfig(check_every=MIN_SEGMENT - 1), None, False),
+        (HarnessConfig(check_every=MIN_SEGMENT), None, True),
+        (HarnessConfig(), None, True),
+        (HarnessConfig(), "tracer", False),
+        (HarnessConfig(), "armed-race", False),
+    ],
+)
+def test_loop_selection(config, setup, pieces, monkeypatch):
+    """Runs a fault can reach, short check intervals and observed
+    systems keep the per-event loop; everything else runs pieces
+    through CmpSystem.run_chunks."""
+    system = CmpSystem(build_design("private", bus_model="eventq"))
+    if setup == "tracer":
+        system.attach_tracer(Tracer(capacity=16))
+    elif setup == "armed-race":
+        # As a snapshot restores it: a race armed, no injector.
+        system.design.bus.race_pending = "race-reorder"
+    calls = []
+    original = system.run_chunks
+    monkeypatch.setattr(
+        system, "run_chunks", lambda chunks: calls.append(1) or original(chunks)
+    )
+    run_events(system, oltp_chunks(100, seed=3), 0, config)
+    assert bool(calls) is pieces

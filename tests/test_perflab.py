@@ -222,7 +222,51 @@ class TestRunPlan:
 
     def test_environment_fingerprint_keys(self):
         env = environment_fingerprint()
-        assert set(env) == {"cpus", "python", "numpy", "platform", "git_sha"}
+        assert set(env) == {
+            "cpus", "python", "numpy", "platform", "git_sha", "git_dirty",
+        }
+
+    def test_git_dirty_flags_a_modified_tree(self, tmp_path, monkeypatch):
+        import subprocess
+
+        def git(*args):
+            subprocess.run(["git", *args], cwd=tmp_path, check=True,
+                           capture_output=True)
+
+        monkeypatch.chdir(tmp_path)
+        assert environment_fingerprint()["git_dirty"] is None
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("-c", "user.name=t", "-c", "user.email=t@example.com",
+            "commit", "-q", "-m", "one")
+        (tmp_path / "untracked.txt").write_text("ignored\n")
+        assert environment_fingerprint()["git_dirty"] is False
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert environment_fingerprint()["git_dirty"] is True
+
+    def test_records_without_git_dirty_still_report(self):
+        path = os.path.join(REPO, "BENCH_20261018.json")
+        record = json.load(open(path, encoding="utf-8"))
+        assert "git_dirty" not in record["environment"]
+        assert "environment:" in plan_runner.render_record(record)
+        assert load_history([path])
+
+    def test_warmup_accesses_count_toward_throughput(self, monkeypatch):
+        # Warm-up is simulated inside the timed run, so its accesses are
+        # counted with the measured ones, as bench/ counts them.
+        counted = []
+        real_timing = plan_runner.cell_timing
+        monkeypatch.setattr(
+            plan_runner, "cell_timing",
+            lambda accesses, repeats: counted.append(accesses)
+            or real_timing(accesses, repeats),
+        )
+        plan = BenchPlan(name="warm", designs=("private",),
+                         accesses_per_core=300, warmup_per_core=200,
+                         repeats=1, sweep=False)
+        run_plan(plan)
+        assert counted == [(200 + 300) * 4]
 
 
 # ---------------------------------------------------------------------------

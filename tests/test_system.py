@@ -16,6 +16,7 @@ from repro.cpu.system import (
     DeferredEventError,
     EventChunk,
     TimedAccess,
+    _chunk_clocks,
     run_workload,
     split_chunks,
 )
@@ -276,6 +277,46 @@ class TestColumnarLoop:
         general.reset_stats()
         general.run(events)
         assert columnar.stats().fingerprint() == general.stats().fingerprint()
+
+    @pytest.mark.parametrize("cores", [1, 4, 16])
+    def test_chunk_clocks_match_a_loop_over_cores(self, cores):
+        """The core-grouped running sums against the per-core loop they
+        replaced: whole chunks, short pieces, an empty one, and negative
+        counts and a zero L1 latency, which no generator produces."""
+
+        def by_core(chunk, latencies):
+            latency = latencies[chunk.core]
+            ahead = chunk.gap + chunk.colocated * latency
+            step = ahead + latency
+            executed = chunk.gap + chunk.colocated + 1
+            clocks = np.empty_like(step)
+            cycles = np.zeros(latencies.size, dtype=np.int64)
+            instructions = np.zeros(latencies.size, dtype=np.int64)
+            for core in range(latencies.size):
+                mine = chunk.core == core
+                elapsed = np.cumsum(step[mine])
+                clocks[mine] = elapsed - step[mine] + ahead[mine]
+                if elapsed.size:
+                    cycles[core] = elapsed[-1]
+                    instructions[core] = executed[mine].sum()
+            return clocks, cycles, instructions
+
+        rng = np.random.default_rng(cores)
+        chunk = next(iter(make_workload("oltp", seed=3, num_cores=cores).chunks(
+            accesses_per_core=700
+        )))
+        skewed = EventChunk(
+            chunk.core, chunk.address, chunk.is_write, chunk.sharing,
+            rng.integers(-5, 20, len(chunk)), rng.integers(-2, 6, len(chunk)),
+        )
+        for events in (chunk, skewed):
+            for piece in (events, events[5:6], events[10:74], events[0:0]):
+                for latencies in (np.full(cores, 3), rng.integers(0, 4, cores)):
+                    want = by_core(piece, latencies)
+                    got = _chunk_clocks(piece, latencies)
+                    for column, expected in zip(got, want):
+                        assert column.dtype == expected.dtype
+                        assert np.array_equal(column, expected)
 
     def test_deferred_event_is_a_named_error(self):
         """An armed race defers a snoop past its transaction.  The plain
