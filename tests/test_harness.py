@@ -229,18 +229,22 @@ def test_delay_xbar_perturbs_latency_only():
 
 
 def test_timestamp_monotonic_violation(tmp_path):
-    """Rewinding a core clock (the old reset_stats bug) is caught."""
-    system = fresh_system("private")
-    runner_config = HarnessConfig(dump_path=str(tmp_path / "mono.trace"))
-    events = iter(oltp_events(200, seed=3))
-    from repro.harness import HarnessRunner
-
-    runner = HarnessRunner(system, runner_config)
-    runner.run(itertools.islice(events, 100))
-    system.cores[0].cycles -= 50
-    with pytest.raises(InvariantViolation) as caught:
+    """Rewinding a core clock (the old reset_stats bug) is caught at the
+    first event of the next run, naming the rewound core, whether or
+    not that event steps it (event 101 steps core 0)."""
+    for rewound in (0, 1):
+        system = fresh_system("private")
+        runner_config = HarnessConfig(dump_path=str(tmp_path / "mono.trace"))
+        events = iter(oltp_events(200, seed=3))
+        runner = HarnessRunner(system, runner_config)
         runner.run(itertools.islice(events, 100))
-    assert caught.value.invariant == "timestamp-monotonic"
+        system.cores[rewound].cycles -= 50
+        with pytest.raises(InvariantViolation) as caught:
+            runner.run(itertools.islice(events, 100))
+        violation = caught.value
+        assert violation.invariant == "timestamp-monotonic"
+        assert violation.access_index == 101
+        assert violation.cores == (rewound,)
 
 
 # ----------------------------------------------------------------------
