@@ -175,10 +175,7 @@ class SetAssociativeArray:
 
     def block_address(self, set_index: int, entry: Entry) -> int:
         """Reconstruct the block address stored in ``entry``."""
-        geo = self.geometry
-        return (entry.tag << (geo.offset_bits + geo.index_bits)) | (
-            set_index << geo.offset_bits
-        )
+        return (entry.tag << self._tag_shift) | (set_index << self._offset_bits)
 
     @property
     def occupancy(self) -> int:

@@ -157,14 +157,18 @@ class FaultInjector:
     def exhausted(self) -> bool:
         return not self._pending
 
-    def maybe_inject(self, system, index: int) -> None:
-        """Apply every fault scheduled at or before event ``index``."""
+    def maybe_inject(self, system, index: int) -> bool:
+        """Apply every fault scheduled at or before event ``index``;
+        returns whether any of them found a target."""
+        applied = False
         while self._pending and self._pending[0].at_index <= index:
             spec = self._pending.pop(0)
             record = self._apply(system, spec)
             self.log.append(record)
+            applied = applied or record.data["applied"]
             if system.tracer.enabled:
                 system.tracer.emit_event(record)
+        return applied
 
     # ------------------------------------------------------------------
 

@@ -52,6 +52,7 @@ from repro.cpu.system import EventChunk, TimedAccess, split_chunks, timed_events
 from repro.harness.checkpoint import bus_model_of, save_checkpoint
 from repro.harness.faults import FaultInjector, FaultSpec
 from repro.harness.invariants import (
+    CheckPlan,
     InvariantViolation,
     check_system,
     check_system_incremental,
@@ -137,12 +138,14 @@ class HarnessRunner:
         # Incremental checking: designs mark mutated entries; the check
         # rescans only those.  ``check_full`` keeps the old behaviour.
         self._dirty: "Optional[DirtySet]" = None
+        self._plan: "Optional[CheckPlan]" = None
         if self.config.check_every and not self.config.check_full:
             self._dirty = getattr(system.design, "dirty_set", None) or DirtySet()
             system.design.dirty_set = self._dirty
             # The first check has no marking history for pre-existing
             # state (warm caches, resumed checkpoints): scan fully once.
             self._dirty.mark_all()
+            self._plan = CheckPlan(system)
 
     # ------------------------------------------------------------------
 
@@ -158,14 +161,20 @@ class HarnessRunner:
         system = self.system
         index = self.event_index
         window = self._window
+        injector = self.injector
+        # A step moves only its own core's clock.  Every clock is
+        # compared after the first event (it may have moved between
+        # runs) and after a fault; _boundary adds each check boundary.
+        every_clock = True
         try:
             for event in events:
-                if self.injector is not None:
-                    self.injector.maybe_inject(system, index)
+                if injector is not None and injector.maybe_inject(system, index):
+                    every_clock = True
                 window.append(event)
                 system.step(event)
                 index += 1
-                self._boundary(index)
+                self._boundary(index, None if every_clock else event.access.core)
+                every_clock = False
         except (InvariantViolation, WatchdogTimeout) as error:
             self._report(error, index)
             raise
@@ -268,15 +277,16 @@ class HarnessRunner:
             raise
         self._window.extend(piece[-WINDOW_EVENTS:].timed())
 
-    def _boundary(self, index: int) -> None:
+    def _boundary(self, index: int, core: "Optional[int]" = None) -> None:
         """The harness's work once ``index`` events have run, in order:
-        advance the index, compare each core's clock with its
-        watermark, run the check and the checkpoint due at ``index``,
-        then read the watchdog deadline."""
+        advance the index, compare clocks with their watermarks (only
+        ``core``'s, if given and no check is due), run the check and the
+        checkpoint due at ``index``, then read the watchdog deadline."""
         self.event_index = index
-        self._check_monotonic(index)
         check_every = self.config.check_every
-        if check_every and index % check_every == 0:
+        checking = check_every and index % check_every == 0
+        self._check_monotonic(index, None if checking else core)
+        if checking:
             if self.profiler is not None:
                 with self.profiler.section("invariant-check"):
                     self._check(index)
@@ -320,22 +330,28 @@ class HarnessRunner:
     def _check(self, index: int) -> None:
         """One paranoid-mode invariant check (incremental by default)."""
         if self._dirty is not None:
-            check_system_incremental(self.system, self._dirty, access_index=index)
+            check_system_incremental(
+                self.system, self._dirty, access_index=index, plan=self._plan
+            )
         else:
             check_system(self.system, access_index=index)
 
-    def _check_monotonic(self, index: int) -> None:
-        """Per-core cycle counts form the model's clock; enforce order."""
-        for core_id, core in enumerate(self.system.cores):
-            if core.cycles < self._cycle_watermarks[core_id]:
+    def _check_monotonic(self, index: int, core: "Optional[int]" = None) -> None:
+        """Per-core cycle counts form the model's clock; enforce order
+        for ``core``'s clock, or every core's when None."""
+        cores = self.system.cores
+        watermarks = self._cycle_watermarks
+        for core_id in range(len(cores)) if core is None else (core,):
+            cycles = cores[core_id].cycles
+            if cycles < watermarks[core_id]:
                 raise InvariantViolation(
                     "timestamp-monotonic",
                     f"core {core_id} cycles went backwards "
-                    f"({self._cycle_watermarks[core_id]} -> {core.cycles})",
+                    f"({watermarks[core_id]} -> {cycles})",
                     access_index=index,
                     cores=(core_id,),
                 )
-            self._cycle_watermarks[core_id] = core.cycles
+            watermarks[core_id] = cycles
 
     # ------------------------------------------------------------------
 
