@@ -16,8 +16,9 @@ expect the relative numbers to sharpen with longer traces.
 Set ``REPRO_CHECK_INVARIANTS=N`` to run the model invariant checker
 every N accesses (paranoid mode) — CI uses this as a smoke test that
 every design stays structurally legal under real traffic.  Set
-``REPRO_BUS_MODEL=eventq`` to attach an event queue to every design's
-interconnect (bit-identical results by construction).
+``REPRO_BUS_MODEL=mesh`` to run every design on the 2D mesh NoC
+(bit-identical to the bus at 4 cores); ``atomic``, the default, is
+the paper's bus, and the old name ``eventq`` reads as ``atomic``.
 
 Observability (applied to the cmp-nurapid run only, so the other
 designs stay untouched baselines):

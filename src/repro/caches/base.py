@@ -146,12 +146,14 @@ class SetAssociativeArray:
     def valid_entries(self) -> "Iterator[tuple[int, int, Entry]]":
         # Inlined (no property indirection): the invariant checker
         # calls this on every array per check, so paranoid-mode runs
-        # execute this loop hundreds of millions of times.
+        # execute this loop hundreds of millions of times.  Sets fill
+        # on first use, so never-filled (empty) sets are skipped.
         invalid = CoherenceState.INVALID
         for set_index, entries in enumerate(self._sets):
-            for way, entry in enumerate(entries):
-                if entry.state is not invalid:
-                    yield set_index, way, entry
+            if entries:
+                for way, entry in enumerate(entries):
+                    if entry.state is not invalid:
+                        yield set_index, way, entry
 
     def entry_at(self, set_index: int, way: int) -> Entry:
         """The entry at ``(set_index, way)``, creating the ways up to it.

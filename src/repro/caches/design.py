@@ -7,6 +7,7 @@ from typing import Callable, Optional
 
 from repro.common.stats import AccessStats
 from repro.common.types import Access, AccessResult, block_address
+from repro.interconnect.eventq import EventQueue
 from repro.obs import events as ev
 from repro.obs.tracer import NO_TRACE
 
@@ -26,9 +27,6 @@ class L2Design(abc.ABC):
     #: Human-readable design name used in reports.
     name: str = "l2"
 
-    #: Interconnect event queue (set by ``attach_eventq``; class-level
-    #: default keeps old checkpoints loadable).
-    queue = None
     #: :class:`~repro.common.dirty.DirtySet` for incremental invariant
     #: checking, attached by the harness; None disables marking.
     dirty_set = None
@@ -36,6 +34,9 @@ class L2Design(abc.ABC):
     def __init__(self, block_size: int) -> None:
         self.block_size = block_size
         self.stats = AccessStats()
+        #: Event queue for the race faults' deferred deliveries, shared
+        #: by the design's bus, crossbar and mesh NoC.
+        self.queue = EventQueue()
         self._l1_invalidate: "Optional[L1InvalidateHook]" = None
         #: Issuing core's cycle count for the current access — a
         #: virtual clock for optional contention models.

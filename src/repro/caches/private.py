@@ -99,7 +99,9 @@ class PrivateCaches(L2Design):
         super().__init__(self.params.geometry.block_size)
         self.num_cores = num_cores
         self.memory_latency = memory_latency
-        self.bus = SnoopBus(latency=bus_latency, occupancy=bus_occupancy)
+        self.bus = SnoopBus(
+            latency=bus_latency, occupancy=bus_occupancy, queue=self.queue
+        )
         self.reuse = ReuseStats()
         self.counters = PrivateCacheCounters()
         self.controllers = [
@@ -113,12 +115,7 @@ class PrivateCaches(L2Design):
         super().reset_stats()
         self.reuse = ReuseStats()
         self.counters = PrivateCacheCounters()
-        reset = getattr(self.bus, "reset_stats", None)
-        if reset is not None:  # mesh backend: also clears hop counters
-            reset()
-        else:
-            self.bus.stats = type(self.bus.stats)()
-            self.bus._busy_until = 0
+        self.bus.reset_stats()
 
     def _access(self, access: Access) -> AccessResult:
         controller = self.controllers[access.core]

@@ -8,8 +8,8 @@ Drives the library without writing Python::
     python -m repro.cli run --checkpoint run.ck --checkpoint-every 50000
     python -m repro.cli run --resume run.ck
     python -m repro.cli run --inject-fault flip-pointer@1000
-    python -m repro.cli run --design private --bus-model eventq
-    python -m repro.cli run --bus-model eventq --inject-fault race-reorder@500
+    python -m repro.cli run --design private --bus-model mesh
+    python -m repro.cli run --design private --inject-fault race-reorder@500
     python -m repro.cli run --trace out.jsonl --metrics m.json --metrics-every 10k
     python -m repro.cli run --profile
     python -m repro.cli experiment fig10 --quick
@@ -229,10 +229,11 @@ def _validate_run_args(args) -> None:
         if spec.split("@", 1)[0] in RACE_FAULT_KINDS
     ]
     if race_kinds and not args.resume:
-        if resolve_bus_model(args.bus_model) != "eventq":
+        if resolve_bus_model(args.bus_model) == "mesh":
             raise CliError(
                 f"race faults ({', '.join(sorted(set(race_kinds)))}) perturb "
-                "the event schedule and need '--bus-model eventq'"
+                "the bus's event schedule and are not supported on the "
+                "mesh NoC (--bus-model mesh)"
             )
 
 
@@ -725,7 +726,7 @@ def cmd_trace_run(args) -> int:
     on the default 4-core machine and ``REPRO_BUS_MODEL``'s backend.
     """
     try:
-        machine = tracefile.read_machine(args.trace, BUS_MODELS)
+        machine = tracefile.read_machine(args.trace, resolve_bus_model)
         num_cores, bus_model = machine or (None, None)
         try:
             design = build_design(
@@ -880,9 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--bus-model",
         choices=BUS_MODELS,
-        help="interconnect backend: atomic (default), eventq (atomic "
-        "plus the event queue that race faults need; bit-identical to "
-        "atomic) or mesh (2D mesh NoC with directory coherence)",
+        help="interconnect backend: atomic (default; the paper's snoopy "
+        "bus) or mesh (2D mesh NoC with directory coherence)",
     )
     _add_workload_options(run_parser)
     _add_obs_options(run_parser)

@@ -96,15 +96,15 @@ class NurapidCache(L2Design):
 
     name = "cmp-nurapid"
 
-    #: Armed by the harness's ``race-delay-repl`` fault (sticky; needs
-    #: an event queue): the next shared-frame eviction frees the frame
-    #: *before* its BusRepl invalidations deliver, leaving stale tag
-    #: pointers naming a dead frame until the deferred delivery fires.
+    #: Armed by the harness's ``race-delay-repl`` fault (sticky): the
+    #: next shared-frame eviction frees the frame *before* its BusRepl
+    #: invalidations deliver, leaving stale tag pointers naming a dead
+    #: frame until the deferred delivery fires.
     race_delay_repl = False
     #: Human-readable description of the last delayed BusRepl race.
     last_race = None
     #: Mesh NoC set by :func:`repro.interconnect.mesh.attach_mesh`
-    #: (``--bus-model mesh``); None under the bus backends.  When
+    #: (``--bus-model mesh``); None on the bus.  When
     #: attached, sharer enumeration routes through its directory, the
     #: tag install/invalidate chokepoints keep the sharer vectors
     #: current, and invalidations deliver as hop-timed mesh messages.
@@ -138,7 +138,7 @@ class NurapidCache(L2Design):
             TagArray(core, self.params.tag_geometry) for core in range(self.num_cores)
         ]
         self.data = DataArray(self.params.num_dgroups, self.params.frames_per_dgroup)
-        self.crossbar = Crossbar(self.params.dgroup_latencies)
+        self.crossbar = Crossbar(self.params.dgroup_latencies, queue=self.queue)
         self.bus_stats = BusStats()
         self.dgroup_stats = DgroupStats()
         self.counters = NurapidCounters()
@@ -269,7 +269,7 @@ class NurapidCache(L2Design):
         if shared:
             self.counters.shared_evictions += 1
             self._record_bus(BusOp.BUS_REPL, address=address)
-            if self.race_delay_repl and self.queue is not None:
+            if self.race_delay_repl:
                 # Injected race: the frame dies now, but the BusRepl
                 # invalidations deliver late — sharers keep forward
                 # pointers into a freed (soon re-occupied) frame.
@@ -283,7 +283,7 @@ class NurapidCache(L2Design):
                     self._deliver_bus_repl, (address, ptr),
                     label="bus-repl-late",
                 )
-            elif self.noc is not None and self.queue is not None:
+            elif self.noc is not None:
                 # Mesh backend: BusRepl invalidations are hop-timed
                 # forwards from the home bank (all applied before the
                 # frame is freed below, same as the broadcast's sweep).
@@ -570,7 +570,7 @@ class NurapidCache(L2Design):
             for core, entry in list(self._sharers(address))
             if core != keep_core
         ]
-        if self.noc is not None and self.queue is not None and victims:
+        if self.noc is not None and victims:
             # Mesh backend: the invalidations travel as hop-timed
             # forward messages from the home directory bank and apply
             # before this call returns.  Per-victim handling is

@@ -372,8 +372,8 @@ class CmpSystem:
         emitted before execution, so a trace already holds an access
         that blows up mid-protocol.
         """
-        queue = getattr(self.design, "queue", None)
-        if queue is not None and queue.pending:
+        queue = self.design.queue
+        if queue.pending:
             queue.run_until(max(core.cycles for core in self.cores))
         access = event.access
         core = self.cores[access.core]
@@ -440,8 +440,8 @@ class CmpSystem:
         if self.tracer.enabled or self.metrics is not None:
             self.run(timed_events(chunks))
             return
-        queue = getattr(self.design, "queue", None)
-        if queue is not None and queue.pending:
+        queue = self.design.queue
+        if queue.pending:
             raise DeferredEventError(queue.pending)
         # The accounting matches InOrderCore's execute_gap,
         # execute_colocated and execute_memory per event.  Only an L1
@@ -482,7 +482,7 @@ class CmpSystem:
                     stall = load_miss(Access(core_id, address, read, classes[sharing]))
                 if stall < 0:
                     raise _negative_stall(chunk, clocks, core_id, clock, stall)
-                if queue is not None and queue.pending:
+                if queue.pending:
                     raise DeferredEventError(queue.pending)
                 stalls[core_id] += stall
             for core, start, added, stalled, executed in zip(
@@ -501,16 +501,13 @@ class CmpSystem:
         """
         from repro.common import serialization
 
-        state = {
+        return {
             "params": serialization.params_state(self.params),
             "cores": [core.state_dict() for core in self.cores],
             "l1s": [l1.state_dict() for l1 in self.l1s],
             "design": self.design.state_dict(),
+            "eventq": self.design.queue.state_dict(),
         }
-        queue = getattr(self.design, "queue", None)
-        if queue is not None:
-            state["eventq"] = queue.state_dict()
-        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Inject a :meth:`state_dict` snapshot into this fresh system.
@@ -555,16 +552,10 @@ class CmpSystem:
             l1.load_state_dict(l1_state, f"system.l1s[{i}]")
         self.design.load_state_dict(require(state, "design", "system"), "design")
         self.design.set_l1_invalidate_hook(self._on_l2_invalidate)
-        queue = getattr(self.design, "queue", None)
+        queue = self.design.queue
         if "eventq" in state:
-            if queue is None:
-                raise StateDictError(
-                    "system.eventq",
-                    "snapshot carries event-queue state but this system was "
-                    "built with the atomic bus model",
-                )
             queue.load_state_dict(state["eventq"], "system.eventq")
-        elif queue is not None and queue.pending:
+        elif queue.pending:
             raise StateDictError(
                 "system.eventq", "fresh queue is not empty before restore"
             )

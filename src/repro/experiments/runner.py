@@ -69,13 +69,20 @@ _NURAPID_VARIANTS = {
 
 
 #: Recognized interconnect backends (``--bus-model`` / REPRO_BUS_MODEL).
-BUS_MODELS = ("atomic", "eventq", "mesh")
+BUS_MODELS = ("atomic", "mesh")
 
 
 def resolve_bus_model(bus_model: "Optional[str]" = None) -> str:
-    """Pick the interconnect backend: explicit arg, env, or atomic."""
+    """Pick the interconnect backend: explicit arg, env, or atomic.
+
+    ``eventq`` reads as ``atomic``: it named the atomic bus plus the
+    event queue every design now owns, and benchmark workloads, old
+    checkpoints, cell-golden keys and crash windows still carry it.
+    """
     if bus_model is None:
         bus_model = os.environ.get("REPRO_BUS_MODEL") or "atomic"
+    if bus_model == "eventq":
+        return "atomic"
     if bus_model not in BUS_MODELS:
         raise ValueError(
             f"unknown bus model {bus_model!r}; choose from {BUS_MODELS}"
@@ -139,13 +146,13 @@ def build_design(
     """Instantiate a design by its paper name.
 
     ``bus_model`` selects the interconnect backend: ``"atomic"`` (the
-    default), ``"eventq"`` (the same inline transactions with an event
-    queue attached for the race faults' deferred deliveries —
-    bit-identical to atomic), or ``"mesh"`` (2D mesh NoC + directory
-    coherence, bit-identical to the bus at 4 cores and zero occupancy —
-    the backend that scales).  None defers to the ``REPRO_BUS_MODEL``
-    environment variable, so CI can run whole suites under an alternate
-    backend unchanged.
+    default: the paper's snoopy bus) or ``"mesh"`` (2D mesh NoC +
+    directory coherence, bit-identical to the bus at 4 cores and zero
+    occupancy — the backend that scales); see :func:`resolve_bus_model`
+    for the legacy ``"eventq"``.  None defers to the
+    ``REPRO_BUS_MODEL`` environment variable, so CI can run whole
+    suites under an alternate backend unchanged.  Either way the
+    design owns one event queue, shared by its bus, crossbar and NoC.
 
     ``num_cores`` scales the parameterized designs to an N-tile machine
     (4/8/16/64 for square-ish meshes); None keeps the paper's 4-core
@@ -163,11 +170,7 @@ def build_design(
         design = _build_scaled(name, num_cores, resolved)
     else:
         design = DESIGN_FACTORIES[name](**kwargs)
-    if resolved == "eventq":
-        from repro.interconnect.eventq import attach_eventq
-
-        attach_eventq(design)
-    elif resolved == "mesh":
+    if resolved == "mesh":
         from repro.interconnect.mesh import attach_mesh
 
         attach_mesh(design)

@@ -10,7 +10,7 @@ that data plus identification fields::
 
     {"magic": "repro-checkpoint", "version": 2,
      "design": <DESIGN_FACTORIES name>,
-     "bus_model": "atomic"|"eventq"|"mesh",
+     "bus_model": "atomic"|"mesh",
      "seed": <workload seed or None>, "event_index": <int>,
      "meta": {...caller metadata...}, "state": {...state dicts...}}
 
@@ -22,6 +22,8 @@ snapshot.  The envelope is validated (magic, version, design name,
 bus model, seed, meta, array shapes) with precise
 :class:`CheckpointError` diagnostics naming the failing field.  Only
 :data:`FORMAT_VERSION` loads; any other version is a named error.
+``bus_model`` is read through ``resolve_bus_model``, so an old
+snapshot's ``eventq`` loads onto the atomic bus.
 
 Pending event-queue deferrals (the race faults' late deliveries) are
 encoded by *owner and method name* — e.g. ``("design",
@@ -106,9 +108,7 @@ def bus_model_of(design) -> str:
     """The ``--bus-model`` name of ``design``'s interconnect backend."""
     from repro.interconnect.mesh import mesh_noc
 
-    if mesh_noc(design) is not None:
-        return "mesh"
-    return "eventq" if getattr(design, "queue", None) is not None else "atomic"
+    return "mesh" if mesh_noc(design) is not None else "atomic"
 
 
 def _encode_action(system, event) -> "Tuple[str, str]":
@@ -264,11 +264,9 @@ def save_checkpoint(
     path = Path(path)
     temp = path.with_name(path.name + ".tmp")
     design = system.design
-    queue = getattr(design, "queue", None)
     try:
         state = system.state_dict()
-        if queue is not None:
-            state["eventq"]["events"] = _encode_pending_events(system)
+        state["eventq"]["events"] = _encode_pending_events(system)
     except StateDictError as error:
         raise CheckpointError(f"cannot snapshot system state: {error}") from None
     envelope = {
@@ -333,7 +331,7 @@ def _read_payload(path: Path) -> "Dict[str, Any]":
 
 
 def _validate_envelope(payload: "Dict[str, Any]", path: Path) -> None:
-    from repro.experiments.runner import BUS_MODELS, DESIGN_FACTORIES
+    from repro.experiments.runner import DESIGN_FACTORIES, resolve_bus_model
 
     design = payload.get("design")
     if not isinstance(design, str) or design not in DESIGN_FACTORIES:
@@ -342,11 +340,14 @@ def _validate_envelope(payload: "Dict[str, Any]", path: Path) -> None:
             f"designs: {sorted(DESIGN_FACTORIES)}"
         )
     bus_model = payload.get("bus_model")
-    if bus_model not in BUS_MODELS:
+    try:
+        if not isinstance(bus_model, str):
+            raise ValueError("not a bus model name")
+        resolve_bus_model(bus_model)
+    except ValueError as error:
         raise CheckpointError(
-            f"checkpoint {path} field 'bus_model' is {bus_model!r}; "
-            f"expected one of {BUS_MODELS}"
-        )
+            f"checkpoint {path} field 'bus_model' is {bus_model!r}: {error}"
+        ) from None
     seed = payload.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise CheckpointError(

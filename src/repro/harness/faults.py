@@ -36,9 +36,8 @@ access.  These model the paper's "random perturbations in memory
 system timing" and double-counting bugs; they leave the model legal,
 so detection is by comparing statistics against a fault-free run.
 
-Protocol race faults (require the ``eventq`` bus model, whose event
-queue holds the deferred deliveries; perturb the event *schedule*,
-never state directly):
+Protocol race faults (perturb the event *schedule*, never state
+directly; the late deliveries wait on the design's event queue):
 
 =====================  ================================================
 ``race-reorder``        a bus grant is reordered: one holder's snoop of
@@ -57,7 +56,9 @@ never state directly):
 Race faults are *sticky*: arming happens at the scheduled event index,
 and the perturbation applies to the next eligible transaction.  The
 victim choice draws from the event queue's seeded stream, so a race run
-reproduces exactly from (spec, seed).
+reproduces exactly from (spec, seed).  The two bus races need the
+snoopy bus: the mesh never consumes them, and the CLI refuses them
+under ``--bus-model mesh``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ FAULT_KINDS = (
     "race-stale-snoop",
 )
 
-#: The protocol race subset (only valid with the ``eventq`` bus model).
+#: The protocol race subset (the bus races are refused on the mesh).
 RACE_FAULT_KINDS = ("race-reorder", "race-delay-repl", "race-stale-snoop")
 
 
@@ -360,7 +361,7 @@ class FaultInjector:
 
     def _arm_bus_race(self, system, kind: str) -> "Optional[str]":
         bus = self._bus(system)
-        if bus is None or getattr(bus, "queue", None) is None:
+        if bus is None:
             return None
         bus.race_pending = kind
         return (
@@ -376,7 +377,7 @@ class FaultInjector:
 
     def _fault_race_delay_repl(self, system) -> "Optional[str]":
         cache = self._nurapid(system)
-        if cache is None or cache.queue is None:
+        if cache is None:
             return None
         cache.race_delay_repl = True
         return (

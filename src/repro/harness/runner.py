@@ -220,9 +220,8 @@ class HarnessRunner:
         """
         system = self.system
         design = system.design
-        queue = getattr(design, "queue", None)
         race = (
-            (queue is not None and queue.pending)
+            design.queue.pending
             or getattr(getattr(design, "bus", None), "race_pending", None)
             or getattr(design, "race_delay_repl", False)
         )

@@ -9,7 +9,7 @@ from repro.interconnect.bus import (
     Snooper,
 )
 from repro.interconnect.crossbar import Crossbar
-from repro.interconnect.eventq import EventQueue, ScheduledEvent, attach_eventq
+from repro.interconnect.eventq import EventQueue, ScheduledEvent
 
 __all__ = [
     "BusOp",
@@ -21,5 +21,4 @@ __all__ = [
     "SnoopBus",
     "SnoopReply",
     "Snooper",
-    "attach_eventq",
 ]

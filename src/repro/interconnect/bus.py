@@ -11,19 +11,17 @@ All designs that use the bus charge Table 1's 32-cycle latency per
 transaction; per the paper we ignore additional arbitration overheads,
 which is conservative *against* CMP-NuRAPID's competitors.
 
-A transaction runs inline on every backend: ``issue`` snoops every
-other agent in attach order and returns the aggregated reply.  With an
-event queue attached (``queue`` set, normally via
-:func:`repro.interconnect.eventq.attach_eventq`), the snoops apply at
-the transaction's grant cycle, after the queue fires every deferred
+A transaction runs inline: ``issue`` snoops every other agent in
+attach order and returns the aggregated reply.  The snoops apply at the
+transaction's grant cycle, after the bus's event queue (its design's
+:attr:`~repro.caches.design.L2Design.queue`) fires every deferred
 delivery due by then, and the queue runs up to the completion cycle
-before ``issue`` returns.  The harness's protocol *race* faults need
-that queue: ``race-reorder`` defers the victim's snoop past
-completion onto it, and ``race-stale-snoop`` drops the victim's reply
-from the aggregation — corruptions of event ordering, not of state.
-With a tracer attached and non-zero occupancy, the queue-backed bus
-also records the ``grant`` and ``complete`` phases of each
-transaction.
+before ``issue`` returns.  The harness's protocol *race* faults use
+that queue: ``race-reorder`` defers the victim's snoop past completion
+onto it, and ``race-stale-snoop`` drops the victim's reply from the
+aggregation — corruptions of event ordering, not of state.  With a
+tracer attached and non-zero occupancy, the bus also records the
+``grant`` and ``complete`` phases of each transaction.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from repro.common.stats import BusStats
+from repro.interconnect.eventq import EventQueue
 from repro.obs import events as ev
 from repro.obs.tracer import NO_TRACE
 
@@ -121,13 +120,12 @@ class SnoopBus:
     #: Structured event tracer (disabled by default); the system routes
     #: its tracer here so bus broadcasts appear in recorded traces.
     tracer: "object" = NO_TRACE
-    #: Event queue holding the race faults' deferred deliveries (None
-    #: on the atomic backend).
-    queue: "Optional[object]" = None
+    #: Event queue holding the race faults' deferred deliveries; a
+    #: design passes its own, a bus built alone gets a fresh one.
+    queue: EventQueue = field(default_factory=EventQueue)
     #: Armed race fault (one of :data:`BUS_RACE_KINDS`); *sticky* — it
     #: stays armed until an eligible transaction consumes it, so a race
-    #: scheduled at an arbitrary event index still lands.  Requires the
-    #: eventq backend.
+    #: scheduled at an arbitrary event index still lands.
     race_pending: "Optional[str]" = None
     #: Human-readable description of the last race actually applied.
     last_race: "Optional[str]" = None
@@ -143,6 +141,11 @@ class SnoopBus:
     @property
     def num_agents(self) -> int:
         return len(self._snoopers)
+
+    def reset_stats(self) -> None:
+        """Clear the transaction counts and the contention clock."""
+        self.stats = BusStats()
+        self._busy_until = 0
 
     def issue(self, txn: BusTransaction, now: int = 0) -> BusResult:
         """Broadcast ``txn``; every *other* agent snoops it.
@@ -174,21 +177,20 @@ class SnoopBus:
             # invalidation happens, which the invariant checker must
             # flag as an exclusivity violation downstream.
             return result
+        # Snoops apply at the grant, after every deferred delivery due
+        # by then; the transaction completes at ``done``.  (A
+        # conditional, not max(): this runs on every transaction.)
         queue = self.queue
-        victim = None
-        if queue is not None:
-            # Snoops apply at the grant, after every deferred delivery
-            # due by then; the transaction completes at ``done``.
-            start = max(now, queue.now)
-            grant = start + wait
-            done = start + latency
-            victim = self._race_victim(txn) if self.race_pending else None
-            trace_phases = self.tracer.enabled and self.occupancy
-            if trace_phases:
-                # The grant record precedes deliveries due at its cycle.
-                queue.run_until(grant - 1)
-                self._trace_phase(self.tracer, txn, "grant", grant)
-            queue.run_until(grant)
+        start = now if now > queue.now else queue.now
+        grant = start + wait
+        done = start + latency
+        victim = self._race_victim(txn) if self.race_pending else None
+        trace_phases = self.tracer.enabled and self.occupancy
+        if trace_phases:
+            # The grant record precedes deliveries due at its cycle.
+            queue.run_until(grant - 1)
+            self._trace_phase(self.tracer, txn, "grant", grant)
+        queue.run_until(grant)
         for core, snooper in self._snoopers:
             if core == txn.issuer:
                 continue
@@ -217,10 +219,9 @@ class SnoopBus:
             for core, snooper in self._snoopers:
                 if core != txn.issuer:
                     self._collect(result, core, snooper.snoop(txn))
-        if queue is not None:
-            queue.run_until(done)
-            if trace_phases:
-                self._trace_phase(self.tracer, txn, "complete", done)
+        queue.run_until(done)
+        if trace_phases:
+            self._trace_phase(self.tracer, txn, "complete", done)
         return result
 
     # ------------------------------------------------------------------
@@ -312,7 +313,7 @@ class SnoopBus:
           victim (downgraded on time) keeps its copy.
         """
         kind = self.race_pending
-        if kind not in BUS_RACE_KINDS or self.queue is None:
+        if kind not in BUS_RACE_KINDS:
             return None
         holders = self._holders(txn)
         if not holders:

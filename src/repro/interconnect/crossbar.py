@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+
+from repro.interconnect.eventq import EventQueue
 
 
 @dataclass
@@ -29,11 +30,11 @@ class Crossbar:
     #: Extra cycles per access, armed by the harness's ``delay-xbar``
     #: fault to model a degraded interconnect (0 in normal operation).
     fault_extra_latency: int = 0
-    #: Event queue holding the race faults' deferred deliveries (None
-    #: on the atomic backend).  With a queue attached, each access runs
-    #: it up to the data's return, so a delivery due by then fires
+    #: Event queue holding the race faults' deferred deliveries (the
+    #: design's; a crossbar built alone gets a fresh one).  Each access
+    #: runs it up to the data's return, so a delivery due by then fires
     #: first.
-    queue: "Optional[object]" = None
+    queue: EventQueue = field(default_factory=EventQueue)
 
     @property
     def num_cores(self) -> int:
@@ -52,8 +53,8 @@ class Crossbar:
         self.traffic[(core, dgroup)] += 1
         latency = self.dgroup_latencies[core][dgroup] + self.fault_extra_latency
         queue = self.queue
-        if queue is not None:
-            queue.run_until(max(now, queue.now) + latency)
+        # A conditional, not max(): this runs on every d-group access.
+        queue.run_until((now if now > queue.now else queue.now) + latency)
         return latency
 
     def state_dict(self) -> dict:

@@ -1,14 +1,17 @@
 """Deterministic event queue for the interconnect's deferred deliveries.
 
-Interconnect transactions run inline on every backend: a bus snoop, a
+Every L2 design owns one :class:`EventQueue` (``design.queue``, created
+by :class:`~repro.caches.design.L2Design`), shared by its bus, crossbar
+and mesh NoC.  Interconnect transactions run inline: a bus snoop, a
 mesh forward, a crossbar data phase or a NuRAPID invalidation applies
-inside the call that issues it.  The :class:`EventQueue` holds only
-what outlives that call — the harness's race faults' two deferred
-deliveries (``race-reorder``'s late snoop and ``race-delay-repl``'s
-late ``BusRepl``).  Transactions still call :meth:`EventQueue.run_until`
-before each delivery due at cycle ``t``, so a pending deferral fires
-at its place in simulated time, and :attr:`EventQueue.now` follows
-the transactions' cycles.
+inside the call that issues it.  The queue holds only what outlives
+that call — the harness's race faults' two deferred deliveries
+(``race-reorder``'s late snoop and ``race-delay-repl``'s late
+``BusRepl``), so it stays empty unless a race fault is armed.
+Transactions still call :meth:`EventQueue.run_until` before each
+delivery due at cycle ``t``, so a pending deferral fires at its place
+in simulated time, and :attr:`EventQueue.now` follows the
+transactions' cycles.
 
 Events fire in ``(time, seq)`` order: by time, and in schedule order
 among equal times.  An event scheduled in the past (component virtual
@@ -22,7 +25,9 @@ taken with a pending deferred event resumes exactly.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.rng import DEFAULT_SEED, stream
 
@@ -62,14 +67,20 @@ class EventQueue:
         self.seed = seed
         self.now = 0
         self.fired = 0
-        self.rng = stream("interconnect.eventq", seed)
+        #: Events scheduled but not yet fired (an attribute, not a
+        #: property: the columnar run loop reads it after every L2 access).
+        self.pending = 0
+        self._rng: "Optional[np.random.Generator]" = None
         self._seq = 0
         self._heap: "List[Tuple[int, int, ScheduledEvent]]" = []
 
     @property
-    def pending(self) -> int:
-        """Events scheduled but not yet fired."""
-        return len(self._heap)
+    def rng(self) -> "np.random.Generator":
+        """The race faults' victim stream, seeded on first use (every
+        design builds a queue; only race faults draw from it)."""
+        if self._rng is None:
+            self._rng = stream("interconnect.eventq", self.seed)
+        return self._rng
 
     def at(
         self,
@@ -98,6 +109,7 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0][0] <= time:
             event = heapq.heappop(heap)[2]
+            self.pending -= 1
             if event.time > self.now:
                 self.now = event.time
             self.fired += 1
@@ -154,6 +166,7 @@ class EventQueue:
         """
         event = ScheduledEvent(time, seq, action, args, label)
         heapq.heappush(self._heap, (time, seq, event))
+        self.pending += 1
         return event
 
     def pending_events(self) -> "List[ScheduledEvent]":
@@ -161,21 +174,4 @@ class EventQueue:
         return [item[2] for item in sorted(self._heap)]
 
 
-def attach_eventq(design, seed: int = DEFAULT_SEED) -> EventQueue:
-    """Attach a fresh event queue to ``design`` and its interconnect.
-
-    Sets ``design.queue`` and shares the queue with the design's bus,
-    crossbar and mesh NoC when present (attribute-probed, so any L2
-    design — including ones without an interconnect — accepts it).
-    Returns the queue.
-    """
-    queue = EventQueue(seed=seed)
-    design.queue = queue
-    for name in ("bus", "crossbar", "noc"):
-        component = getattr(design, name, None)
-        if component is not None and hasattr(component, "queue"):
-            component.queue = queue
-    return queue
-
-
-__all__ = ["EventQueue", "ScheduledEvent", "attach_eventq"]
+__all__ = ["EventQueue", "ScheduledEvent"]

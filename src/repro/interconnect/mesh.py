@@ -34,11 +34,10 @@ equivalence exact.
 **Execution.**  A transaction runs inline, like the bus's: the
 directory's forwards reach their sharers in arrival order (hop-timed
 along each XY route) inside :meth:`MeshNoC.issue`, so the synchronous
-design API is unchanged.  ``build_design`` always pairs the mesh with
-an event queue; each forward then applies after every deferred
-delivery due by its cycle.  Race faults are a bus-schedule concept and
-are not supported here (the CLI rejects ``--inject-fault race-*
---bus-model mesh``).
+design API is unchanged.  The NoC shares its design's event queue, and
+each forward applies after every deferred delivery due by its cycle.
+The bus race faults are a bus-schedule concept the mesh never consumes
+(the CLI rejects ``--inject-fault race-* --bus-model mesh``).
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.directory import Directory
 from repro.common.params import DEFAULT_NUM_CORES
-from repro.common.rng import DEFAULT_SEED
 from repro.common.stats import BusStats
 from repro.interconnect.bus import BusResult, BusTransaction, SnoopBus, Snooper
+from repro.interconnect.eventq import EventQueue
 from repro.latency.tables import BUS_LATENCY, mesh_dims, mesh_hops
 from repro.obs import events as ev
 from repro.obs.tracer import NO_TRACE
@@ -148,10 +147,11 @@ class MeshNoC:
     """Mesh interconnect, drop-in for :class:`SnoopBus` on designs.
 
     Exposes the bus surface the designs and harness rely on —
-    ``attach``/``issue``/``stats``/``latency``/``queue``/``tracer``/
-    ``fault_next``/``_snoopers``/``_busy_until``/``state_dict`` — plus
-    the directory (:attr:`directory`), the replacement-hint channel
+    ``attach``/``issue``/``reset_stats``/``stats``/``latency``/
+    ``queue``/``tracer``/``fault_next``/``_snoopers``/``state_dict`` —
+    plus the directory (:attr:`directory`), the replacement-hint channel
     (:meth:`note_eviction`), and hop accounting (:attr:`mesh_stats`).
+    A NoC built without its design's ``queue`` gets a fresh one.
     """
 
     def __init__(
@@ -162,6 +162,7 @@ class MeshNoC:
         router_latency: int = MESH_ROUTER_LATENCY,
         link_occupancy: int = 0,
         router_occupancy: int = 0,
+        queue: "Optional[EventQueue]" = None,
     ) -> None:
         self.topology = MeshTopology(num_tiles)
         self.directory = Directory(num_tiles, block_size)
@@ -172,7 +173,7 @@ class MeshNoC:
         self.stats = BusStats()
         self.mesh_stats = MeshStats()
         self.tracer = NO_TRACE
-        self.queue = None
+        self.queue = queue or EventQueue()
         self.fault_next: "Optional[str]" = None
         # Race faults are bus-schedule perturbations; the mesh keeps the
         # attributes (harness/state-dict surface) but never consumes an
@@ -180,7 +181,6 @@ class MeshNoC:
         self.race_pending: "Optional[str]" = None
         self.last_race: "Optional[str]" = None
         self._snoopers: "List[Tuple[int, Snooper]]" = []
-        self._busy_until = 0
         self._link_busy: "Dict[Tuple[int, int], int]" = {}
         self._router_busy: "Dict[int, int]" = {}
 
@@ -222,7 +222,6 @@ class MeshNoC:
     def reset_stats(self) -> None:
         self.stats = BusStats()
         self.mesh_stats = MeshStats()
-        self._busy_until = 0
         self._link_busy.clear()
         self._router_busy.clear()
 
@@ -265,9 +264,9 @@ class MeshNoC:
             return result
         # Each forward leaves the home bank when the request arrives and
         # reaches its sharer ``reach`` cycles later; forwards apply in
-        # arrival order (a stable sort on that delay).  With a queue
-        # attached, each applies after every deferred delivery due by
-        # its cycle, and the queue runs up to the completion.
+        # arrival order (a stable sort on that delay), each after every
+        # deferred delivery due by its cycle, and the queue runs up to
+        # the completion.
         lookup = dict(self._snoopers)
         reach = {
             core: self.hop_latency * self.topology.hops(home, core)
@@ -275,33 +274,29 @@ class MeshNoC:
         }
         targets = [(core, lookup[core]) for core in holders if core in lookup]
         queue = self.queue
-        if queue is not None:
-            start = max(now, queue.now)
-            arrive = start + self.router_latency + self.hop_latency * (
-                self.topology.hops(txn.issuer, home)
-            )
-            trace_phases = self.tracer.enabled and self.occupancy
-            if trace_phases:
-                # The arrival record precedes deliveries due at its cycle.
-                queue.run_until(arrive - 1)
-                SnoopBus._trace_phase(self.tracer, txn, "home-arrive", arrive)
+        start = now if now > queue.now else queue.now
+        arrive = start + self.router_latency + self.hop_latency * (
+            self.topology.hops(txn.issuer, home)
+        )
+        trace_phases = self.tracer.enabled and self.occupancy
+        if trace_phases:
+            # The arrival record precedes deliveries due at its cycle.
+            queue.run_until(arrive - 1)
+            SnoopBus._trace_phase(self.tracer, txn, "home-arrive", arrive)
         for core, snooper in sorted(targets, key=lambda target: reach[target[0]]):
-            if queue is not None:
-                queue.run_until(arrive + reach[core])
+            queue.run_until(arrive + reach[core])
             SnoopBus._collect(result, core, snooper.snoop(txn))
         if fault == "dup":
             # A duplicated delivery re-snoops every sharer after the
             # supplier reset, all at the last forward's cycle and in
             # directory order, mirroring the bus's two-round semantics.
             result.supplier = None
-            if queue is not None:
-                queue.run_until(arrive + max(reach.values(), default=0))
+            queue.run_until(arrive + max(reach.values(), default=0))
             for core, snooper in targets:
                 SnoopBus._collect(result, core, snooper.snoop(txn))
-        if queue is not None:
-            queue.run_until(start + latency)
-            if trace_phases:
-                SnoopBus._trace_phase(self.tracer, txn, "complete", start + latency)
+        queue.run_until(start + latency)
+        if trace_phases:
+            SnoopBus._trace_phase(self.tracer, txn, "complete", start + latency)
         self.directory.apply(txn)
         return result
 
@@ -429,7 +424,6 @@ class MeshNoC:
             "fault_next": self.fault_next,
             "race_pending": self.race_pending,
             "last_race": self.last_race,
-            "busy_until": self._busy_until,
             "link_busy": {f"{a}->{b}": t for (a, b), t in self._link_busy.items()},
             "router_busy": dict(self._router_busy),
         }
@@ -462,7 +456,6 @@ class MeshNoC:
         self.fault_next = state.get("fault_next")
         self.race_pending = state.get("race_pending")
         self.last_race = state.get("last_race")
-        self._busy_until = int(serialization.require(state, "busy_until", path))
         self._link_busy = {}
         for key, time in serialization.require(state, "link_busy", path).items():
             a, _, b = str(key).partition("->")
@@ -490,8 +483,8 @@ def mesh_noc(design) -> "Optional[MeshNoC]":
     return None
 
 
-def attach_mesh(design, seed: int = DEFAULT_SEED, **noc_kwargs) -> MeshNoC:
-    """Rebase ``design`` onto a mesh NoC + directory + event queue.
+def attach_mesh(design, **noc_kwargs) -> MeshNoC:
+    """Rebase ``design`` onto a mesh NoC + directory.
 
     Designs with a snoopy bus (the private-cache family) get the NoC as
     a drop-in replacement for ``design.bus``, inheriting the attached
@@ -500,14 +493,13 @@ def attach_mesh(design, seed: int = DEFAULT_SEED, **noc_kwargs) -> MeshNoC:
     through the directory, its per-transaction bus latency becomes the
     mesh's diameter-calibrated constant, and its tag chokepoints keep
     the vectors current.  Designs with no interconnect role (shared /
-    ideal) carry an inert NoC so the backend is uniform.  Always ends
-    by attaching an event queue, as the eventq backend does.
+    ideal) carry an inert NoC so the backend is uniform.  The NoC
+    shares the design's event queue.
     """
-    from repro.interconnect.eventq import attach_eventq
-
     num_tiles = getattr(design, "num_cores", None) or DEFAULT_NUM_CORES
     noc = MeshNoC(
-        num_tiles, block_size=getattr(design, "block_size", 64), **noc_kwargs
+        num_tiles, block_size=getattr(design, "block_size", 64),
+        queue=design.queue, **noc_kwargs
     )
     bus = getattr(design, "bus", None)
     if bus is not None and hasattr(bus, "_snoopers"):
@@ -519,5 +511,4 @@ def attach_mesh(design, seed: int = DEFAULT_SEED, **noc_kwargs) -> MeshNoC:
         design.noc = noc
         if hasattr(design, "bus_latency"):
             design.bus_latency = noc.latency
-    attach_eventq(design, seed=seed)
     return noc

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.common.types import Access, AccessType
 from repro.cpu.system import TimedAccess
@@ -93,17 +93,19 @@ MACHINE_PREFIX = "# machine:"
 
 
 def read_machine(
-    source: PathOrFile, bus_models: "Sequence[str]"
+    source: PathOrFile, resolve: "Callable[[str], str]"
 ) -> "Optional[Tuple[int, str]]":
     """The ``(cores, bus_model)`` a trace's machine line names, or None.
 
-    Only the comment lines before the first event are searched.  A
-    machine line that does not read ``cores=<N> bus_model=<one of
-    bus_models>`` is a :class:`TraceFormatError` naming its line.
+    Only the comment lines before the first event are searched.  The
+    bus model is the one ``resolve`` maps the line's name to; a machine
+    line that does not read ``cores=<N> bus_model=<name>``, or whose
+    name ``resolve`` rejects with a :class:`ValueError`, is a
+    :class:`TraceFormatError` naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return read_machine(handle, bus_models)
+            return read_machine(handle, resolve)
     for line_number, line in enumerate(source, start=1):
         text = line.strip()
         if text and not text.startswith("#"):
@@ -115,15 +117,15 @@ def read_machine(
             for field in text[len(MACHINE_PREFIX):].split()
         )
         cores = fields.pop("cores", "")
-        bus_model = fields.pop("bus_model", None)
-        if fields or not cores.isdecimal() or int(cores) < 1 or (
-            bus_model not in bus_models
-        ):
+        bus_model = fields.pop("bus_model", "")
+        try:
+            if fields or not cores.isdecimal() or int(cores) < 1:
+                raise ValueError("expected 'cores=<N> bus_model=<name>'")
+            return int(cores), resolve(bus_model)
+        except ValueError as error:
             raise TraceFormatError(
-                f"line {line_number}: malformed machine line {text!r}; "
-                f"expected 'cores=<N> bus_model=<{'|'.join(bus_models)}>'"
-            )
-        return int(cores), bus_model
+                f"line {line_number}: malformed machine line {text!r}; {error}"
+            ) from None
     return None
 
 

@@ -15,6 +15,11 @@ uninterrupted, and records the final
 every committed fixture still loads under the current build and that
 resuming it reproduces the recorded fingerprint bit-identically.
 
+The two ``eventq`` cases run on the atomic bus: ``eventq`` named the
+bus plus an event queue, which every design now owns.  Their committed
+fixtures still say ``eventq`` in the envelope, which loads as atomic;
+a regenerated fixture says ``atomic`` under the same file name.
+
 Regenerate only when the *model* legitimately changes behaviour (the
 fixtures exist to catch accidental drift); commit the new fixtures and
 ``expected.json`` together.
@@ -40,7 +45,6 @@ from repro.common.params import (
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem
 from repro.harness.checkpoint import save_checkpoint
-from repro.interconnect.eventq import attach_eventq
 from repro.interconnect.mesh import attach_mesh
 from repro.workloads.multithreaded import make_workload
 
@@ -72,9 +76,7 @@ CASES = (
 
 def run_case(design_name, bus_model, workload_name, seed, accesses, cut):
     design = SMALL_DESIGNS[design_name]()
-    if bus_model == "eventq":
-        attach_eventq(design)
-    elif bus_model == "mesh":
+    if bus_model == "mesh":
         attach_mesh(design)
     system = CmpSystem(design, SMALL_L1)
     workload = make_workload(workload_name, seed=seed)

@@ -14,12 +14,14 @@ interconnect event queue's final ``now``, and the statistics
 three.  The queue's ``fired``/``seq`` counters are left out on
 purpose: they count scheduling work, not behaviour.
 
-The runs cover what an interconnect rewrite can move: the eventq bus
+The runs cover what an interconnect rewrite can move: the snoopy bus
 at occupancy 0 and 8 with a ``race-reorder`` deferral armed mid-run,
 the private mesh with link and router occupancy, CMP-NuRAPID's
-crossbar and late ``BusRepl`` on a small eventq machine
+crossbar and late ``BusRepl`` on a small machine
 (``race-delay-repl``), and a 16-core CMP-NuRAPID mesh run whose
-invalidations travel as hop-timed forwards.
+invalidations travel as hop-timed forwards.  The ``eventq`` in three
+run names is the retired name of the bus with an event queue, which
+every design now owns; the names stay as the corpus's keys.
 
 The occupancy-8 and occupancy-2 entries freeze today's contention
 model, which lets core clocks diverge (ROADMAP item 1).  Fixing that
@@ -46,7 +48,6 @@ from repro.common.params import (
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem
 from repro.experiments.runner import build_design
-from repro.interconnect.eventq import attach_eventq
 from repro.interconnect.mesh import attach_mesh
 from repro.obs.tracer import Tracer
 from repro.workloads.multithreaded import make_workload
@@ -72,10 +73,8 @@ class DigestSink:
         pass
 
 
-def _private_eventq(occupancy):
-    design = PrivateCaches(bus_occupancy=occupancy)
-    attach_eventq(design)
-    return design, None
+def _private_bus(occupancy):
+    return PrivateCaches(bus_occupancy=occupancy), None
 
 
 def _private_mesh():
@@ -84,11 +83,10 @@ def _private_mesh():
     return design, None
 
 
-def _small_nurapid_eventq():
+def _small_nurapid():
     design = NurapidCache(
         NurapidParams(dgroup_capacity_bytes=4 * KB, tag_associativity=2)
     )
-    attach_eventq(design)
     return design, SMALL_L1
 
 
@@ -113,14 +111,14 @@ def _last_race(design):
 #: name -> (build, workload, accesses per core, race arm, arm at event).
 RUNS = {
     "private-eventq-occ0-race-reorder": (
-        lambda: _private_eventq(0), "apache", 2000, _arm_reorder, 4000,
+        lambda: _private_bus(0), "apache", 2000, _arm_reorder, 4000,
     ),
     "private-eventq-occ8-race-reorder": (
-        lambda: _private_eventq(8), "apache", 2000, _arm_reorder, 4000,
+        lambda: _private_bus(8), "apache", 2000, _arm_reorder, 4000,
     ),
     "private-mesh-occ2": (_private_mesh, "oltp", 2000, None, None),
     "cmp-nurapid-eventq-small-race-delay-repl": (
-        _small_nurapid_eventq, "apache", 2000, _arm_delay_repl, 4000,
+        _small_nurapid, "apache", 2000, _arm_delay_repl, 4000,
     ),
     "cmp-nurapid-mesh-c16": (_nurapid_mesh_16, "oltp", 500, None, None),
 }

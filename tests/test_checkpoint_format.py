@@ -3,8 +3,8 @@
 Three contracts of :mod:`repro.harness.checkpoint`:
 
 * **round-trip** — save → load → resume equals the uninterrupted run
-  event-for-event (Hypothesis drives random design/workload/seed/cut/
-  bus-model combinations, including runs with a race fault armed);
+  event-for-event (Hypothesis drives random design/workload/seed/cut
+  combinations, including runs with a race fault armed);
 * **refactor survival** — a checkpoint references no internal classes,
   so it loads even after the design class is renamed;
 * **diagnostics** — every corruption mode (truncated tail, flipped
@@ -48,7 +48,6 @@ from repro.harness import (
     save_checkpoint,
 )
 from repro.interconnect.bus import BusOp
-from repro.interconnect.eventq import attach_eventq
 from repro.interconnect.mesh import attach_mesh
 from repro.obs.tracer import Tracer
 from repro.workloads.multithreaded import make_workload
@@ -68,10 +67,8 @@ SMALL_DESIGNS = {
 }
 
 
-def small_system(design_name, bus_model):
+def small_system(design_name):
     design = SMALL_DESIGNS[design_name]()
-    if bus_model == "eventq":
-        attach_eventq(design)
     return CmpSystem(design, SMALL_L1), design
 
 
@@ -82,10 +79,10 @@ def workload_events(name, seed, count):
     )
 
 
-def write_v2(tmp_path, design_name="cmp-nurapid", bus_model="eventq",
-             steps=200, name="fixture.ck"):
+def write_v2(tmp_path, design_name="cmp-nurapid", steps=200,
+             name="fixture.ck"):
     """A short prefix run saved as v2; returns (path, system, events)."""
-    system, _ = small_system(design_name, bus_model)
+    system, _ = small_system(design_name)
     events = workload_events("oltp", 9, 100)
     for event in events[:steps]:
         system.step(event)
@@ -95,9 +92,9 @@ def write_v2(tmp_path, design_name="cmp-nurapid", bus_model="eventq",
 
 
 def race_system():
-    """A private/eventq system stopped inside an open race window, so a
+    """A private system stopped inside an open race window, so a
     snapshot of it carries one pending deferred snoop delivery."""
-    system, design = small_system("private", "eventq")
+    system, design = small_system("private")
     system.step(TimedAccess(Access(0, 0x1000, AccessType.READ)))
     design.bus.race_pending = "race-reorder"
     system.step(TimedAccess(Access(1, 0x1000, AccessType.WRITE)))
@@ -121,23 +118,22 @@ def rewrite_v2(path, mutate):
     workload=st.sampled_from(["oltp", "apache"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     cut=st.integers(min_value=1, max_value=399),
-    bus_model=st.sampled_from(["atomic", "eventq"]),
     arm_race=st.booleans(),
 )
 def test_roundtrip_equals_uninterrupted_run(
-    tmp_path_factory, design_name, workload, seed, cut, bus_model, arm_race
+    tmp_path_factory, design_name, workload, seed, cut, arm_race
 ):
     """save → load → resume == never-interrupted, event for event.
 
-    When ``arm_race`` holds (eventq only), a race-reorder fault is
-    armed before the cut, so the checkpoint may carry the sticky arm,
-    the open race window, or a pending deferred snoop delivery —
-    resume must reproduce all three cases exactly.
+    When ``arm_race`` holds (private only), a race-reorder fault is
+    armed on the default bus before the cut, so the checkpoint may
+    carry the sticky arm, the open race window, or a pending deferred
+    snoop delivery — resume must reproduce all three cases exactly.
     """
     path = tmp_path_factory.mktemp("ck") / "round.ck"
-    system, design = small_system(design_name, bus_model)
+    system, design = small_system(design_name)
     events = workload_events(workload, seed, 100)
-    racing = arm_race and bus_model == "eventq" and design_name == "private"
+    racing = arm_race and design_name == "private"
     for index, event in enumerate(events[:cut]):
         if racing and index == cut // 2:
             design.bus.race_pending = "race-reorder"
@@ -150,12 +146,10 @@ def test_roundtrip_equals_uninterrupted_run(
         system.step(event)
         resumed.step(event)
     assert system.stats().fingerprint() == resumed.stats().fingerprint()
-    queue = getattr(design, "queue", None)
-    if queue is not None:
-        resumed_queue = resumed.design.queue
-        assert (queue.now, queue.fired, queue.pending) == (
-            resumed_queue.now, resumed_queue.fired, resumed_queue.pending
-        )
+    queue, resumed_queue = design.queue, resumed.design.queue
+    assert (queue.now, queue.fired, queue.pending) == (
+        resumed_queue.now, resumed_queue.fired, resumed_queue.pending
+    )
 
 
 def test_checkpoint_carries_pending_deferred_event(tmp_path):
@@ -186,16 +180,14 @@ def test_checkpoint_carries_pending_deferred_event(tmp_path):
 def contended_private(bus_model):
     """Private caches on a bus with occupancy 8 or a mesh with link
     occupancy 2: the settings that record phase trace records."""
-    if bus_model == "eventq":
-        design = PrivateCaches(bus_occupancy=8)
-        attach_eventq(design)
-    else:
-        design = PrivateCaches()
-        attach_mesh(design, link_occupancy=2)
+    if bus_model == "atomic":
+        return PrivateCaches(bus_occupancy=8)
+    design = PrivateCaches()
+    attach_mesh(design, link_occupancy=2)
     return design
 
 
-@pytest.mark.parametrize("bus_model", ["eventq", "mesh"])
+@pytest.mark.parametrize("bus_model", ["atomic", "mesh"])
 def test_tracing_does_not_change_checkpoints(tmp_path, bus_model):
     """A traced and an untraced run of one contended system snapshot to
     the same bytes: phase trace records never touch the model's event
@@ -209,6 +201,27 @@ def test_tracing_does_not_change_checkpoints(tmp_path, bus_model):
         blobs.append(path.read_bytes())
     assert tracer.emitted > 0
     assert blobs[0] == blobs[1]
+
+
+def test_new_snapshots_and_windows_name_the_atomic_bus(tmp_path, monkeypatch):
+    """``eventq`` is only ever read: a run that selects it through the
+    environment writes ``atomic`` into its checkpoint envelope, its
+    metadata and its crash window's machine line."""
+    monkeypatch.setenv("REPRO_BUS_MODEL", "eventq")
+    path = tmp_path / "race.ck"
+    code = cli_main([
+        "run", "--design", "private", "--accesses", "3000", "--warmup", "0",
+        "--check-invariants", "1", "--inject-fault", "race-reorder@100",
+        "--checkpoint", str(path), "--checkpoint-every", "50",
+    ])
+    assert code == 3
+    payload = pickle.loads(gzip.decompress(path.read_bytes()))
+    assert payload["bus_model"] == payload["meta"]["bus_model"] == "atomic"
+    assert "eventq" in payload["state"]
+    window = path.with_name(path.name + ".window")
+    assert window.read_text().splitlines()[1] == (
+        "# machine: cores=4 bus_model=atomic"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -330,15 +343,6 @@ def test_mismatched_array_shape_names_the_field(tmp_path):
     with pytest.raises(
         CheckpointError, match=r"tags\[0\]\.entries\..*column length"
     ):
-        load_checkpoint(path)
-
-
-def test_eventq_state_against_atomic_rebuild_is_diagnosed(tmp_path):
-    """An envelope edited to claim the wrong bus model cannot inject
-    event-queue state into a queueless system."""
-    path, _, _ = write_v2(tmp_path)
-    rewrite_v2(path, lambda payload: payload.update(bus_model="atomic"))
-    with pytest.raises(CheckpointError, match="eventq"):
         load_checkpoint(path)
 
 

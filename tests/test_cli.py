@@ -186,6 +186,20 @@ class TestHarnessFlags:
         assert f"{trace}: line 3: " in err
         assert "Traceback" not in err
 
+    def test_trace_run_replays_an_eventq_machine_line(self, tmp_path, capsys):
+        """Crash windows dumped before the eventq backend was folded
+        into the atomic bus name it; they replay on the atomic bus."""
+        trace = tmp_path / "old.window"
+        trace.write_text(
+            "# repro trace\n# machine: cores=4 bus_model=eventq\n"
+            "0 40 R\n1 40 W\n2 80 R\n"
+        )
+        code, out, err = run_cli_err(
+            capsys, "trace", "run", str(trace), "--design", "private"
+        )
+        assert code == 0, err
+        assert "throughput" in out
+
     def test_paranoid_run_passes(self, capsys):
         code, out = run_cli(
             capsys,

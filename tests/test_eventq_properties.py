@@ -1,22 +1,26 @@
-"""Property-based tests: EventQueue scheduling guarantees.
+"""Event queue properties: scheduling guarantees and one queue per design.
 
 Hypothesis drives random schedules (times, a partial ``run_until``
 cut, past-time stragglers) against the event queue that holds the
 race faults' deferred deliveries, and checks the contracts those
 deliveries lean on: every scheduled event fires exactly once,
 ``run_until`` fires exactly the events due by its time, fire times are
-globally monotonic, and equal times fire in schedule order.  A final
-property closes the loop at the system level: random bus latencies and
-occupancies keep the atomic and eventq backends statistically
-identical.
+globally monotonic, and equal times fire in schedule order.  The
+system-level tests pin where the queue lives: every design owns one,
+shared by its bus, crossbar and mesh NoC, on every backend, and a
+race-free run leaves it empty.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caches.private import PrivateCaches
+from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem
-from repro.interconnect import EventQueue, attach_eventq
+from repro.experiments.runner import BUS_MODELS, DESIGN_FACTORIES, build_design
+from repro.interconnect import Crossbar, EventQueue, SnoopBus
+from repro.interconnect.mesh import MeshNoC, mesh_noc
 from repro.workloads.multithreaded import make_workload
 
 #: One schedule: the time of each event, in schedule order.
@@ -101,29 +105,61 @@ def test_fifo_ties_fire_in_schedule_order(times):
     assert keyed == sorted(keyed)
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    latency=st.integers(min_value=1, max_value=40),
-    occupancy=st.integers(min_value=0, max_value=16),
-    seed=st.integers(min_value=0, max_value=999),
+def assert_one_queue(design):
+    """The design's queue is an EventQueue its interconnect shares."""
+    assert isinstance(design.queue, EventQueue)
+    for part in ("bus", "crossbar", "noc"):
+        component = getattr(design, part, None)
+        if component is not None:
+            assert component.queue is design.queue, part
+
+
+@pytest.mark.parametrize("bus_model", BUS_MODELS)
+@pytest.mark.parametrize("name", sorted(DESIGN_FACTORIES))
+def test_every_design_owns_one_queue(name, bus_model):
+    design = build_design(name, bus_model=bus_model)
+    assert_one_queue(design)
+    if bus_model == "mesh":
+        assert mesh_noc(design).queue is design.queue
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: PrivateCaches(bus_occupancy=8), NurapidCache],
+    ids=["PrivateCaches-occupancy-8", "NurapidCache"],
 )
-def test_backends_match_under_random_bus_parameters(latency, occupancy, seed):
-    """System-level closure: any (latency, occupancy, workload seed)
-    keeps atomic and eventq statistics identical."""
-    fingerprints = []
-    for use_eventq in (False, True):
-        design = PrivateCaches(bus_latency=latency, bus_occupancy=occupancy)
-        if use_eventq:
-            attach_eventq(design)
-        system = CmpSystem(design)
-        events = make_workload("oltp", seed=seed).events(accesses_per_core=150)
-        system.run(events)
-        stats = system.stats()
-        fingerprints.append(
-            (
-                dict(stats.accesses.counts),
-                [(c.instructions, c.cycles) for c in stats.per_core],
-                stats.bus.transactions if stats.bus is not None else None,
-            )
-        )
-    assert fingerprints[0] == fingerprints[1]
+def test_directly_built_design_owns_one_queue(build):
+    assert_one_queue(build())
+
+
+def test_interconnect_built_alone_gets_a_fresh_queue():
+    buses = [SnoopBus(latency=32), SnoopBus(latency=32)]
+    crossbars = [Crossbar(((1,),)), Crossbar(((1,),))]
+    nocs = [MeshNoC(4), MeshNoC(4)]
+    for first, second in (buses, crossbars, nocs):
+        assert isinstance(first.queue, EventQueue)
+        assert first.queue is not second.queue
+
+
+def test_eventq_actually_schedules():
+    """The queue holds only deferred deliveries: a race-free run fires
+    and leaves none, while the queue follows the transactions' cycles."""
+    design = build_design("private")
+    system = CmpSystem(design)
+    system.run(make_workload("oltp").events(accesses_per_core=500))
+    assert design.queue.fired == 0
+    assert design.queue.pending == 0
+    assert design.queue.now > 0
+
+
+def test_env_variable_selects_backend(monkeypatch):
+    """``eventq``, the retired backend's name, builds the atomic bus."""
+    monkeypatch.setenv("REPRO_BUS_MODEL", "eventq")
+    design = build_design("private")
+    assert type(design.bus) is SnoopBus
+    assert design.bus.queue is design.queue
+    monkeypatch.setenv("REPRO_BUS_MODEL", "mesh")
+    assert isinstance(build_design("private").bus, MeshNoC)
+    monkeypatch.setenv("REPRO_BUS_MODEL", "wishbone")
+    with pytest.raises(ValueError):
+        build_design("private")

@@ -587,7 +587,7 @@ def test_loop_selection(config, setup, pieces, monkeypatch):
     """Runs a fault can reach, short check intervals and observed
     systems keep the per-event loop; everything else runs pieces
     through CmpSystem.run_chunks."""
-    system = CmpSystem(build_design("private", bus_model="eventq"))
+    system = CmpSystem(build_design("private"))
     if setup == "tracer":
         system.attach_tracer(Tracer(capacity=16))
     elif setup == "armed-race":

@@ -41,7 +41,6 @@ from repro.harness import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.interconnect.eventq import attach_eventq
 
 READ = AccessType.READ
 WRITE = AccessType.WRITE
@@ -53,7 +52,6 @@ def private_system():
     design = PrivateCaches(
         PrivateCacheParams(geometry=CacheGeometry(4 * KB, 2, 128))
     )
-    attach_eventq(design)
     return CmpSystem(design, SMALL_L1), design
 
 
@@ -61,7 +59,6 @@ def nurapid_system():
     design = NurapidCache(
         NurapidParams(dgroup_capacity_bytes=4 * KB, tag_associativity=2)
     )
-    attach_eventq(design)
     return CmpSystem(design, SMALL_L1), design
 
 
@@ -218,18 +215,25 @@ def test_injector_arms_delay_repl():
 
 
 @pytest.mark.parametrize(
-    "kind,design_factory",
+    "kind,design_factory,applied",
     [
-        ("race-reorder", PrivateCaches),  # atomic bus: no event queue
-        ("race-delay-repl", NurapidCache),
-        ("race-delay-repl", PrivateCaches),  # wrong design entirely
+        ("race-reorder", PrivateCaches, True),
+        ("race-delay-repl", NurapidCache, True),
+        ("race-delay-repl", PrivateCaches, False),  # wrong design entirely
+    ],
+    ids=[
+        "race-reorder-PrivateCaches",
+        "race-delay-repl-NurapidCache",
+        "race-delay-repl-PrivateCaches",
     ],
 )
-def test_injector_skips_race_without_eventq(kind, design_factory):
+def test_injector_arms_race_on_default_bus(kind, design_factory, applied):
+    """A design built plainly, on the default bus, takes a race: its
+    own event queue holds the deferred delivery."""
     system = CmpSystem(design_factory())
     injector = FaultInjector((FaultSpec(kind, 0),))
     injector.maybe_inject(system, 0)
-    assert injector.log[0].data["applied"] is False
+    assert injector.log[0].data["applied"] is applied
 
 
 # ----------------------------------------------------------------------
@@ -243,10 +247,12 @@ def run_cli(capsys, *argv):
 
 
 @pytest.mark.parametrize("kind", ["race-reorder", "race-stale-snoop"])
-def test_cli_race_exits_3(tmp_path, kind, capsys):
+def test_cli_race_exits_3(tmp_path, kind, capsys, monkeypatch):
+    """Both bus races land on the default backend."""
+    monkeypatch.delenv("REPRO_BUS_MODEL", raising=False)
     code, _, err = run_cli(
         capsys,
-        "run", "--design", "private", "--bus-model", "eventq",
+        "run", "--design", "private",
         "--accesses", "3000", "--warmup", "0",
         "--check-invariants", "1",
         "--inject-fault", f"{kind}@100",
@@ -256,27 +262,33 @@ def test_cli_race_exits_3(tmp_path, kind, capsys):
     assert "invariant violation: [exclusivity]" in err
 
 
-def test_cli_race_requires_eventq(capsys, monkeypatch):
-    # The env can also select the backend (the CI eventq leg does);
-    # this test is about the *rejection* path, so force atomic.
+def test_cli_race_rejected_on_mesh(capsys, monkeypatch):
+    """The mesh never consumes a bus race: every race kind is refused
+    there, whether the flag or the environment selects the mesh."""
+    races = [
+        arg for kind in RACE_FAULT_KINDS
+        for arg in ("--inject-fault", f"{kind}@100")
+    ]
+    for env, flags in (("", ("--bus-model", "mesh")), ("mesh", ())):
+        monkeypatch.setenv("REPRO_BUS_MODEL", env)
+        code, _, err = run_cli(
+            capsys,
+            "run", "--design", "private", *flags, *races,
+            "--accesses", "500", "--warmup", "0",
+        )
+        assert code == 2
+        assert "--bus-model mesh" in err
+        assert all(kind in err for kind in RACE_FAULT_KINDS)
+
+
+def test_cli_delay_repl_accepted(capsys, monkeypatch):
+    """Armed on the default backend but never triggered (the full-size
+    cache never evicts a shared block in a short run): the run must
+    still complete cleanly — arming is a perturbation, not corruption."""
     monkeypatch.delenv("REPRO_BUS_MODEL", raising=False)
-    code, _, err = run_cli(
-        capsys,
-        "run", "--design", "private",
-        "--inject-fault", "race-reorder@100",
-        "--accesses", "500", "--warmup", "0",
-    )
-    assert code == 2
-    assert "eventq" in err
-
-
-def test_cli_delay_repl_accepted_under_eventq(capsys):
-    """Armed but never triggered (the full-size cache never evicts a
-    shared block in a short run): the run must still complete cleanly —
-    arming is a perturbation, not corruption."""
     code, out, _ = run_cli(
         capsys,
-        "run", "--design", "cmp-nurapid", "--bus-model", "eventq",
+        "run", "--design", "cmp-nurapid",
         "--accesses", "2000", "--warmup", "0",
         "--check-invariants", "1",
         "--inject-fault", "race-delay-repl@100",

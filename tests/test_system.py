@@ -221,7 +221,9 @@ class TestEventChunk:
 
 
 def across_bus_models(cases):
-    """Cross ``(id, *values)`` cases with every bus model, as the last value.
+    """Cross ``(id, *values)`` cases with every bus model name, as the
+    last value: both backends and ``eventq``, the retired name that
+    ``resolve_bus_model`` reads as atomic.
 
     An atomic case keeps the bare id; the others append the bus model.
     """
@@ -232,7 +234,7 @@ def across_bus_models(cases):
             id=case_id if bus_model == "atomic" else f"{case_id}-{bus_model}",
         )
         for case_id, *values in cases
-        for bus_model in BUS_MODELS
+        for bus_model in (*BUS_MODELS, "eventq")
     ]
 
 
@@ -322,7 +324,7 @@ class TestColumnarLoop:
         """An armed race defers a snoop past its transaction.  The plain
         loop cannot drain it as ``step`` would, so it raises, right
         after the access and again before a later call runs any event."""
-        system = CmpSystem(build_design("private", bus_model="eventq"))
+        system = CmpSystem(build_design("private"))
         FaultInjector((FaultSpec("race-reorder", 0),)).maybe_inject(system, 0)
         assert system.design.bus.race_pending == "race-reorder"
         workload = make_workload("oltp", seed=3)
