@@ -25,6 +25,7 @@ from repro.harness import FaultInjector, FaultSpec
 from repro.workloads.base import BATCH
 from repro.workloads.multiprogrammed import make_mix
 from repro.workloads.multithreaded import make_workload
+from tests.test_base_array import plain
 
 
 def read(core, address):
@@ -239,7 +240,11 @@ def across_bus_models(cases):
 
 
 class TestColumnarLoop:
-    """``run_chunks``'s plain loop against ``run``, the general loop."""
+    """``run_chunks``'s plain loop against ``run``, the general loop.
+
+    Both must leave the same fingerprint and the same whole-system
+    state: no fingerprint holds the L1s' LRU stamps or counters.
+    """
 
     @pytest.mark.parametrize(
         "design,blocking,bus_model",
@@ -261,6 +266,7 @@ class TestColumnarLoop:
             general.reset_stats()
             general.run(events)
             assert columnar.stats().fingerprint() == general.stats().fingerprint()
+            assert plain(columnar.state_dict()) == plain(general.state_dict())
 
     @pytest.mark.parametrize(
         "design,bus_model",
@@ -279,6 +285,7 @@ class TestColumnarLoop:
         general.reset_stats()
         general.run(events)
         assert columnar.stats().fingerprint() == general.stats().fingerprint()
+        assert plain(columnar.state_dict()) == plain(general.state_dict())
 
     @pytest.mark.parametrize("cores", [1, 4, 16])
     def test_chunk_clocks_match_a_loop_over_cores(self, cores):
