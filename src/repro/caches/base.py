@@ -64,13 +64,16 @@ def _lru_key(entry: Entry) -> int:
 class SetAssociativeArray:
     """Set-associative array of :class:`Entry` (or a subclass).
 
-    Entries are created on first fill.  Every set starts empty, and
-    :meth:`victim` appends a new entry only when the set has no invalid
-    entry and is not full yet.  It lands at way ``len(set)``: the first
-    invalid way of a set built full of invalid entries, so every block
-    gets the way it would get in such an array.  A set's entries are
-    thus ways ``0 .. len(set) - 1``, and a way past them reads as
-    invalid.
+    Entries, and the sets holding them, are created on first fill.
+    Every set starts as the shared empty tuple, which everything that
+    only iterates a set reads as an empty set; :meth:`victim` and
+    :meth:`entry_at` replace it with a list when they create the set's
+    first entry.  :meth:`victim` appends a new entry only when the set
+    has no invalid entry and is not full yet.  It lands at way
+    ``len(set)``: the first invalid way of a set built full of invalid
+    entries, so every block gets the way it would get in such an array.
+    A set's entries are thus ways ``0 .. len(set) - 1``, and a way past
+    them reads as invalid.
 
     Args:
         geometry: size/shape of the array.
@@ -85,7 +88,7 @@ class SetAssociativeArray:
     ) -> None:
         self.geometry = geometry
         self.entry_type = entry_type
-        self._sets: "list[list[Entry]]" = [[] for _ in range(geometry.num_sets)]
+        self._sets: "list[list[Entry] | tuple[()]]" = [()] * geometry.num_sets
         self._clock = 0
         # Hot-path constants (geometry properties recompute logs).
         self._associativity = geometry.associativity
@@ -121,14 +124,18 @@ class SetAssociativeArray:
         ``(category(entry), lru)`` is chosen — plain LRU when
         ``category`` is None.
         """
-        entries = self._sets[(address >> self._offset_bits) & self._index_mask]
+        set_index = (address >> self._offset_bits) & self._index_mask
+        entries = self._sets[set_index]
         invalid = CoherenceState.INVALID
         for entry in entries:
             if entry.state is invalid:
                 return entry
         if len(entries) < self._associativity:
             entry = self.entry_type()
-            entries.append(entry)
+            if entries:
+                entries.append(entry)
+            else:
+                self._sets[set_index] = [entry]
             return entry
         if category is None:
             return min(entries, key=_lru_key)
@@ -146,8 +153,8 @@ class SetAssociativeArray:
     def valid_entries(self) -> "Iterator[tuple[int, int, Entry]]":
         # Inlined (no property indirection): the invariant checker
         # calls this on every array per check, so paranoid-mode runs
-        # execute this loop hundreds of millions of times.  Sets fill
-        # on first use, so never-filled (empty) sets are skipped.
+        # execute this loop hundreds of millions of times.  Sets are
+        # built on first fill, so never-filled (empty) sets are skipped.
         invalid = CoherenceState.INVALID
         for set_index, entries in enumerate(self._sets):
             if entries:
@@ -166,6 +173,8 @@ class SetAssociativeArray:
         if not 0 <= way < len(entries):
             # Index as a full set would: past the end raises, negative wraps.
             way = range(self._associativity)[way]
+            if not entries:
+                entries = self._sets[set_index] = []
             entries.extend(self.entry_type() for _ in range(way + 1 - len(entries)))
         return entries[way]
 

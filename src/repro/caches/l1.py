@@ -69,16 +69,31 @@ class L1Stats:
 
 
 class L1Cache:
-    """One core's L1 (instruction+data modelled as a unified array)."""
+    """One core's L1 (instruction+data modelled as a unified array).
+
+    The array's sets are the storage: victim choice, LRU stamps, the
+    invariant checker and snapshots read them.  :attr:`lines` indexes
+    them: it maps each valid block's line number (``address >>
+    offset_bits``) to its entry and holds nothing else, so a lookup is
+    one dict probe instead of a scan of the set.  Only this class's
+    mutators (:meth:`fill`, :meth:`invalidate`,
+    :meth:`load_state_dict`) change which entries are valid, and each
+    keeps the index in step.
+    """
 
     def __init__(self, params: L1Params) -> None:
         self.params = params
         self.array = SetAssociativeArray(params.geometry, L1Entry)
         self.stats = L1Stats()
-        # Hot-path constants: the L1 sees every access the cores make,
-        # so its lookup avoids the generic array's indirections.
-        geo = params.geometry
+        self.lines: "dict[int, L1Entry]" = {}
+        self._derive_shifts()
+
+    def _derive_shifts(self) -> None:
+        """Hot-path constants of the array's geometry, and its sets,
+        which the incremental invariant check scans."""
+        geo = self.params.geometry
         self._offset_bits = geo.offset_bits
+        self._index_bits = geo.index_bits
         self._index_mask = geo.num_sets - 1
         self._tag_shift = geo.offset_bits + geo.index_bits
         self._sets = self.array._sets
@@ -89,34 +104,17 @@ class L1Cache:
 
     def probe(self, address: int) -> bool:
         """True if ``address`` is present (no LRU update)."""
-        return self.array.lookup(address, touch=False) is not None
-
-    def _entry(self, address: int, touch: bool = True) -> "L1Entry | None":
-        entries = self._sets[(address >> self._offset_bits) & self._index_mask]
-        tag = address >> self._tag_shift
-        for entry in entries:
-            if entry.tag == tag and entry.state is not _INVALID:
-                if touch:
-                    array = self.array
-                    array._clock += 1
-                    entry.lru = array._clock
-                return entry  # type: ignore[return-value]
-        return None
-
-    # load/store inline the _entry lookup: they run once per workload
-    # event, and the extra call frame is measurable there.
+        return address >> self._offset_bits in self.lines
 
     def load(self, address: int) -> bool:
         """Load reference; True on an L1 hit (no L2 access needed)."""
-        entries = self._sets[(address >> self._offset_bits) & self._index_mask]
-        tag = address >> self._tag_shift
-        for entry in entries:
-            if entry.tag == tag and entry.state is not _INVALID:
-                array = self.array
-                array._clock += 1
-                entry.lru = array._clock
-                self.stats.load_hits += 1
-                return True
+        entry = self.lines.get(address >> self._offset_bits)
+        if entry is not None:
+            array = self.array
+            array._clock += 1
+            entry.lru = array._clock
+            self.stats.load_hits += 1
+            return True
         self.stats.load_misses += 1
         return False
 
@@ -126,42 +124,48 @@ class L1Cache:
         Returns False when the L2 must see the store: the block is
         missing, or present without write permission.
         """
-        entries = self._sets[(address >> self._offset_bits) & self._index_mask]
-        tag = address >> self._tag_shift
-        for entry in entries:
-            if entry.tag == tag and entry.state is not _INVALID:
-                array = self.array
-                array._clock += 1
-                entry.lru = array._clock
-                if not entry.writable:
-                    self.stats.store_upgrades += 1
-                    return False
-                self.stats.store_hits += 1
-                entry.dirty = True
-                return True
+        entry = self.lines.get(address >> self._offset_bits)
+        if entry is not None:
+            array = self.array
+            array._clock += 1
+            entry.lru = array._clock
+            if not entry.writable:
+                self.stats.store_upgrades += 1
+                return False
+            self.stats.store_hits += 1
+            entry.dirty = True
+            return True
         self.stats.store_misses += 1
         return False
 
     def fill(self, address: int, writable: bool = False, dirty: bool = False) -> None:
         """Install ``address``'s block after an L2 supply."""
-        entry = self._entry(address, touch=False)
+        line = address >> self._offset_bits
+        entry = self.lines.get(line)
         if entry is None:
             entry = self.array.victim(address)  # type: ignore[assignment]
-            if entry.valid and entry.dirty:
-                self.stats.writebacks += 1
+            if entry.state is not _INVALID:
+                if entry.dirty:
+                    self.stats.writebacks += 1
+                # The victim shares the new line's set: its line is
+                # its tag above that set index.
+                del self.lines[
+                    (entry.tag << self._index_bits) | (line & self._index_mask)
+                ]
             self.array.install(entry, address, CoherenceState.SHARED)
+            self.lines[line] = entry
         entry.writable = writable
         entry.dirty = dirty
 
     def revoke_writable(self, address: int) -> None:
         """Downgrade: another core read the block; next store must ask."""
-        entry = self._entry(address, touch=False)
+        entry = self.lines.get(address >> self._offset_bits)
         if entry is not None:
             entry.writable = False
 
     def invalidate(self, address: int) -> bool:
         """Invalidate the L1 block holding ``address`` if present."""
-        entry = self._entry(address, touch=False)
+        entry = self.lines.pop(address >> self._offset_bits, None)
         if entry is None:
             return False
         if entry.dirty:
@@ -197,16 +201,16 @@ class L1Cache:
         self.params = serialization.params_from_state(
             L1Params, serialization.require(state, "params", path), f"{path}.params"
         )
-        geo = self.params.geometry
-        self.array = SetAssociativeArray(geo, L1Entry)
+        self.array = SetAssociativeArray(self.params.geometry, L1Entry)
         self.array.load_state_dict(
             serialization.require(state, "array", path), f"{path}.array"
         )
         serialization.load_scalar_fields(
             self.stats, serialization.require(state, "stats", path), f"{path}.stats"
         )
-        # Re-derive the hot-path mirrors: the array object changed.
-        self._offset_bits = geo.offset_bits
-        self._index_mask = geo.num_sets - 1
-        self._tag_shift = geo.offset_bits + geo.index_bits
-        self._sets = self.array._sets
+        # The array object changed: re-derive its mirrors and index it.
+        self._derive_shifts()
+        self.lines = {
+            (entry.tag << self._index_bits) | set_index: entry
+            for set_index, _way, entry in self.array.valid_entries()
+        }

@@ -21,6 +21,7 @@ invalidation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.caches.base import SetAssociativeArray
@@ -46,10 +47,14 @@ class PrivateCacheCounters:
 
 
 class _PrivateController:
-    """One core's MESI cache controller (a bus snooper)."""
+    """One core's MESI cache controller (a bus snooper).
+
+    ``owner`` is a weak proxy: the design holds its controllers, so a
+    strong reference back would make every design a reference cycle.
+    """
 
     def __init__(self, owner: "PrivateCaches", core: int) -> None:
-        self.owner = owner
+        self.owner = weakref.proxy(owner)
         self.core = core
         self.array = SetAssociativeArray(owner.params.geometry)
 

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.caches.design import L2Design
+from repro.caches.design import L1InvalidateHook, L2Design
 from repro.caches.l1 import L1Cache
 from repro.common.params import SystemParams
 from repro.common.stats import CoreTiming, SimulationStats
@@ -247,6 +247,20 @@ def split_chunks(
     return before, tail()
 
 
+def _inclusion_hook(l1s: "list[L1Cache]", l2_block_size: int) -> L1InvalidateHook:
+    """The design's L1-invalidate hook over ``l1s``.
+
+    It holds the L1s and the L2 block size, not the system: a hook
+    pointing back at its system would make every machine a reference
+    cycle, freed only by a full garbage collection.
+    """
+
+    def invalidate(core: int, l2_block_address: int) -> None:
+        l1s[core].invalidate_l2_block(l2_block_address, l2_block_size)
+
+    return invalidate
+
+
 class CmpSystem:
     """A CMP with per-core L1s above one L2 design."""
 
@@ -271,7 +285,7 @@ class CmpSystem:
             InOrderCore(i, self.params.l1.latency)
             for i in range(self.params.num_cores)
         ]
-        design.set_l1_invalidate_hook(self._on_l2_invalidate)
+        design.set_l1_invalidate_hook(_inclusion_hook(self.l1s, design.block_size))
         # Peer-core index tuples, precomputed: the access path visits
         # "every core but the issuer" on each L2-reaching reference, and
         # building a generator there costs an allocation per access.
@@ -297,9 +311,6 @@ class CmpSystem:
         """Bind an interval-sampling metrics collector to this system."""
         self.metrics = metrics.bind(self)
         return metrics
-
-    def _on_l2_invalidate(self, core: int, l2_block_address: int) -> None:
-        self.l1s[core].invalidate_l2_block(l2_block_address, self.design.block_size)
 
     def access(self, access: Access) -> int:
         """Run one memory reference; returns its stall cycles (0 on L1 hit)."""
@@ -550,9 +561,10 @@ class CmpSystem:
             core.load_state_dict(core_state, f"system.cores[{i}]")
         for i, (l1, l1_state) in enumerate(zip(self.l1s, l1s)):
             l1.load_state_dict(l1_state, f"system.l1s[{i}]")
-        self.design.load_state_dict(require(state, "design", "system"), "design")
-        self.design.set_l1_invalidate_hook(self._on_l2_invalidate)
-        queue = self.design.queue
+        design = self.design
+        design.load_state_dict(require(state, "design", "system"), "design")
+        design.set_l1_invalidate_hook(_inclusion_hook(self.l1s, design.block_size))
+        queue = design.queue
         if "eventq" in state:
             queue.load_state_dict(state["eventq"], "system.eventq")
         elif queue.pending:

@@ -14,7 +14,9 @@ The checks formalize the model's cross-structure contracts:
 * **directory exactness** (mesh backend) — each block's sharer vector
   names exactly the cores holding a tag copy of it;
 * **L1 inclusion** — every valid L1 block is covered by a live L2 copy
-  reachable by that core.
+  reachable by that core;
+* **L1 index** (full scan only) — each L1's line index maps every
+  valid L1 block's line to its entry and holds nothing else.
 
 The full scan (:func:`check_system`) groups every valid tag copy by
 block once; the directory and inclusion checks read the resulting
@@ -59,7 +61,8 @@ class InvariantViolation(AssertionError):
 
     Attributes:
         invariant: short name of the violated contract (e.g.
-            ``"tag-pointer"``, ``"exclusivity"``, ``"l1-inclusion"``).
+            ``"tag-pointer"``, ``"exclusivity"``, ``"l1-inclusion"``,
+            ``"l1-index"``).
         access_index: global event index at detection time (filled in
             by the harness runner; None for on-demand checks).
         address: block address involved, if any.
@@ -457,12 +460,26 @@ def _inclusion_violation(
     )
 
 
+def _index_violation(
+    address: int, core: int, entry, access_index: "Optional[int]"
+) -> InvariantViolation:
+    return InvariantViolation(
+        "l1-index",
+        "L1 line index disagrees with the L1's valid blocks",
+        access_index=access_index,
+        address=address,
+        cores=(core,),
+        states=(entry.state,) if entry is not None else (),
+    )
+
+
 def check_inclusion(
     system,
     access_index: "Optional[int]" = None,
     masks: "Optional[dict[int, int]]" = None,
 ) -> None:
-    """Every valid L1 block must be included in the L2 for its core.
+    """Every valid L1 block must be included in the L2 for its core,
+    and each L1's line index must hold exactly its valid blocks.
 
     With the holder ``masks`` a per-core design's check returned, an L1
     block is covered when its core holds the L2 block containing it.
@@ -476,14 +493,27 @@ def check_inclusion(
             continue
         bit = 1 << core
         array = l1.array
+        lines = l1.lines
+        offset_bits = l1._offset_bits
+        valid = 0
         for set_index, _way, entry in array.valid_entries():
             address = array.block_address(set_index, entry)
+            if lines.get(address >> offset_bits) is not entry:
+                raise _index_violation(address, core, entry, access_index)
+            valid += 1
             if masks is not None:
                 covered = masks.get(address & l2_block, 0) & bit
             else:
                 covered = design_contains(design, core, address) is not False
             if not covered:
                 raise _inclusion_violation(address, core, entry, access_index)
+        # Every valid block is at its own line, so a longer index holds
+        # a line whose entry is not that line's valid block.
+        if len(lines) != valid:
+            for line, entry in lines.items():
+                address = line << offset_bits
+                if array.lookup(address, touch=False) is not entry:
+                    raise _index_violation(address, core, entry, access_index)
 
 
 # ----------------------------------------------------------------------
@@ -695,12 +725,15 @@ def check_system_incremental(
 ) -> None:
     """Rescan only the state marked in ``dirty`` since the last check.
 
-    Equivalent to :func:`check_system` on the marked entries; falls back
-    to the full scan when the dirty set was escalated with
-    :meth:`~repro.common.dirty.DirtySet.mark_all` (fault injection,
-    unknown blast radius).  Clears ``dirty`` on success so the caller
-    can just keep invoking it per step.  ``plan`` is the system's
-    :class:`CheckPlan`, built here when not given.
+    Equivalent to :func:`check_system` on the marked entries, less the
+    ``l1-index`` audit: that compares each L1's whole line index with
+    its sets, so it stays with the full scan and adds nothing to a
+    marked block's cost.  Falls back to the full scan when the dirty
+    set was escalated with :meth:`~repro.common.dirty.DirtySet.mark_all`
+    (fault injection, unknown blast radius).  Clears ``dirty`` on
+    success so the caller can just keep invoking it per step.
+    ``plan`` is the system's :class:`CheckPlan`, built here when not
+    given.
     """
     if dirty is None or dirty.full:
         check_system(system, access_index)

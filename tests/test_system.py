@@ -1,6 +1,8 @@
 """Tests for the CmpSystem hierarchy wiring and the timing model."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from repro.cpu.system import (
     run_workload,
     split_chunks,
 )
-from repro.experiments.runner import BUS_MODELS, DESIGN_FACTORIES, build_design
+from repro.experiments import scale
+from repro.experiments.runner import (
+    BUS_MODELS,
+    DESIGN_FACTORIES,
+    ExperimentConfig,
+    build_design,
+)
 from repro.harness import FaultInjector, FaultSpec
 from repro.workloads.base import BATCH
 from repro.workloads.multiprogrammed import make_mix
@@ -222,11 +230,10 @@ class TestEventChunk:
 
 
 def across_bus_models(cases):
-    """Cross ``(id, *values)`` cases with every bus model name, as the
-    last value: both backends and ``eventq``, the retired name that
-    ``resolve_bus_model`` reads as atomic.
+    """Cross ``(id, *values)`` cases with both bus models, as the last
+    value.
 
-    An atomic case keeps the bare id; the others append the bus model.
+    An atomic case keeps the bare id; a mesh case appends ``-mesh``.
     """
     return [
         pytest.param(
@@ -235,7 +242,7 @@ def across_bus_models(cases):
             id=case_id if bus_model == "atomic" else f"{case_id}-{bus_model}",
         )
         for case_id, *values in cases
-        for bus_model in (*BUS_MODELS, "eventq")
+        for bus_model in BUS_MODELS
     ]
 
 
@@ -342,3 +349,48 @@ class TestColumnarLoop:
         with pytest.raises(DeferredEventError):
             system.run_chunks(workload.chunks(accesses_per_core=10))
         assert [core.cycles for core in system.cores] == clocks
+
+
+@pytest.fixture
+def collector_off():
+    """Run with the cyclic garbage collector off, so only reference
+    counting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestFreedByReferenceCounting:
+    """A finished machine dies with its last reference: nothing in it
+    points back at the system or the design, so no full collection is
+    needed to free it."""
+
+    @pytest.mark.parametrize("bus_model", BUS_MODELS)
+    @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))
+    def test_run_system(self, design, bus_model, collector_off):
+        system = CmpSystem(build_design(design, bus_model=bus_model))
+        system.run_chunks(make_workload("oltp", seed=3).chunks(accesses_per_core=300))
+        refs = [weakref.ref(system), weakref.ref(system.design)]
+        del system
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_harnessed_scaled_cell(self, tmp_path, monkeypatch, collector_off):
+        refs = []
+
+        def recording(design):
+            system = CmpSystem(design)
+            refs.extend([weakref.ref(system), weakref.ref(design)])
+            return system
+
+        monkeypatch.setattr(scale, "CmpSystem", recording)
+        config = ExperimentConfig(warmup_per_core=100, measure_per_core=200)
+        scale.run_scaled_cell(
+            "cmp-nurapid", "oltp", 16, config, check_every=500,
+            checkpoint_path=str(tmp_path / "cell.ck"), checkpoint_every=2000,
+        )
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]

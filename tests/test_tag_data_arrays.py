@@ -319,14 +319,14 @@ def reachable(root, kinds):
     "design_name, bus_model, num_cores",
     [
         (name, bus_model, None)
-        for bus_model in ("atomic", "eventq", "mesh")
+        for bus_model in ("atomic", "mesh")
         for name in DESIGN_FACTORIES
     ]
     + [("cmp-nurapid", "mesh", 16)],
 )
 def test_fresh_system_holds_no_entries_or_frames(design_name, bus_model, num_cores):
-    """Tag entries and data frames are created on first fill, not when
-    the machine is built."""
+    """Tag entries, the sets holding them, and data frames are created
+    on first fill, not when the machine is built."""
     system = CmpSystem(
         build_design(design_name, bus_model=bus_model, num_cores=num_cores)
     )
@@ -334,6 +334,8 @@ def test_fresh_system_holds_no_entries_or_frames(design_name, bus_model, num_cor
     dgroups = reachable(system, DGroup)
     assert len(arrays) > len(system.l1s)  # the L1s and the L2's arrays
     assert [sum(map(len, array._sets)) for array in arrays] == [0] * len(arrays)
+    # Nor sets: each is the shared empty tuple until its first fill.
+    assert not any(isinstance(entries, list) for a in arrays for entries in a._sets)
     assert [len(dgroup.frames) for dgroup in dgroups] == [0] * len(dgroups)
     # No per-frame free list either: the never-used frames are a count.
     assert [
