@@ -151,10 +151,14 @@ def l1_op(name, address, writable=False, dirty=False, l2_size=64):
     return name, address, writable, dirty, l2_size
 
 
+# The examples run each path that changes the index, whatever the
+# draw: an eviction, an invalidation and a restore, each followed by a
+# lookup.
 @settings(max_examples=80, deadline=None)
-@given(ways=st.sampled_from([1, 2, 4]), ops=st.lists(L1_OPS, min_size=8, max_size=200))
-# Each path that changes the index, whatever the draw: an eviction, an
-# invalidation, and a restore, each followed by a lookup.
+@given(
+    ways=st.sampled_from([1, 2, 4]),
+    ops=st.lists(L1_OPS, min_size=8, max_size=200),
+)
 @example(ways=1, ops=[l1_op("fill", 0), l1_op("fill", 256), l1_op("load", 0)])
 @example(ways=2, ops=[l1_op("fill", 64, True), l1_op("invalidate", 100),
                       l1_op("store", 64)])
