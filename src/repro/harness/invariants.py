@@ -694,8 +694,10 @@ def _check_marked(plan: CheckPlan, dirty, access_index: "Optional[int]") -> None
             span = max(l2_size, l1_size)
             base = block_address(address, span)
             for line in range(base, base + span, l1_size):
-                if l1.probe(line) and design_contains(design, core, line) is False:
-                    entry = l1.array.lookup(line, touch=False)
+                # The L1's sets, not its line index, which only the full
+                # scan audits.
+                entry = l1.array.lookup(line, touch=False)
+                if entry is not None and design_contains(design, core, line) is False:
                     raise _inclusion_violation(line, core, entry, access_index)
 
 
