@@ -447,25 +447,19 @@ def design_contains(design, core: int, address: int) -> "Optional[bool]":
     return None
 
 
-def _inclusion_violation(
-    address: int, core: int, entry, access_index: "Optional[int]"
-) -> InvariantViolation:
-    return InvariantViolation(
-        "l1-inclusion",
-        "L1 block not covered by any live L2 copy",
-        access_index=access_index,
-        address=address,
-        cores=(core,),
-        states=(entry.state,) if entry is not None else (),
-    )
+#: The message of each L1 invariant's violation.
+_L1_CONTRACTS = {
+    "l1-inclusion": "L1 block not covered by any live L2 copy",
+    "l1-index": "L1 line index disagrees with the L1's valid blocks",
+}
 
 
-def _index_violation(
-    address: int, core: int, entry, access_index: "Optional[int]"
+def _l1_violation(
+    invariant: str, address: int, core: int, entry, access_index: "Optional[int]"
 ) -> InvariantViolation:
     return InvariantViolation(
-        "l1-index",
-        "L1 line index disagrees with the L1's valid blocks",
+        invariant,
+        _L1_CONTRACTS[invariant],
         access_index=access_index,
         address=address,
         cores=(core,),
@@ -499,21 +493,21 @@ def check_inclusion(
         for set_index, _way, entry in array.valid_entries():
             address = array.block_address(set_index, entry)
             if lines.get(address >> offset_bits) is not entry:
-                raise _index_violation(address, core, entry, access_index)
+                raise _l1_violation("l1-index", address, core, entry, access_index)
             valid += 1
             if masks is not None:
                 covered = masks.get(address & l2_block, 0) & bit
             else:
                 covered = design_contains(design, core, address) is not False
             if not covered:
-                raise _inclusion_violation(address, core, entry, access_index)
+                raise _l1_violation("l1-inclusion", address, core, entry, access_index)
         # Every valid block is at its own line, so a longer index holds
         # a line whose entry is not that line's valid block.
         if len(lines) != valid:
             for line, entry in lines.items():
                 address = line << offset_bits
                 if array.lookup(address, touch=False) is not entry:
-                    raise _index_violation(address, core, entry, access_index)
+                    raise _l1_violation("l1-index", address, core, entry, access_index)
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +692,7 @@ def _check_marked(plan: CheckPlan, dirty, access_index: "Optional[int]") -> None
                 # scan audits.
                 entry = l1.array.lookup(line, touch=False)
                 if entry is not None and design_contains(design, core, line) is False:
-                    raise _inclusion_violation(line, core, entry, access_index)
+                    raise _l1_violation("l1-inclusion", line, core, entry, access_index)
 
 
 def _foreign_l1_line(plan: CheckPlan, address: int, mask: int) -> bool:
