@@ -1079,8 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="stream the supervision events (retry, worker-death, "
-        "quarantine, shard-corrupt) to PATH as JSONL for "
-        "'trace export'",
+        "quarantine) to PATH as JSONL for 'trace export'",
     )
     chaos_parser.add_argument(
         "--trace-buffer",

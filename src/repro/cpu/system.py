@@ -557,6 +557,8 @@ class CmpSystem:
             tuple(c for c in range(self.params.num_cores) if c != i)
             for i in range(self.params.num_cores)
         )
+        if self.metrics is not None:
+            self.metrics.bind(self)  # the cores above are new objects
         for i, (core, core_state) in enumerate(zip(self.cores, cores)):
             core.load_state_dict(core_state, f"system.cores[{i}]")
         for i, (l1, l1_state) in enumerate(zip(self.l1s, l1s)):

@@ -4,7 +4,7 @@ over worker processes.
 A sweep is a grid of independent *cells* — one (workload, design,
 multiprogrammed) simulation each.  This module runs the uncached cells
 of a sweep (or of the whole experiment suite) across a supervised fleet
-of worker processes and merges the results into the sweep's shared
+of worker processes and records the results in the sweep's shared
 :class:`~repro.experiments.runner.StatsCache`.
 
 **Determinism.**  Parallel results are bit-identical to the serial
@@ -23,10 +23,11 @@ the parent:
 * a *cell timeout* (``--cell-timeout`` / ``REPRO_CELL_TIMEOUT``)
   bounds any one attempt's wall clock — a hung worker is SIGKILLed and
   the cell is retried in a fresh process;
-* every worker beats a *heartbeat file* from a daemon thread, so the
-  parent can tell a frozen process (stale heartbeat — killed promptly)
-  from one that is merely slow (fresh heartbeat — left alone until the
-  cell timeout, if any, expires);
+* every worker sends a *heartbeat* message over its pipe from a
+  daemon thread, so the parent can tell a frozen process (silent for
+  longer than the heartbeat grace — killed promptly) from one that is
+  merely slow (still beating — left alone until the cell timeout, if
+  any, expires);
 * failures retry with bounded exponential backoff, up to
   ``--max-retries`` / ``REPRO_MAX_RETRIES`` extra attempts per cell.
 
@@ -40,24 +41,22 @@ in its :class:`ParallelReport`; the CLI exits with the distinct code
 the journal is a log for inspection (``repro quarantine``), not a
 blocklist.
 
-**Persistence.**  Workers deliver results by appending finished runs
-to a private per-PID *shard* journal (``<base>.shard.<pid>``) in the
-CRC-checked, flock-guarded record format (a throwaway temporary
-directory hosts the shards when the cache is in-memory).  The parent
-merges shards as workers finish — adopt-then-delete, atomic per shard
-— and rescues shards orphaned by a parent killed before its merge, so
-a sweep killed mid-flight never loses completed cells; re-running it
-re-runs only cells absent from the merged journal.  A shard whose
-content cannot be read is renamed ``<shard>.corrupt`` and skipped, so
-corruption costs a re-simulation, never a crash.
+**Persistence.**  Each worker reports to the parent over its own
+pipe: heartbeats, then the cell's stats or its failure.  The parent
+is the journal's only writer: it appends each result to the sweep's
+:class:`~repro.experiments.runner.StatsCache` the moment it arrives,
+so a sweep killed mid-flight keeps every cell the parent received;
+re-running it re-runs only cells absent from the journal.  A cell
+whose worker finished but whose result the parent had not yet read is
+re-simulated, bit-identically.
 
-**Crash containment.**  A worker that dies without writing a failure
-record (OOM kill, segfault in a native extension, ``os._exit``) is
-retried in fresh workers; if every attempt dies the same way, the cell
-is re-run serially in the parent — degraded, never dropped.  (Cells
-that *raise* or *time out* on every attempt are quarantined instead:
-re-raising a deterministic exception, or hanging, in the parent would
-sink the sweep the supervision exists to protect.)
+**Crash containment.**  A worker that dies without sending a result
+or a failure (OOM kill, segfault in a native extension, ``os._exit``)
+is retried in fresh workers; if every attempt dies the same way, the
+cell is re-run serially in the parent — degraded, never dropped.
+(Cells that *raise* or *time out* on every attempt are quarantined
+instead: re-raising a deterministic exception, or hanging, in the
+parent would sink the sweep the supervision exists to protect.)
 
 **Graceful degradation.**  When worker processes cannot be spawned at
 all (sandboxed environments without fork/exec), the executor falls
@@ -67,11 +66,9 @@ crashing.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import signal
-import tempfile
 import threading
 import time
 import traceback as traceback_module
@@ -92,7 +89,6 @@ from repro.obs.metrics import (
     SWEEP_FALLBACK,
     SWEEP_QUARANTINE,
     SWEEP_RETRY,
-    SWEEP_SHARD_CORRUPT,
     SWEEP_TIMEOUT,
     SWEEP_WORKER_DEATH,
     MetricsRegistry,
@@ -128,10 +124,7 @@ CHAOS_MARK_DIR_ENV = "REPRO_CHAOS_MARK_DIR"
 #: CLI exit code for a sweep that completed but quarantined cells.
 QUARANTINE_EXIT = 6
 
-#: Suffix given to shard files whose content could not be read.
-CORRUPT_SUFFIX = ".corrupt"
-
-#: Worker exit code for "the cell raised; a failure record was written".
+#: Worker exit code for "the cell raised; its failure was sent".
 _EXIT_CELL_FAILED = 21
 
 
@@ -225,13 +218,14 @@ class SupervisorConfig:
     backoff_base: float = 0.05
     #: Ceiling on any one backoff delay.
     backoff_cap: float = 2.0
-    #: Seconds between worker heartbeat-file touches.
+    #: Seconds between a worker's heartbeat messages.
     heartbeat_interval: float = 0.5
-    #: Heartbeat staleness, seconds, after which a worker counts as
+    #: Seconds since a worker's last message after which it counts as
     #: frozen (not merely slow) and is SIGKILLed without waiting for
     #: the cell timeout.
     heartbeat_grace: float = 15.0
-    #: Parent poll cadence, seconds.
+    #: Longest the parent waits on the workers' pipes before it
+    #: re-checks deadlines and launches backed-off retries, seconds.
     poll_interval: float = 0.02
 
     def backoff(self, attempt: int) -> float:
@@ -243,7 +237,7 @@ class SupervisorConfig:
 class Failure:
     """One failed attempt at a cell."""
 
-    #: ``crash`` (process died, no failure record), ``timeout`` (cell
+    #: ``crash`` (process died, no result or failure), ``timeout`` (cell
     #: budget exceeded, SIGKILLed), ``frozen`` (heartbeat went stale,
     #: SIGKILLed), or ``exception`` (the cell raised in the worker).
     kind: str
@@ -269,7 +263,7 @@ class QuarantineRecord:
             "workload": self.cell.workload,
             "design": self.cell.design,
             "multiprogrammed": self.cell.multiprogrammed,
-            "num_cores": getattr(self.cell, "num_cores", 0),
+            "num_cores": self.cell.num_cores,
             "attempts": self.attempts,
             "failures": [
                 {
@@ -368,8 +362,7 @@ class ParallelReport:
     #: Why the executor fell back to the serial path, if it did.
     fallback_reason: "Optional[str]" = None
     #: Supervision counters (``sweep.retry``, ``sweep.quarantine``,
-    #: ``sweep.timeout``, ``sweep.worker_death``, ``sweep.shard_corrupt``,
-    #: ``sweep.fallback_serial``).
+    #: ``sweep.timeout``, ``sweep.worker_death``, ``sweep.fallback_serial``).
     counters: "Dict[str, int]" = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -396,26 +389,6 @@ class ParallelReport:
 
 
 # -- worker side ------------------------------------------------------
-
-
-def _touch(path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(str(time.time()))
-
-
-def _start_heartbeat(path: str, interval: float) -> None:
-    """Beat ``path`` from a daemon thread until the process exits."""
-    _touch(path)
-
-    def beat() -> None:
-        while True:
-            time.sleep(interval)
-            try:
-                _touch(path)
-            except OSError:  # parent cleaned up already; stop quietly
-                return
-
-    threading.Thread(target=beat, daemon=True).start()
 
 
 def _chaos_once(kind: str, label: str) -> bool:
@@ -447,12 +420,9 @@ def _inject_chaos(cell: Cell) -> None:
 
 
 def _simulate_cell(
-    cell: Cell,
-    config: ExperimentConfig,
-    bus_model: str,
-    shard_base: "Optional[str]",
-) -> "Tuple[Cell, SimulationStats]":
-    """Run one cell from scratch; optionally journal it to a shard.
+    cell: Cell, config: ExperimentConfig, bus_model: str,
+) -> SimulationStats:
+    """Run one cell from scratch and return its stats.
 
     Module-level (picklable) and self-contained: the parent resolves
     the bus model before submitting, so a worker's result cannot depend
@@ -469,155 +439,51 @@ def _simulate_cell(
             design, cell.workload, config,
             num_cores=cell.num_cores or None,
         )
-    if shard_base is not None:
-        StatsCache.append_record(
-            f"{shard_base}.shard.{os.getpid()}", cell.key(config), stats
-        )
-    return cell, stats
+    return stats
 
 
 def _worker_main(
     cell: Cell,
     config: ExperimentConfig,
     bus_model: str,
-    shard_base: str,
-    heartbeat_file: str,
+    conn,
     heartbeat_interval: float,
-    failure_file: str,
 ) -> None:
-    """Worker process entry point: one cell, heartbeat, failure record.
+    """Worker process entry point: one cell, reported over ``conn``.
 
-    Results travel through the shard journal (the one channel that also
-    survives a killed parent); failures are written to ``failure_file``
-    atomically (tmp + rename) so the parent never reads a half-written
-    traceback, and signalled with a distinct exit code.
+    A daemon thread sends ``("beat",)`` every ``heartbeat_interval``;
+    the cell ends with ``("result", stats)``, or with ``("failure",
+    error, traceback)`` and the exit code :data:`_EXIT_CELL_FAILED`.
+    One lock orders the two threads' sends, so a beat never lands in
+    the middle of the result.
     """
-    _start_heartbeat(heartbeat_file, heartbeat_interval)
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:
+            conn.send(message)
+
+    def beat() -> None:
+        while True:
+            time.sleep(heartbeat_interval)
+            try:
+                send(("beat",))
+            except (OSError, ValueError):  # parent gone; stop quietly
+                return
+
+    threading.Thread(target=beat, daemon=True).start()
     try:
         _inject_chaos(cell)
-        _simulate_cell(cell, config, bus_model, shard_base)
+        stats = _simulate_cell(cell, config, bus_model)
     except BaseException as error:  # noqa: BLE001 - transported to parent
-        payload = {
-            "label": cell.label,
-            "error": f"{type(error).__name__}: {error}",
-            "traceback": traceback_module.format_exc(),
-        }
-        tmp = f"{failure_file}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, failure_file)
-        except OSError:
+            send(("failure", f"{type(error).__name__}: {error}",
+                  traceback_module.format_exc()))
+        except (OSError, ValueError):
             pass
         os._exit(_EXIT_CELL_FAILED)
+    send(("result", stats))
     os._exit(0)
-
-
-# -- shard merging ----------------------------------------------------
-
-
-def _flock(handle, exclusive: bool = True) -> None:
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX
-        return
-    fcntl.flock(handle.fileno(),
-                fcntl.LOCK_EX if exclusive else fcntl.LOCK_UN)
-
-
-def _funlock(handle) -> None:
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX
-        return
-    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-def _same_inode(path: str, handle) -> bool:
-    """Whether ``path`` still names the file ``handle`` has open."""
-    try:
-        on_disk = os.stat(path)
-    except OSError:
-        return False
-    open_file = os.fstat(handle.fileno())
-    return (on_disk.st_ino, on_disk.st_dev) == (
-        open_file.st_ino, open_file.st_dev,
-    )
-
-
-def merge_shards(
-    cache: StatsCache,
-    base: "Optional[str]" = None,
-    tracer=None,
-    registry: "Optional[MetricsRegistry]" = None,
-) -> int:
-    """Fold worker shard journals under ``base`` into ``cache``.
-
-    Returns the number of records adopted.  Also rescues shards left
-    behind by a parent killed before its merge.  Adoption is atomic per
-    shard — a shard is deleted only after *every* salvageable record in
-    it has landed in the cache (and its journal, when persistent) — and
-    concurrency-safe: the per-shard flock plus an inode check keep two
-    parents merging the same directory from double-adopting or losing
-    records.  A shard whose content cannot be read at all is renamed
-    ``<shard>.corrupt`` and skipped instead of crashing the sweep.
-    """
-    base = base if base is not None else cache.path
-    if base is None:
-        return 0
-    adopted = 0
-    for shard in sorted(glob.glob(f"{base}.shard.*")):
-        if shard.endswith(CORRUPT_SUFFIX) or shard.endswith(".tmp"):
-            continue
-        adopted += _merge_one_shard(cache, shard, tracer, registry)
-    return adopted
-
-
-def _merge_one_shard(
-    cache: StatsCache, shard: str, tracer, registry,
-) -> int:
-    try:
-        handle = open(shard, "rb")
-    except OSError:
-        return 0  # a concurrent parent already adopted and removed it
-    with handle:
-        _flock(handle)
-        try:
-            if not _same_inode(shard, handle):
-                # Unlinked while we waited for the lock: the parent
-                # holding it adopted these records; ours would be
-                # double-adoption.
-                return 0
-            try:
-                records, _ = StatsCache._load_handle(handle)
-                readable = True
-            except Exception:  # noqa: BLE001 - quarantined below
-                records, readable = {}, False
-            if not records and (
-                not readable or os.fstat(handle.fileno()).st_size > 0
-            ):
-                # Nothing salvageable from a non-empty shard: keep the
-                # evidence, skip the shard, let the cells re-simulate.
-                corrupt = f"{shard}{CORRUPT_SUFFIX}"
-                os.replace(shard, corrupt)
-                if registry is not None:
-                    registry.counter(SWEEP_SHARD_CORRUPT).inc()
-                if tracer is not None and tracer.enabled:
-                    from repro.obs import events as ev
-
-                    tracer.emit(ev.SHARD_CORRUPT, shard=shard,
-                                quarantined_to=corrupt)
-                return 0
-            count = 0
-            for key, stats in records.items():
-                if cache.insert(key, stats):
-                    count += 1
-            # Adopt-then-delete: every record above reached the cache
-            # (and its journal) before the shard goes away.
-            os.remove(shard)
-            return count
-        finally:
-            _funlock(handle)
 
 
 # -- the supervisor ---------------------------------------------------
@@ -625,14 +491,19 @@ def _merge_one_shard(
 
 @dataclass
 class _Attempt:
-    """One in-flight worker process."""
+    """One in-flight worker process and the read end of its pipe."""
 
     cell: Cell
     attempt: int  # 0-based
     process: object
+    conn: object
     started: float
-    heartbeat_file: str
-    failure_file: str
+    #: Monotonic time of the worker's last message (its start, before one).
+    last_message: float
+    #: The ``("result", ...)`` or ``("failure", ...)`` message, once read.
+    outcome: "Optional[tuple]" = None
+    #: The pipe reached EOF: every copy of the write end is closed.
+    eof: bool = False
 
 
 class _PoolUnavailable(Exception):
@@ -642,10 +513,11 @@ class _PoolUnavailable(Exception):
 class _Supervisor:
     """Runs cells in supervised worker processes, one cell per worker.
 
-    The parent polls worker exit codes, per-cell deadlines, and
-    heartbeat files; a worker that crashes, hangs past the cell
-    timeout, or freezes (stale heartbeat) is SIGKILLed and its cell
-    retried with bounded exponential backoff in a fresh process.
+    The parent waits on the workers' pipes and appends each result to
+    the cache as it arrives; a worker that crashes, hangs past the cell
+    timeout, or freezes (silent past the heartbeat grace) is SIGKILLed
+    and its cell retried with bounded exponential backoff in a fresh
+    process.
     """
 
     def __init__(
@@ -653,7 +525,6 @@ class _Supervisor:
         config: ExperimentConfig,
         cache: StatsCache,
         bus_model: str,
-        shard_base: str,
         jobs: int,
         supervision: SupervisorConfig,
         tracer=None,
@@ -662,7 +533,6 @@ class _Supervisor:
         self.config = config
         self.cache = cache
         self.bus_model = bus_model
-        self.shard_base = shard_base
         self.jobs = jobs
         self.supervision = supervision
         self.tracer = tracer
@@ -675,7 +545,6 @@ class _Supervisor:
         self.needs_parent_rescue: "List[Cell]" = []
         self.quarantined: "List[QuarantineRecord]" = []
         self.pool_broken: "Optional[str]" = None
-        self._seq = 0
 
     # -- event/counter plumbing ---------------------------------------
 
@@ -689,6 +558,8 @@ class _Supervisor:
     # -- lifecycle ----------------------------------------------------
 
     def run(self, cells: "Sequence[Cell]") -> None:
+        from multiprocessing.connection import wait
+
         for cell in cells:
             self.pending.append((cell, 0, 0.0))
         try:
@@ -697,13 +568,15 @@ class _Supervisor:
                     self._launch_ready()
                 elif not self.running:
                     break  # remaining cells fall back to the caller
+                if self.running:
+                    wait([attempt.conn for attempt in self.running],
+                         timeout=self.supervision.poll_interval)
+                elif self.pending:
+                    time.sleep(self.supervision.poll_interval)  # backoff
                 self._poll_running()
-                if self.running or self.pending:
-                    time.sleep(self.supervision.poll_interval)
         finally:
             for attempt in self.running:
-                self._kill(attempt.process)
-            self._cleanup_files()
+                self._kill(attempt)
 
     def unfinished(self) -> "List[Cell]":
         """Cells still pending after a broken pool (serial fallback)."""
@@ -729,144 +602,130 @@ class _Supervisor:
     def _launch(self, cell: Cell, attempt: int) -> None:
         import multiprocessing
 
-        self._seq += 1
-        token = f"{os.getpid()}.{self._seq}"
-        heartbeat_file = f"{self.shard_base}.hb.{token}"
-        failure_file = f"{self.shard_base}.fail.{token}"
+        try:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+        except OSError as error:
+            raise _PoolUnavailable(
+                f"cannot open a worker pipe ({error})"
+            ) from error
         process = multiprocessing.Process(
             target=_worker_main,
             args=(
                 cell,
                 self.config,
                 self.bus_model,
-                self.shard_base,
-                heartbeat_file,
+                writer,
                 self.supervision.heartbeat_interval,
-                failure_file,
             ),
             daemon=True,
         )
         try:
             process.start()
         except (OSError, ValueError, ImportError) as error:
+            reader.close()
             raise _PoolUnavailable(
                 f"cannot start worker processes ({error})"
             ) from error
-        self.running.append(
-            _Attempt(cell, attempt, process, time.monotonic(),
-                     heartbeat_file, failure_file)
-        )
+        finally:
+            # The worker holds the only write end now, so its death
+            # reads as EOF instead of silence.
+            writer.close()
+        started = time.monotonic()
+        self.running.append(_Attempt(cell, attempt, process, reader,
+                                     started, started))
 
     # -- polling ------------------------------------------------------
 
+    def _drain(self, attempt: _Attempt) -> None:
+        """Read ``attempt``'s waiting messages, up to its result or failure.
+
+        A result goes straight into the cache, which journals it.
+        """
+        try:
+            while attempt.conn.poll():
+                message = attempt.conn.recv()
+                attempt.last_message = time.monotonic()
+                if message[0] != "beat":
+                    attempt.outcome = message
+                    break
+        except (EOFError, OSError):
+            attempt.eof = True
+        if attempt.outcome is not None and attempt.outcome[0] == "result":
+            self.cache.insert(attempt.cell.key(self.config), attempt.outcome[1])
+
     def _poll_running(self) -> None:
+        # Drain every pipe first, whether or not its worker still runs:
+        # a full pipe blocks the worker's sends, and a result that has
+        # already arrived beats any deadline below.
+        for attempt in self.running:
+            self._drain(attempt)
         now = time.monotonic()
         timeout = self.supervision.cell_timeout
+        grace = self.supervision.heartbeat_grace
         still_running: "List[_Attempt]" = []
         for attempt in self.running:
-            exitcode = attempt.process.exitcode
-            if exitcode is not None:
-                self._reap(attempt, exitcode)
+            if attempt.outcome is not None or attempt.eof:
+                self._reap(attempt)
                 continue
             if timeout and now - attempt.started > timeout:
-                self._kill(attempt.process)
+                self._kill(attempt)
                 self._count(SWEEP_TIMEOUT)
-                self._record_failure(
-                    attempt,
-                    Failure(
-                        "timeout",
-                        f"exceeded the {timeout:g}s cell timeout "
-                        f"(attempt {attempt.attempt + 1}); worker SIGKILLed",
-                    ),
+                failure = Failure(
+                    "timeout",
+                    f"exceeded the {timeout:g}s cell timeout "
+                    f"(attempt {attempt.attempt + 1}); worker SIGKILLed",
                 )
-                continue
-            if self._heartbeat_stale(attempt, now):
-                self._kill(attempt.process)
-                self._record_failure(
-                    attempt,
-                    Failure(
-                        "frozen",
-                        f"heartbeat stale for more than "
-                        f"{self.supervision.heartbeat_grace:g}s "
-                        f"(attempt {attempt.attempt + 1}); worker SIGKILLed",
-                    ),
+            elif grace and now - attempt.last_message > grace:
+                self._kill(attempt)
+                failure = Failure(
+                    "frozen",
+                    f"heartbeat stale for more than {grace:g}s "
+                    f"(attempt {attempt.attempt + 1}); worker SIGKILLed",
                 )
+            else:
+                still_running.append(attempt)
                 continue
-            still_running.append(attempt)
+            self._worker_death(attempt, reason=failure.kind)
+            self._record_failure(attempt, failure)
         self.running = still_running
 
-    def _heartbeat_stale(self, attempt: _Attempt, now: float) -> bool:
-        grace = self.supervision.heartbeat_grace
-        if not grace:
-            return False
-        try:
-            beat_age = time.time() - os.path.getmtime(attempt.heartbeat_file)
-        except OSError:
-            # No heartbeat yet: judge from the process start instead.
-            return now - attempt.started > grace
-        return beat_age > grace
-
     @staticmethod
-    def _kill(process) -> None:
+    def _kill(attempt: _Attempt) -> None:
         try:
-            process.kill()
+            attempt.process.kill()
         except (OSError, AttributeError, ValueError):
             pass
         try:
-            process.join(timeout=5)
+            attempt.process.join(timeout=5)
         except (OSError, ValueError, AssertionError):
             pass
+        attempt.conn.close()
 
-    def _reap(self, attempt: _Attempt, exitcode: int) -> None:
+    def _reap(self, attempt: _Attempt) -> None:
+        """End an attempt whose worker reported or closed its pipe."""
         attempt.process.join()
-        # Adopt whatever the worker journaled, success or not: a worker
-        # killed *after* appending its record still delivered it.
-        merge_shards(self.cache, self.shard_base, self.tracer, self.registry)
-        if attempt.cell.key(self.config) in self.cache:
-            self.completed.append(attempt.cell)
-            self._remove(attempt.failure_file)
-            self._remove(attempt.heartbeat_file)
-            return
-        if os.path.exists(attempt.failure_file):
-            try:
-                with open(attempt.failure_file, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError):
-                payload = {}
-            self._remove(attempt.failure_file)
-            failure = Failure(
-                "exception",
-                payload.get("error", f"worker exited {exitcode}"),
-                payload.get("traceback"),
-            )
-        else:
-            failure = Failure(
+        attempt.conn.close()
+        outcome = attempt.outcome
+        if outcome is None:
+            exitcode = attempt.process.exitcode
+            self._worker_death(attempt, exitcode=exitcode)
+            self._record_failure(attempt, Failure(
                 "crash",
                 f"worker died with exit code {exitcode} and no result "
                 f"(attempt {attempt.attempt + 1})",
-            )
-            self._count(SWEEP_WORKER_DEATH)
-            self._emit(
-                "worker-death",
-                cell=attempt.cell.label,
-                exitcode=exitcode,
-                attempt=attempt.attempt + 1,
-            )
-        self._remove(attempt.heartbeat_file)
-        self._record_failure(attempt, failure, reaped=True)
+            ))
+        elif outcome[0] == "result":
+            self.completed.append(attempt.cell)
+        else:
+            _, error, traceback = outcome
+            self._record_failure(attempt, Failure("exception", error, traceback))
 
-    def _record_failure(self, attempt: _Attempt, failure: Failure,
-                        reaped: bool = False) -> None:
-        if not reaped:
-            self._remove(attempt.failure_file)
-            self._remove(attempt.heartbeat_file)
-            self._count(SWEEP_WORKER_DEATH)
-            self._emit(
-                "worker-death",
-                cell=attempt.cell.label,
-                reason=failure.kind,
-                attempt=attempt.attempt + 1,
-            )
+    def _worker_death(self, attempt: _Attempt, **detail) -> None:
+        self._count(SWEEP_WORKER_DEATH)
+        self._emit("worker-death", cell=attempt.cell.label, **detail,
+                   attempt=attempt.attempt + 1)
+
+    def _record_failure(self, attempt: _Attempt, failure: Failure) -> None:
         cell = attempt.cell
         history = self.failures.setdefault(cell, [])
         history.append(failure)
@@ -906,20 +765,6 @@ class _Supervisor:
         )
         if self.cache.path is not None:
             append_quarantine(quarantine_path(self.cache.path), record)
-
-    # -- cleanup ------------------------------------------------------
-
-    @staticmethod
-    def _remove(path: str) -> None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    def _cleanup_files(self) -> None:
-        for pattern in (f"{self.shard_base}.hb.*", f"{self.shard_base}.fail.*"):
-            for path in glob.glob(pattern):
-                self._remove(path)
 
 
 # -- public entry point -----------------------------------------------
@@ -976,7 +821,6 @@ def run_cells(
             max_retries=resolve_max_retries(max_retries),
         )
     registry = MetricsRegistry()
-    merge_shards(cache, tracer=tracer, registry=registry)  # adopt orphans
     report = ParallelReport(jobs=jobs)
     pending: "List[Cell]" = []
     for cell in _dedup(cells):
@@ -993,49 +837,35 @@ def run_cells(
             report.ran.append(cell)
         report.counters = _snapshot_counters(registry)
         return report
-
-    # Shards are the result channel even for in-memory caches: a
-    # temporary directory hosts them so the merge path is identical.
-    scratch = None
-    if cache.path is not None:
-        shard_base = cache.path
-    else:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-sweep-")
-        shard_base = os.path.join(scratch.name, "results")
-    try:
-        supervisor = _Supervisor(
-            config, cache, bus_model, shard_base, jobs, supervision,
-            tracer=tracer, registry=registry,
-        )
-        supervisor.run(pending)
-        if supervisor.pool_broken is not None:
-            report.fallback_reason = supervisor.pool_broken
-            for cell in supervisor.unfinished():
-                _run_serially(cell, config, cache, bus_model)
-                report.ran.append(cell)
-        for cell in supervisor.needs_parent_rescue:
-            try:
-                _run_serially(cell, config, cache, bus_model)
-            except Exception as error:  # noqa: BLE001 - quarantined
-                supervisor.failures.setdefault(cell, []).append(
-                    Failure(
-                        "exception",
-                        f"{type(error).__name__}: {error} (parent rescue)",
-                        traceback_module.format_exc(),
-                    )
-                )
-                supervisor.quarantine(cell)
-                continue
-            report.retried.append(cell)
-        report.quarantined = supervisor.quarantined
-        for cell in supervisor.completed:
+    supervisor = _Supervisor(
+        config, cache, bus_model, jobs, supervision,
+        tracer=tracer, registry=registry,
+    )
+    supervisor.run(pending)
+    if supervisor.pool_broken is not None:
+        report.fallback_reason = supervisor.pool_broken
+        for cell in supervisor.unfinished():
+            _run_serially(cell, config, cache, bus_model)
             report.ran.append(cell)
-            if supervisor.failures.get(cell):
-                report.recovered.append(cell)
-        merge_shards(cache, shard_base, tracer, registry)
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+    for cell in supervisor.needs_parent_rescue:
+        try:
+            _run_serially(cell, config, cache, bus_model)
+        except Exception as error:  # noqa: BLE001 - quarantined
+            supervisor.failures.setdefault(cell, []).append(
+                Failure(
+                    "exception",
+                    f"{type(error).__name__}: {error} (parent rescue)",
+                    traceback_module.format_exc(),
+                )
+            )
+            supervisor.quarantine(cell)
+            continue
+        report.retried.append(cell)
+    report.quarantined = supervisor.quarantined
+    for cell in supervisor.completed:
+        report.ran.append(cell)
+        if supervisor.failures.get(cell):
+            report.recovered.append(cell)
     report.counters = _snapshot_counters(registry)
     return report
 

@@ -400,18 +400,15 @@ class StatsCache:
         form should be compacted (truncated tail, corrupt, unrecognized
         or duplicate records).
         """
-        try:
-            with open(path, "rb") as handle:
-                return StatsCache._load_handle(handle)
-        except OSError:
-            return {}, False
-
-    @staticmethod
-    def _load_handle(handle) -> "tuple[Dict[tuple, SimulationStats], bool]":
-        """Read journal records from an open binary handle (see _load)."""
+        import io
         import pickle
         import zlib
 
+        try:
+            with open(path, "rb") as journal:
+                handle = io.BytesIO(journal.read())
+        except OSError:
+            return {}, False
         cache: "Dict[tuple, SimulationStats]" = {}
         dirty = False
         while True:
@@ -464,11 +461,9 @@ class StatsCache:
     def append_record(path: str, key: tuple, stats: SimulationStats) -> None:
         """Append one journal record to ``path`` under an advisory lock.
 
-        ``flock`` keeps concurrent appenders (the parallel executor's
-        workers, or two suites pointed at one cache file) from
-        interleaving records mid-pickle; on platforms without ``fcntl``
-        the O_APPEND write is the only guarantee, which per-PID shard
-        files make sufficient.
+        ``flock`` keeps concurrent appenders (two sweeps pointed at one
+        cache file) from interleaving records mid-pickle; on platforms
+        without ``fcntl`` the O_APPEND write is the only guarantee.
         """
         try:
             import fcntl
@@ -519,7 +514,7 @@ class StatsCache:
         return self._cache.get(key)
 
     def insert(self, key: tuple, stats: SimulationStats) -> bool:
-        """Record an externally computed run (the parallel merge path).
+        """Record an externally computed run (a parallel worker's result).
 
         Returns False (and keeps the existing record) if ``key`` is
         already cached.  Duplicate inserts can only carry identical
@@ -545,8 +540,7 @@ class StatsCache:
 
         Scaled runs embed the core count in the workload slot
         (``"oltp@c16"``) so the key keeps the 4-tuple shape every
-        journal record and shard merger already uses — 4-core keys are
-        unchanged.
+        journal record already uses — 4-core keys are unchanged.
         """
         label = f"{workload}@c{num_cores}" if num_cores else workload
         return (label, design_key, config, multiprogrammed)

@@ -20,8 +20,8 @@ multi-million-access runs survive crashes:
   replayable event-window dump on unrecoverable errors;
 * :mod:`repro.harness.chaos` — injects orchestration-level faults
   (worker SIGKILL/hang/freeze, journal truncation and bit-flips,
-  orphaned shards, poison cells) into small sweeps and asserts they
-  converge bit-identically to fault-free runs.
+  poison cells) into small sweeps and asserts they converge
+  bit-identically to fault-free runs.
 """
 
 from repro.harness.chaos import (

@@ -23,9 +23,6 @@ Fault classes (``repro chaos --list``):
   missing cells re-run;
 * ``shard-bitflip`` — one journal byte is flipped; the CRC frame must
   drop exactly the damaged record, never serve corrupt stats;
-* ``orphan-shard`` — a parent killed between a worker's journal append
-  and the merge leaves a shard behind; the next run must adopt it
-  without re-simulating;
 * ``poison-cell``  — a cell raises on every attempt; it must be
   quarantined with its traceback, not retried forever or crash the
   sweep.
@@ -34,8 +31,8 @@ Faults are injected through environment hooks the worker entry point
 honors (``REPRO_CHAOS_KILL`` et al.), armed *once* per cell via marker
 files so retries converge deterministically.  Pass a
 :class:`~repro.obs.tracer.Tracer` to stream the supervision events
-(``retry``, ``worker-death``, ``quarantine``, ``shard-corrupt``) to
-JSONL for Perfetto inspection (``repro chaos --trace``).
+(``retry``, ``worker-death``, ``quarantine``) to JSONL for Perfetto
+inspection (``repro chaos --trace``).
 """
 
 from __future__ import annotations
@@ -365,32 +362,6 @@ def scenario_shard_bitflip(settings: ChaosSettings) -> ScenarioResult:
     )
 
 
-def scenario_orphan_shard(settings: ChaosSettings) -> ScenarioResult:
-    """A parent killed between a worker's append and its merge."""
-    started = time.monotonic()
-    baseline = baseline_stats(settings.config)
-    with tempfile.TemporaryDirectory(prefix="chaos-orphan-") as tmp:
-        path = os.path.join(tmp, "stats.cache")
-        StatsCache.append_record(
-            f"{path}.shard.99999", VICTIM.key(settings.config),
-            baseline[VICTIM.label],
-        )
-        cache = StatsCache(path=path)
-        report = run_cells(list(CELLS), settings.config, cache,
-                           jobs=settings.jobs, supervision=_supervision(),
-                           tracer=settings.tracer)
-        problems = _diverged(settings, cache)
-        if VICTIM not in report.cached:
-            problems.append("orphaned shard record was re-simulated, "
-                            "not adopted")
-        if os.path.exists(f"{path}.shard.99999"):
-            problems.append("orphaned shard not cleaned up after adoption")
-    return _verdict(
-        "orphan-shard", started, problems,
-        "orphaned worker shard adopted without re-simulation",
-    )
-
-
 #: Scenario registry: name -> (description, callable), in run order.
 SCENARIOS: "Dict[str, Tuple[str, Callable[[ChaosSettings], ScenarioResult]]]" = {
     "worker-kill": ("SIGKILL a worker mid-cell", scenario_worker_kill),
@@ -402,8 +373,6 @@ SCENARIOS: "Dict[str, Tuple[str, Callable[[ChaosSettings], ScenarioResult]]]" = 
                        scenario_shard_truncate),
     "shard-bitflip": ("one journal byte flipped; CRC must catch it",
                       scenario_shard_bitflip),
-    "orphan-shard": ("parent killed between worker append and merge",
-                     scenario_orphan_shard),
     "poison-cell": ("cell raises on every attempt; must quarantine",
                     scenario_poison_cell),
 }

@@ -52,8 +52,6 @@ Kinds and their ``data`` payloads:
                   ``{cell, attempts, last_failure}``
 ``worker-death``  a sweep worker process died or was SIGKILLed:
                   ``{cell, reason | exitcode, attempt}``
-``shard-corrupt`` an unreadable shard journal was quarantined:
-                  ``{shard, quarantined_to}``
 ================  =====================================================
 """
 
@@ -80,7 +78,6 @@ VIOLATION = "violation"
 RETRY = "retry"
 QUARANTINE = "quarantine"
 WORKER_DEATH = "worker-death"
-SHARD_CORRUPT = "shard-corrupt"
 
 #: Every recognized event kind, in documentation order.
 KINDS = frozenset(
@@ -102,7 +99,6 @@ KINDS = frozenset(
         RETRY,
         QUARANTINE,
         WORKER_DEATH,
-        SHARD_CORRUPT,
     )
 )
 
@@ -256,7 +252,6 @@ __all__ = [
     "RELOCATION",
     "REPLICATION",
     "RETRY",
-    "SHARD_CORRUPT",
     "STEP",
     "TRANSITION",
     "TraceEvent",

@@ -37,7 +37,6 @@ SWEEP_RETRY = "sweep.retry"
 SWEEP_QUARANTINE = "sweep.quarantine"
 SWEEP_TIMEOUT = "sweep.timeout"
 SWEEP_WORKER_DEATH = "sweep.worker_death"
-SWEEP_SHARD_CORRUPT = "sweep.shard_corrupt"
 SWEEP_FALLBACK = "sweep.fallback_serial"
 
 #: Every supervision counter, in reporting order.
@@ -46,7 +45,6 @@ SUPERVISION_COUNTERS = (
     SWEEP_QUARANTINE,
     SWEEP_TIMEOUT,
     SWEEP_WORKER_DEATH,
-    SWEEP_SHARD_CORRUPT,
     SWEEP_FALLBACK,
 )
 
@@ -278,13 +276,22 @@ class MetricsCollector:
         self.registry = MetricsRegistry()
         self.series = MetricsSeries(sample_every)
         self.events = 0
-        self._system = None
+        self._design = None
+        self._cores: "Sequence[Any]" = ()
         # Hot-path metric objects, resolved once.
         self._latency = self.registry.histogram("l2.latency")
         self._by_class: "Dict[object, Counter]" = {}
 
     def bind(self, system) -> "MetricsCollector":
-        self._system = system
+        """Sample ``system``'s design and cores from now on.
+
+        The collector keeps those parts, not the system: the system
+        holds the collector, so a reference back would make a cycle
+        only a full collection frees, and the parts outlive the system
+        for :meth:`finish`'s last sample.
+        """
+        self._design = system.design
+        self._cores = system.cores
         return self
 
     # -- hot-path hooks -------------------------------------------------
@@ -321,13 +328,12 @@ class MetricsCollector:
 
     def sample(self) -> "Dict[str, Any]":
         """Take one snapshot now and append it to the series."""
-        system = self._system
         snapshot: "Dict[str, Any]" = {
             "event_index": self.events,
             "metrics": self.registry.snapshot(),
         }
-        if system is not None:
-            snapshot.update(self._system_state(system))
+        if self._design is not None:
+            snapshot.update(self._system_state(self._design, self._cores))
         self.series.append(snapshot)
         return snapshot
 
@@ -343,10 +349,9 @@ class MetricsCollector:
     # -- model-state sampling (duck-typed across designs) ---------------
 
     @staticmethod
-    def _system_state(system) -> "Dict[str, Any]":
-        design = system.design
+    def _system_state(design, cores) -> "Dict[str, Any]":
         state: "Dict[str, Any]" = {
-            "cycle": max((core.cycles for core in system.cores), default=0),
+            "cycle": max((core.cycles for core in cores), default=0),
             "accesses": {
                 miss_class.value: count
                 for miss_class, count in sorted(
@@ -360,7 +365,7 @@ class MetricsCollector:
                     "cycles": core.measured_cycles,
                     "ipc": core.ipc,
                 }
-                for core in system.cores
+                for core in cores
             ],
         }
         bus_stats = getattr(design, "bus_stats", None)
@@ -423,7 +428,6 @@ __all__ = [
     "SWEEP_FALLBACK",
     "SWEEP_QUARANTINE",
     "SWEEP_RETRY",
-    "SWEEP_SHARD_CORRUPT",
     "SWEEP_TIMEOUT",
     "SWEEP_WORKER_DEATH",
 ]

@@ -53,8 +53,7 @@ _CORE_KINDS = frozenset((ev.POINTER_RETURN, ev.TRANSITION, ev.C_WRITE))
 #: supervision events carry no core/d-group; the harness track keeps a
 #: chaos run's retries/kills/quarantines on one timeline).
 _HARNESS_KINDS = frozenset(
-    (ev.FAULT, ev.VIOLATION, ev.RETRY, ev.QUARANTINE, ev.WORKER_DEATH,
-     ev.SHARD_CORRUPT)
+    (ev.FAULT, ev.VIOLATION, ev.RETRY, ev.QUARANTINE, ev.WORKER_DEATH)
 )
 
 

@@ -18,7 +18,6 @@ class TestRegistry:
             "worker-freeze",
             "shard-truncate",
             "shard-bitflip",
-            "orphan-shard",
             "poison-cell",
         }
 

@@ -11,6 +11,8 @@ retry, never a dropped cell.  These tests pin each claim with
 import multiprocessing
 import os
 import pickle
+import signal
+import time
 import zlib
 
 import pytest
@@ -30,6 +32,7 @@ from repro.experiments.runner import (
     build_design,
     sweep,
 )
+from repro.obs.tracer import Tracer
 
 #: Small but non-trivial: long enough to exercise every miss class.
 CONFIG = ExperimentConfig(warmup_per_core=1_500, measure_per_core=1_500)
@@ -114,30 +117,16 @@ class TestCrashRecovery:
 
 class TestJournalSharding:
     def test_workers_journal_to_pid_shards_and_parent_merges(self, tmp_path):
+        """The parent is the journal's only writer: a pooled sweep leaves
+        one record per cell in the journal, and no other file."""
         path = str(tmp_path / "stats.cache")
         cells = [Cell("oltp", "private"), Cell("oltp", "ideal")]
         cache = StatsCache(path=path)
         run_cells(cells, CONFIG, cache, jobs=2)
-        # Shards are merged and removed; the main journal has the runs.
-        assert not list(tmp_path.glob("stats.cache.shard.*"))
-        reloaded = StatsCache(path=path)
-        for cell in cells:
-            assert cell.key(CONFIG) in reloaded
-
-    def test_orphaned_shard_is_rescued(self, tmp_path):
-        path = str(tmp_path / "stats.cache")
-        StatsCache(path=path)  # create an empty journal home
-        cell = Cell("oltp", "private")
-        stats = SimulationStats()
-        StatsCache.append_record(
-            f"{path}.shard.12345", cell.key(CONFIG), stats
+        assert os.listdir(tmp_path) == ["stats.cache"]
+        assert sorted(map(repr, _journal_keys(path))) == sorted(
+            repr(cell.key(CONFIG)) for cell in cells
         )
-        cache = StatsCache(path=path)
-        report = run_cells([cell], CONFIG, cache, jobs=2)
-        # The orphan satisfied the cell: no simulation ran.
-        assert report.ran == [] and report.retried == []
-        assert report.cached == [cell]
-        assert not os.path.exists(f"{path}.shard.12345")
 
     def test_append_record_is_readable_journal(self, tmp_path):
         path = str(tmp_path / "j.cache")
@@ -221,15 +210,22 @@ class TestSupervision:
         monkeypatch.setenv(parallel.CHAOS_KILL_ENV, "oltp/private")
         monkeypatch.setenv(parallel.CHAOS_MARK_DIR_ENV, str(tmp_path))
         cache = StatsCache()
+        tracer = Tracer(capacity=64)
         report = run_cells(
             self.CELLS, CONFIG, cache, jobs=2,
-            supervision=fast_supervision(),
+            supervision=fast_supervision(), tracer=tracer,
         )
         # First attempt SIGKILLed, second succeeded in a worker: the
         # cell is recovered, not parent-rescued and not quarantined.
         assert Cell("oltp", "private") in report.recovered
         assert report.retried == [] and report.quarantined == []
         assert report.counters.get("sweep.retry", 0) >= 1
+        # The pipe's EOF reported the death, not a stale heartbeat.
+        deaths = [event.data for event in tracer.ring
+                  if event.kind == "worker-death"]
+        assert deaths == [
+            {"cell": "oltp/private", "exitcode": -signal.SIGKILL, "attempt": 1}
+        ]
         monkeypatch.delenv(parallel.CHAOS_KILL_ENV)
         assert_identical(self.CELLS, self._serial(), cache)
 
@@ -290,6 +286,33 @@ class TestSupervision:
             assert cell.key(CONFIG) in cache
         monkeypatch.undo()
         assert_identical(self.CELLS, self._serial(), cache)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched cell reaches the worker only through fork",
+    )
+    def test_heartbeats_that_fill_the_pipe_do_not_block_the_result(
+        self, monkeypatch
+    ):
+        # A beat every pass of a busy loop fills the pipe within the
+        # second the cell takes: the parent must drain it while the
+        # worker runs, or the result waits behind a blocked beat.
+        def slow_cell(cell, config, bus_model):
+            time.sleep(1.0)
+            return SimulationStats()
+
+        monkeypatch.setattr(parallel, "_simulate_cell", slow_cell)
+        cell = Cell("oltp", "private")
+        report = run_cells(
+            [cell], CONFIG, StatsCache(), jobs=2,
+            supervision=SupervisorConfig(
+                max_retries=0, heartbeat_interval=0.0, heartbeat_grace=3.0,
+            ),
+        )
+        assert report.ran == [cell]
+        assert report.retried == [] and report.recovered == []
+        assert not report.counters.get("sweep.retry")
+        assert not report.counters.get("sweep.worker_death")
 
     def test_resumable_sweep_skips_journaled_cells(self, tmp_path):
         path = str(tmp_path / "stats.cache")
@@ -379,8 +402,6 @@ class TestJournalIntegrity:
         for stats in loaded.values():
             stats.fingerprint()
 
-    # An open sink file and profiler method shadows are unpicklable;
-    # save snapshots state dicts, so it must leave them in place.
     def test_crc_matches_zlib(self, tmp_path):
         path = str(tmp_path / "j.cache")
         key = ("oltp", "private", CONFIG, False)
@@ -389,70 +410,40 @@ class TestJournalIntegrity:
             tag, crc, blob = pickle.load(handle)
         assert tag == "run2" and crc == zlib.crc32(blob)
 
-    def test_midwrite_killed_shard_adopts_prefix_then_deletes(
-        self, tmp_path
-    ):
-        # Regression: merge_shards used to delete a shard even when
-        # loading raised partway, losing the valid prefix.
-        path = str(tmp_path / "stats.cache")
-        shard = f"{path}.shard.777"
-        good = ("oltp", "private", CONFIG, False)
-        StatsCache.append_record(shard, good, SimulationStats())
-        StatsCache.append_record(
-            shard, ("oltp", "ideal", CONFIG, False), SimulationStats()
-        )
-        with open(shard, "r+b") as handle:
-            handle.truncate(os.path.getsize(shard) - 9)
-        cache = StatsCache(path=path)
-        parallel.merge_shards(cache)
-        assert good in cache
-        assert not os.path.exists(shard)
 
-    def test_garbage_shard_is_quarantined_not_deleted(self, tmp_path):
-        path = str(tmp_path / "stats.cache")
-        shard = f"{path}.shard.778"
-        with open(shard, "wb") as handle:
-            handle.write(b"\x80\x05not a pickle stream at all")
-        cache = StatsCache(path=path)
-        parallel.merge_shards(cache)
-        assert not os.path.exists(shard)
-        assert os.path.exists(shard + parallel.CORRUPT_SUFFIX)
-        # The quarantined shard is not re-examined on the next merge.
-        parallel.merge_shards(cache)
-        assert os.path.exists(shard + parallel.CORRUPT_SUFFIX)
-
-
-def _merge_worker(path, barrier):
+def _append_records(path, writer, count, barrier):
     barrier.wait()
-    cache = StatsCache(path=path)
-    parallel.merge_shards(cache)
+    for i in range(count):
+        StatsCache.append_record(
+            path, ("w", f"writer{writer}-{i}", CONFIG, False), SimulationStats()
+        )
 
 
-class TestConcurrentMerge:
-    def test_two_parents_merge_orphans_without_double_adopt(self, tmp_path):
+class TestConcurrentAppend:
+    def test_two_appenders_share_one_journal(self, tmp_path):
+        """Two sweeps may share one cache path: every record two
+        processes append at once loads back whole."""
         path = str(tmp_path / "stats.cache")
-        StatsCache(path=path)
-        keys = [("w", f"d{i}", CONFIG, False) for i in range(8)]
-        for i, key in enumerate(keys):
-            StatsCache.append_record(
-                f"{path}.shard.{1000 + i}", key, SimulationStats()
-            )
+        count = 200
         barrier = multiprocessing.Barrier(2)
-        parents = [
+        writers = [
             multiprocessing.Process(
-                target=_merge_worker, args=(path, barrier)
+                target=_append_records, args=(path, writer, count, barrier)
             )
-            for _ in range(2)
+            for writer in range(2)
         ]
-        for proc in parents:
+        for proc in writers:
             proc.start()
-        for proc in parents:
+        for proc in writers:
             proc.join(timeout=60)
             assert proc.exitcode == 0
-        # Every record was adopted exactly once — no loss, no dupes.
-        merged = _journal_keys(path)
-        assert sorted(map(repr, merged)) == sorted(map(repr, keys))
-        assert not list(tmp_path.glob("stats.cache.shard.*"))
+        loaded, dirty = StatsCache._load(path)
+        assert not dirty
+        assert set(loaded) == {
+            ("w", f"writer{writer}-{i}", CONFIG, False)
+            for writer in range(2)
+            for i in range(count)
+        }
 
 
 class TestJobsResolution:

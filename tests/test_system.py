@@ -30,6 +30,7 @@ from repro.experiments.runner import (
     build_design,
 )
 from repro.harness import FaultInjector, FaultSpec
+from repro.obs.metrics import MetricsCollector
 from repro.workloads.base import BATCH
 from repro.workloads.multiprogrammed import make_mix
 from repro.workloads.multithreaded import make_workload
@@ -377,6 +378,19 @@ class TestFreedByReferenceCounting:
         refs = [weakref.ref(system), weakref.ref(system.design)]
         del system
         assert [ref() for ref in refs] == [None, None]
+
+    def test_metered_system(self, collector_off):
+        metrics = MetricsCollector(sample_every=500)
+        system = CmpSystem(build_design("private"), metrics=metrics)
+        system.run_chunks(make_workload("oltp", seed=3).chunks(accesses_per_core=300))
+        refs = [weakref.ref(system), weakref.ref(system.design)]
+        del system
+        assert refs[0]() is None
+        # The collector keeps the parts it samples for its last sample.
+        last = metrics.finish().samples[-1]
+        assert last["event_index"] == 1200 and len(last["per_core"]) == 4
+        del metrics
+        assert refs[1]() is None
 
     def test_harnessed_scaled_cell(self, tmp_path, monkeypatch, collector_off):
         refs = []
