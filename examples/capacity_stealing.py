@@ -18,7 +18,14 @@ Usage::
 
 import sys
 
-from repro import CmpSystem, NurapidCache, PrivateCaches, SharedCache, make_mix
+from repro import (
+    CmpSystem,
+    NurapidCache,
+    PrivateCaches,
+    SharedCache,
+    make_mix,
+    run_events,
+)
 from repro.experiments import format_table
 
 MIX = "MIX1"
@@ -27,9 +34,10 @@ MIX = "MIX1"
 def run(design, accesses_per_core):
     system = CmpSystem(design)
     workload = make_mix(MIX)
-    system.run_chunks(
+    run_events(
+        system,
         workload.chunks(accesses_per_core=2 * accesses_per_core),
-        warmup_events=accesses_per_core * workload.num_cores,
+        accesses_per_core * workload.num_cores,
     )
     return workload, system.stats()
 

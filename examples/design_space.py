@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro import CmpSystem, NurapidCache, make_workload
+from repro import CmpSystem, NurapidCache, make_workload, run_events
 from repro.common.params import NurapidParams
 from repro.experiments import format_table
 
@@ -23,9 +23,10 @@ def run(params, workload_name, accesses_per_core):
     design = NurapidCache(params)
     system = CmpSystem(design)
     workload = make_workload(workload_name)
-    system.run_chunks(
+    run_events(
+        system,
         workload.chunks(accesses_per_core=2 * accesses_per_core),
-        warmup_events=accesses_per_core * workload.num_cores,
+        accesses_per_core * workload.num_cores,
     )
     stats = system.stats()
     return design, stats

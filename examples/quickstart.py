@@ -32,7 +32,16 @@ designs stay untouched baselines):
 import os
 import sys
 
-from repro import CmpSystem, MetricsCollector, MissClass, Profiler, Tracer, make_workload
+from repro import (
+    CmpSystem,
+    HarnessConfig,
+    MetricsCollector,
+    MissClass,
+    Profiler,
+    Tracer,
+    make_workload,
+    run_events,
+)
 from repro.experiments import format_table
 from repro.experiments.runner import build_design
 
@@ -63,16 +72,11 @@ def run_design(name, accesses_per_core):
     workload = make_workload("oltp")
     chunks = workload.chunks(accesses_per_core=2 * accesses_per_core)
     warmup_events = accesses_per_core * workload.num_cores
-    if CHECK_EVERY:
-        from repro.harness import HarnessConfig, run_events
-
-        run_events(
-            system, chunks, warmup_events,
-            HarnessConfig(check_every=CHECK_EVERY),
-            profiler=profiler,
-        )
-    else:
-        system.run_chunks(chunks, warmup_events)
+    run_events(
+        system, chunks, warmup_events,
+        HarnessConfig(check_every=CHECK_EVERY),
+        profiler=profiler,
+    )
     if metrics is not None:
         series = metrics.finish()
         if METRICS_PATH.endswith(".csv"):

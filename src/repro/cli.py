@@ -39,12 +39,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.common.params import SystemParams
 from repro.common.rng import DEFAULT_SEED
 from repro.common.types import MissClass
-from repro.cpu.system import CmpSystem, EventChunk
+from repro.cpu.system import CmpSystem
 from repro.experiments import ablations, energy_report, sensitivity, smp_contrast, suite
 from repro.experiments.charts import BarGroup, StackedBar, render_grouped_bars, render_stacked_bars
 from repro.experiments.report import format_table, pct
@@ -56,6 +56,8 @@ from repro.experiments.runner import (
     StatsCache,
     build_design,
     resolve_bus_model,
+    run_meta,
+    run_stream,
 )
 from repro.harness import (
     CheckpointError,
@@ -95,17 +97,6 @@ def _workload_name(args) -> str:
     return args.mix or args.workload or "oltp"
 
 
-def _make_chunks(args) -> "tuple[Iterator[EventChunk], int]":
-    """Build the event stream; returns (chunks, warmup_events)."""
-    total = args.warmup + args.accesses
-    if args.mix:
-        workload = make_mix(args.mix, seed=args.seed)
-    else:
-        workload = make_workload(args.workload or "oltp", seed=args.seed)
-    chunks = workload.chunks(accesses_per_core=total)
-    return chunks, args.warmup * workload.num_cores
-
-
 def _check_interval(text: str):
     """--check-invariants value: an event interval, or the word 'full'."""
     if text.strip().lower() == "full":
@@ -116,14 +107,6 @@ def _check_interval(text: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'full', got {text!r}"
         ) from None
-
-
-def _check_invariants_config(args) -> "tuple[int, bool]":
-    """Resolve --check-invariants into (check_every, check_full)."""
-    value = args.check_invariants
-    if value == "full":
-        return 1, True
-    return value, False
 
 
 def _count(text: str) -> int:
@@ -179,13 +162,25 @@ def _finish_obs(tracer, metrics, profiler, args) -> None:
         print(profiler.report())
 
 
-def _run_one(design_name: str, args, tracer=None, metrics=None, profiler=None):
-    design = build_design(design_name, bus_model=getattr(args, "bus_model", None))
-    system = CmpSystem(design, tracer=tracer, metrics=metrics)
-    if profiler is not None:
-        profiler.instrument(system)
-    system.run_chunks(*_make_chunks(args))
-    return design, system.stats()
+def _fresh_system(args, design_name: str, tracer=None, metrics=None):
+    """A new machine for ``design_name`` and its run's checkpoint
+    metadata (:func:`run_meta`), from the workload flags."""
+    bus_model = getattr(args, "bus_model", None)
+    system = CmpSystem(
+        build_design(design_name, bus_model=bus_model),
+        tracer=tracer,
+        metrics=metrics,
+    )
+    meta = run_meta(
+        design_name,
+        args.workload,
+        mix=args.mix,
+        seed=args.seed,
+        warmup=args.warmup,
+        accesses=args.accesses,
+        bus_model=resolve_bus_model(bus_model),
+    )
+    return system, meta
 
 
 def _validate_workload_args(args) -> None:
@@ -237,100 +232,53 @@ def _validate_run_args(args) -> None:
             )
 
 
-def _harness_active(args) -> bool:
-    """Whether any flag routed this run through the harness."""
-    return bool(
-        args.check_invariants
-        or args.checkpoint
-        or args.resume
-        or args.inject_fault
-        or args.timeout
-    )
-
-
-def _chunks_from_meta(meta: dict):
-    """Rebuild the deterministic event stream a checkpoint was cut from."""
-    seed = meta.get("seed", DEFAULT_SEED)
-    try:
-        if meta.get("mix"):
-            workload = make_mix(meta["mix"], seed=seed)
-        else:
-            workload = make_workload(meta.get("workload") or "oltp", seed=seed)
-        total = meta["warmup"] + meta["accesses"]
-    except KeyError as missing:
-        raise CliError(
-            f"checkpoint metadata is missing {missing}; was it written by "
-            "this CLI?"
-        ) from None
-    chunks = workload.chunks(accesses_per_core=total)
-    return chunks, meta["warmup"] * workload.num_cores
-
-
 def _run_harnessed(args, tracer=None, metrics=None, profiler=None):
-    """Run (or resume) under the harness; returns (design name, label, runner)."""
-    faults = parse_fault_specs(args.inject_fault or ())
-    check_every, check_full = _check_invariants_config(args)
+    """Run (or resume) under the harness settings the flags give (all
+    off by default: a plain run); returns (design name, label, runner)."""
     if args.resume:
         checkpoint = load_checkpoint(args.resume)
-        meta = dict(checkpoint.meta)
-        design_name = meta.get("design", "cmp-nurapid")
-        system = checkpoint.system
+        system, meta = checkpoint.system, dict(checkpoint.meta)
         if tracer is not None:
             system.attach_tracer(tracer)
         if metrics is not None:
             system.attach_metrics(metrics)
-        if profiler is not None:
-            profiler.instrument(system)
-        chunks, warmup_events = _chunks_from_meta(meta)
-        config = HarnessConfig(
-            check_every=check_every,
-            check_full=check_full,
-            checkpoint_path=args.checkpoint or args.resume,
-            checkpoint_every=args.checkpoint_every,
-            timeout_seconds=args.timeout,
-            faults=faults,
-            seed=meta.get("seed", DEFAULT_SEED),
+        start_index = checkpoint.event_index
+    else:
+        system, meta = _fresh_system(
+            args, args.design or "cmp-nurapid", tracer, metrics
         )
-        runner = run_events(
-            system,
-            chunks,
-            warmup_events,
-            config,
-            start_index=checkpoint.event_index,
-            meta=meta,
-            stats_reset=bool(meta.get("stats_reset")),
-            profiler=profiler,
-        )
-        label = meta.get("mix") or meta.get("workload") or "oltp"
-        return design_name, label, runner
-    design_name = args.design or "cmp-nurapid"
-    design = build_design(design_name, bus_model=args.bus_model)
-    system = CmpSystem(design, tracer=tracer, metrics=metrics)
+        start_index = 0
     if profiler is not None:
         profiler.instrument(system)
-    chunks, warmup_events = _make_chunks(args)
-    meta = {
-        "design": design_name,
-        "workload": args.workload,
-        "mix": args.mix,
-        "seed": args.seed,
-        "accesses": args.accesses,
-        "warmup": args.warmup,
-        "bus_model": resolve_bus_model(args.bus_model),
-    }
+    try:
+        chunks, warmup_events = run_stream(meta)
+    except KeyError as missing:
+        raise CliError(
+            f"checkpoint metadata is missing {missing}; was it written by "
+            "this simulator?"
+        ) from None
+    check_full = args.check_invariants == "full"
     config = HarnessConfig(
-        check_every=check_every,
+        check_every=1 if check_full else args.check_invariants,
         check_full=check_full,
-        checkpoint_path=args.checkpoint,
+        checkpoint_path=args.checkpoint or args.resume,
         checkpoint_every=args.checkpoint_every,
         timeout_seconds=args.timeout,
-        faults=faults,
-        seed=args.seed,
+        faults=parse_fault_specs(args.inject_fault or ()),
+        seed=meta.get("seed", DEFAULT_SEED),
     )
     runner = run_events(
-        system, chunks, warmup_events, config, meta=meta, profiler=profiler
+        system,
+        chunks,
+        warmup_events,
+        config,
+        start_index=start_index,
+        meta=meta,
+        stats_reset=bool(meta.get("stats_reset")),
+        profiler=profiler,
     )
-    return design_name, _workload_name(args), runner
+    label = meta.get("mix") or meta.get("workload") or "oltp"
+    return meta.get("design", "cmp-nurapid"), label, runner
 
 
 def _print_harness_summary(runner) -> None:
@@ -382,23 +330,14 @@ def _stats_row(name: str, stats, baseline_throughput: "Optional[float]"):
 
 def cmd_run(args) -> int:
     _validate_run_args(args)
-    runner = None
     tracer, metrics, profiler = _build_obs(args)
     try:
-        if _harness_active(args):
-            design_name, label, runner = _run_harnessed(
-                args, tracer=tracer, metrics=metrics, profiler=profiler
-            )
-            # One final snapshot so a finished run's checkpoint is current.
-            runner.checkpoint()
-            stats = runner.system.stats()
-        else:
-            design_name = args.design or "cmp-nurapid"
-            _, stats = _run_one(
-                design_name, args, tracer=tracer, metrics=metrics,
-                profiler=profiler,
-            )
-            label = _workload_name(args)
+        design_name, label, runner = _run_harnessed(
+            args, tracer=tracer, metrics=metrics, profiler=profiler
+        )
+        # One final snapshot so a finished run's checkpoint is current.
+        runner.checkpoint()
+        stats = runner.system.stats()
     except BaseException:
         # A failed run still flushes the trace sink: the recorded
         # prefix (and the harness's crash-window events) are the repro.
@@ -437,8 +376,7 @@ def cmd_run(args) -> int:
         )
         print()
         print(render_stacked_bars([bar], baseline=0.0))
-    if runner is not None:
-        _print_harness_summary(runner)
+    _print_harness_summary(runner)
     _finish_obs(tracer, metrics, profiler, args)
     return 0
 
@@ -449,7 +387,9 @@ def cmd_compare(args) -> int:
     chart_groups = {}
     baseline = None
     for name in args.designs:
-        _, stats = _run_one(name, args)
+        system, meta = _fresh_system(args, name)
+        run_events(system, *run_stream(meta))
+        stats = system.stats()
         if baseline is None:
             baseline = stats.throughput
         rows.append(_stats_row(name, stats, baseline))

@@ -410,19 +410,19 @@ class CmpSystem:
     def run(self, events: "Iterable[TimedAccess]") -> None:
         """Execute a stream of timed accesses, one :meth:`step` each.
 
-        Workload streams go through :meth:`run_chunks`.
+        Workload streams go through :meth:`run_chunks`, driven by
+        :func:`~repro.harness.runner.run_events`.
         """
         step = self.step
         for event in events:
             step(event)
 
-    def run_chunks(
-        self, chunks: "Iterable[EventChunk]", warmup_events: int = 0
-    ) -> None:
+    def run_chunks(self, chunks: "Iterable[EventChunk]") -> None:
         """Execute a workload's event chunks.
 
-        With ``warmup_events``, statistics are reset once that many
-        events have run (cache state and core clocks carry over).
+        Warm-up and measurement belong to
+        :func:`~repro.harness.runner.run_events`, which runs the chunks
+        in pieces through this loop and resets statistics between them.
 
         Dispatches on the observers once, not per event: with no
         tracer and no metrics collector, on every interconnect, the
@@ -444,10 +444,6 @@ class CmpSystem:
         it, before a later transaction could fire it at another time
         than :meth:`step` would.
         """
-        if warmup_events:
-            warmup, chunks = split_chunks(chunks, warmup_events)
-            self.run_chunks(warmup)
-            self.reset_stats()
         if self.tracer.enabled or self.metrics is not None:
             self.run(timed_events(chunks))
             return

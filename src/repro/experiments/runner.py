@@ -9,20 +9,22 @@ enumerate exactly the bars each figure shows.
 
 from __future__ import annotations
 
-import itertools
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.caches.design import L2Design
 from repro.caches.ideal import IdealCache
 from repro.caches.private import PrivateCaches
 from repro.caches.shared import SharedCache
 from repro.caches.snuca import SnucaCache
+from repro.common.params import DEFAULT_NUM_CORES
 from repro.common.rng import DEFAULT_SEED
 from repro.common.stats import SimulationStats
 from repro.core.nurapid import NurapidCache
-from repro.cpu.system import CmpSystem, TimedAccess
+from repro.cpu.system import CmpSystem, EventChunk
+from repro.harness.runner import run_events
 from repro.workloads.multiprogrammed import MultiprogrammedWorkload, make_mix
 from repro.workloads.multithreaded import make_workload
 
@@ -164,8 +166,6 @@ def build_design(
         raise KeyError(
             f"unknown design {name!r}; choose from {sorted(DESIGN_FACTORIES)}"
         )
-    from repro.common.params import DEFAULT_NUM_CORES
-
     if num_cores is not None and num_cores != DEFAULT_NUM_CORES:
         design = _build_scaled(name, num_cores, resolved)
     else:
@@ -177,24 +177,40 @@ def build_design(
     return design
 
 
-def run_design_on_events(
-    design: L2Design,
-    events: "Iterable[TimedAccess]",
-    warmup_events: int,
-) -> "tuple[CmpSystem, SimulationStats]":
-    """Warm up, reset statistics, measure; return (system, stats).
+def run_meta(
+    design: str, workload: "Optional[str]", *, mix: "Optional[str]" = None,
+    num_cores: int = DEFAULT_NUM_CORES, seed: int, warmup: int,
+    accesses: int, bus_model: str,
+) -> dict:
+    """A run's checkpoint metadata, in the one schema every checkpoint
+    writer uses; :func:`run_stream` rebuilds the run's stream from it.
+    ``workload`` None is oltp, a ``mix`` replaces it, and ``warmup`` and
+    ``accesses`` count per-core events."""
+    return dict(
+        design=design, workload=workload, mix=mix, num_cores=num_cores,
+        seed=seed, warmup=warmup, accesses=accesses, bus_model=bus_model,
+    )
 
-    For a stream of :class:`TimedAccess` objects (trace replay,
-    hand-built streams); workload runs pass chunks to
-    :meth:`CmpSystem.run_chunks`.
+
+def run_stream(
+    meta: dict, factory: "Optional[Callable[..., object]]" = None
+) -> "tuple[Iterator[EventChunk], int]":
+    """The event chunks of the run ``meta`` describes and its warm-up
+    length in events.  Metadata without ``num_cores`` (older than the
+    key) is a 4-core run; ``factory`` stands in for
+    :func:`make_workload`.  A ``KeyError`` names a missing run length.
     """
-    system = CmpSystem(design)
-    iterator = iter(events)
-    if warmup_events:
-        system.run(itertools.islice(iterator, warmup_events))
-        system.reset_stats()
-    system.run(iterator)
-    return system, system.stats()
+    seed = meta.get("seed", DEFAULT_SEED)
+    if meta.get("mix"):
+        workload = make_mix(meta["mix"], seed=seed)
+    else:
+        workload = (factory or make_workload)(
+            meta.get("workload") or "oltp",
+            num_cores=meta.get("num_cores", DEFAULT_NUM_CORES),
+            seed=seed,
+        )
+    chunks = workload.chunks(accesses_per_core=meta["warmup"] + meta["accesses"])
+    return chunks, meta["warmup"] * workload.num_cores
 
 
 def _warm_and_measure(
@@ -203,10 +219,8 @@ def _warm_and_measure(
     """Warm up, reset statistics and measure ``design`` on ``workload``."""
     system = CmpSystem(design)
     total = config.warmup_per_core + config.measure_per_core
-    system.run_chunks(
-        workload.chunks(accesses_per_core=total),
-        config.warmup_per_core * workload.num_cores,
-    )
+    chunks = workload.chunks(accesses_per_core=total)
+    run_events(system, chunks, config.warmup_per_core * workload.num_cores)
     return system, system.stats()
 
 
@@ -223,11 +237,9 @@ def run_multithreaded(
     num_cores=N)``); None keeps the paper's 4 cores.
     """
     config = config or ExperimentConfig()
-    if num_cores is not None:
-        workload = make_workload(workload_name, num_cores=num_cores,
-                                 seed=config.seed)
-    else:
-        workload = make_workload(workload_name, seed=config.seed)
+    workload = make_workload(
+        workload_name, num_cores=num_cores or DEFAULT_NUM_CORES, seed=config.seed
+    )
     return _warm_and_measure(design, workload, config)
 
 
@@ -380,7 +392,8 @@ class StatsCache:
     the last record for a duplicated key.  Loading **compacts** when it
     has something to fix — a truncated tail, or corrupt, unrecognized
     or duplicate records — by atomically rewriting the journal (tmp
-    file + rename).  A missing file starts empty; an unreadable one is
+    file + rename) under the lock appenders take, so no concurrent
+    append is lost.  A missing file starts empty; an unreadable one is
     ignored (the sweep re-simulates).
     """
 
@@ -390,7 +403,7 @@ class StatsCache:
         if path is not None:
             self._cache, dirty = self._load(path)
             if dirty:
-                self._compact()
+                self._cache = self._compact(path)
 
     @staticmethod
     def _load(path: str) -> "tuple[Dict[tuple, SimulationStats], bool]":
@@ -458,44 +471,66 @@ class StatsCache:
                             protocol=pickle.HIGHEST_PROTOCOL)
 
     @staticmethod
-    def append_record(path: str, key: tuple, stats: SimulationStats) -> None:
-        """Append one journal record to ``path`` under an advisory lock.
-
-        ``flock`` keeps concurrent appenders (two sweeps pointed at one
-        cache file) from interleaving records mid-pickle; on platforms
-        without ``fcntl`` the O_APPEND write is the only guarantee.
-        """
+    @contextmanager
+    def _locked(path: str) -> "Iterator[BinaryIO]":
+        """The journal at ``path``, open to append under an exclusive
+        ``flock`` that closing the handle releases (nothing is locked
+        without ``fcntl``).  Compaction replaces the journal under this
+        lock, so a handle that waited for it may hold the replaced
+        file; then its ``fstat`` is not the path's, and the new file
+        is locked instead."""
         try:
             import fcntl
         except ImportError:  # pragma: no cover - non-POSIX
             fcntl = None
-        record = StatsCache._pack_record(key, stats)
-        with open(path, "ab") as handle:
-            if fcntl is not None:
+        while True:
+            with open(path, "ab") as handle:
+                if fcntl is None:
+                    yield handle
+                    return
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(record)
-                handle.flush()
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                try:
+                    current = os.stat(path)
+                except FileNotFoundError:
+                    continue  # deleted meanwhile: open creates it again
+                if os.path.samestat(os.fstat(handle.fileno()), current):
+                    yield handle
+                    return
+
+    @staticmethod
+    def append_record(path: str, key: tuple, stats: SimulationStats) -> None:
+        """Append one journal record to ``path`` under the journal's lock.
+
+        The lock (:meth:`_locked`) keeps concurrent appenders (two
+        sweeps pointed at one cache file) from interleaving records
+        mid-pickle or appending to a journal a compaction replaced; on
+        platforms without ``fcntl`` the O_APPEND write is the only
+        guarantee.
+        """
+        record = StatsCache._pack_record(key, stats)
+        with StatsCache._locked(path) as handle:
+            handle.write(record)
 
     def _append(self, key: tuple, stats: SimulationStats) -> None:
         if self.path is None:
             return
         self.append_record(self.path, key, stats)
 
-    def _compact(self) -> None:
-        """Atomically rewrite the journal with exactly one record per key."""
-        if self.path is None:
-            return
-        import os
-
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "wb") as handle:
-            for key, stats in self._cache.items():
-                handle.write(self._pack_record(key, stats))
-        os.replace(tmp, self.path)
+    @staticmethod
+    def _compact(path: str) -> "Dict[tuple, SimulationStats]":
+        """Atomically rewrite the journal at ``path`` with one record per
+        key; returns its records.  It is read again under the journal's
+        lock, so a record another sweep appended meanwhile is kept, and
+        a journal another sweep compacted meanwhile is left alone."""
+        with StatsCache._locked(path):
+            cache, dirty = StatsCache._load(path)
+            if dirty:
+                tmp = f"{path}.tmp"
+                with open(tmp, "wb") as handle:
+                    for key, stats in cache.items():
+                        handle.write(StatsCache._pack_record(key, stats))
+                os.replace(tmp, path)
+        return cache
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -33,6 +33,8 @@ from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
     build_design,
+    run_meta,
+    run_stream,
 )
 from repro.harness import (
     CheckpointError,
@@ -106,27 +108,27 @@ def run_scaled_cell(
     """One harnessed N-core mesh run: warm up, check, snapshot, resume.
 
     With a ``checkpoint_path``, an existing snapshot whose metadata
-    matches this cell (design, workload, core count, seed, run
-    lengths) is resumed bit-identically — the deterministic event
-    stream is regenerated and fast-forwarded past the consumed prefix.
-    A snapshot for a *different* cell configuration (or an unreadable
-    one) is ignored and the run starts fresh.
+    (:func:`~repro.experiments.runner.run_meta`) matches this cell
+    (design, workload, core count, seed, run lengths) is resumed
+    bit-identically — the deterministic event stream is rebuilt from
+    that metadata, as ``repro run --resume`` rebuilds it, and
+    fast-forwarded past the consumed prefix.  A snapshot for a
+    *different* cell configuration (or an unreadable one) is ignored
+    and the run starts fresh.
     """
     config = config or ExperimentConfig()
-    workload = make_workload(workload_name, num_cores=num_cores,
-                             seed=config.seed)
-    total = config.warmup_per_core + config.measure_per_core
-    chunks = workload.chunks(accesses_per_core=total)
-    warmup_events = config.warmup_per_core * workload.num_cores
-    meta = {
-        "design": design_name,
-        "workload": workload_name,
-        "num_cores": num_cores,
-        "seed": config.seed,
-        "accesses": config.measure_per_core,
-        "warmup": config.warmup_per_core,
-        "bus_model": "mesh",
-    }
+    meta = run_meta(
+        design_name,
+        workload_name,
+        num_cores=num_cores,
+        seed=config.seed,
+        warmup=config.warmup_per_core,
+        accesses=config.measure_per_core,
+        bus_model="mesh",
+    )
+    # This module's make_workload builds the stream: the benchmark's
+    # tracer (bench/tracer.py) times scaled cells by patching it.
+    chunks, warmup_events = run_stream(meta, make_workload)
     system = None
     start_index = 0
     stats_reset = False

@@ -29,14 +29,10 @@ from repro.common.params import (
     NurapidParams,
     PrivateCacheParams,
     SharedCacheParams,
-    SystemParams,
 )
 from repro.core.nurapid import NurapidCache
-from repro.cpu.system import CmpSystem
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import ExperimentConfig, run_multithreaded
-from repro.workloads.base import SyntheticWorkload
-from repro.workloads.multithreaded import workload_spec
 
 WORKLOAD = "oltp"
 
@@ -102,7 +98,6 @@ def run_core_scaling(
     config = config or ExperimentConfig()
     raw: "Dict[str, object]" = {}
     report = ExperimentReport("Sensitivity: 8-core CMP-NuRAPID (oltp model)")
-    spec = workload_spec(WORKLOAD)
     for cores in (4, 8):
         params = NurapidParams(
             num_cores=cores,
@@ -110,14 +105,7 @@ def run_core_scaling(
             dgroup_capacity_bytes=8 * MB // cores,
         )
         design = NurapidCache(params)
-        system = CmpSystem(design, SystemParams(num_cores=cores))
-        workload = SyntheticWorkload(spec, num_cores=cores, seed=config.seed)
-        total = config.warmup_per_core + config.measure_per_core
-        system.run_chunks(
-            workload.chunks(accesses_per_core=total),
-            config.warmup_per_core * cores,
-        )
-        stats = system.stats()
+        _, stats = run_multithreaded(design, WORKLOAD, config, num_cores=cores)
         raw[f"{cores}-core"] = stats
         design.check_invariants()
         report.add(f"{cores}-core miss rate", None, stats.accesses.miss_rate)

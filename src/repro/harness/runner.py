@@ -31,6 +31,12 @@ reach, systems with a tracer or metrics collector, and check
 intervals shorter than :data:`MIN_SEGMENT` keep the per-event loop
 (:meth:`HarnessRunner.takes_pieces`).
 
+:func:`run_events` runs every warm-up-then-measure run in the
+simulator, and a plain run is ``run_events`` with the default
+:class:`HarnessConfig` (no check, checkpoint or watchdog).  It still
+keeps the crash window, so a plain run that raises an
+:class:`InvariantViolation` dumps its last events like any other.
+
 The runner attaches no observer of its own.  Fault injections and
 invariant violations are typed trace events: they reach whatever
 tracer the caller attached to the system, and the injector's ``log``
@@ -406,12 +412,17 @@ def run_events(
     """Warm up, reset statistics, and measure a workload's event chunks
     under the harness.
 
+    Statistics are reset once ``warmup_events`` events have run (cache
+    state and core clocks carry over).  ``config`` None is a plain run.
+
     ``start_index``/``stats_reset`` support resume: the deterministic
-    ``chunks`` stream is rebuilt by the caller, the already-consumed
-    prefix is skipped here (whole chunks at a time; only the one that
-    straddles ``start_index`` is sliced), and the warm-up boundary
-    reset is re-applied only if the checkpoint predates it.  Returns
-    the runner (its ``system`` holds the final state).
+    ``chunks`` stream is rebuilt by the caller (from the checkpoint's
+    metadata, :func:`repro.experiments.runner.run_stream`), the
+    already-consumed prefix is skipped here (whole chunks at a time;
+    only the one that straddles ``start_index`` is sliced), and the
+    warm-up boundary reset is re-applied only if the checkpoint
+    predates it.  Returns the runner (its ``system`` holds the final
+    state).
     """
     _, chunks = split_chunks(chunks, start_index)
     runner = HarnessRunner(system, config, meta, profiler=profiler)

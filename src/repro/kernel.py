@@ -3,14 +3,15 @@
 :class:`EventTape` materializes one workload's event stream once into
 columnar numpy arrays, and :class:`BatchKernel` runs each design
 lane's own :class:`~repro.cpu.system.CmpSystem` over it with
-:meth:`~repro.cpu.system.CmpSystem.run_chunks`, the simulator's plain
-loop.  A lane's ``SimulationStats.fingerprint()`` is therefore
-identical to a run of the same (workload, design, seed, bus model)
-cell by construction; ``tests/test_kernel_differential.py`` pins it.
+:func:`~repro.harness.runner.run_events`, which runs every
+warm-up-then-measure run, in its default (plain) configuration.  A
+lane's ``SimulationStats.fingerprint()`` is therefore identical to a
+run of the same (workload, design, seed, bus model) cell by
+construction; ``tests/test_kernel_differential.py`` pins it.
 
 The two classes serve the benchmark's ``fig10-batch`` workload
 (``bench/workloads.py``) and nothing else: no sweep, command or plan
-uses them.  The module goes when that workload does (ROADMAP item 9).
+uses them.  The module goes when that workload does (ROADMAP item 3).
 
 The tape replays in slices of :data:`~repro.workloads.base.BATCH`
 events, so a lane never expands more than one generator chunk into
@@ -28,6 +29,7 @@ from repro.caches.design import L2Design
 from repro.common.stats import SimulationStats
 from repro.common.types import AccessType
 from repro.cpu.system import SHARING_CLASSES, CmpSystem, EventChunk
+from repro.harness.runner import run_events
 from repro.workloads.base import BATCH
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +112,7 @@ class BatchKernel:
     def run(self, tape: EventTape, warmup_events: int = 0) -> None:
         """Warm up, reset statistics, measure — one lane at a time."""
         for system in self.lanes:
-            system.run_chunks(tape._slices(), warmup_events)
+            run_events(system, tape._slices(), warmup_events)
 
     def lane_stats(self, index: int) -> SimulationStats:
         """One lane's statistics: its system's ``stats()``."""

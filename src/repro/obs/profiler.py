@@ -27,6 +27,7 @@ with zero overhead.  Instrumented sections:
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List
 
@@ -106,17 +107,26 @@ class Profiler:
         without a profiler) execute the original, unwrapped methods.
         """
         design = system.design
-        design.access = self.wrap("l2-lookup", design.access)
-        make_room = getattr(design, "_make_room", None)
-        if make_room is not None:
-            design._make_room = self.wrap("distance-replacement", make_room)
-        bus = getattr(design, "bus", None)
-        if bus is not None and hasattr(bus, "issue"):
-            bus.issue = self.wrap("bus-arbitration", bus.issue)
-        crossbar = getattr(design, "crossbar", None)
-        if crossbar is not None and hasattr(crossbar, "access"):
-            crossbar.access = self.wrap("crossbar", crossbar.access)
+        for name, owner, attribute in (
+            ("l2-lookup", design, "access"),
+            ("distance-replacement", design, "_make_room"),
+            ("bus-arbitration", getattr(design, "bus", None), "issue"),
+            ("crossbar", getattr(design, "crossbar", None), "access"),
+        ):
+            if hasattr(owner, attribute):
+                self._shadow(name, owner, attribute)
         return self
+
+    def _shadow(self, name: str, owner: Any, attribute: str) -> None:
+        """Shadow ``owner``'s method ``attribute`` with a timed wrapper
+        that holds it weakly: stored on ``owner``, a bound method would
+        make ``owner`` a cycle only a full garbage collection frees."""
+        method = weakref.WeakMethod(getattr(owner, attribute))
+
+        def call(*args: Any, **kwargs: Any) -> Any:
+            return method()(*args, **kwargs)
+
+        setattr(owner, attribute, self.wrap(name, call))
 
     # ------------------------------------------------------------------
 

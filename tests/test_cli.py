@@ -522,6 +522,52 @@ class TestMeshCli:
         assert len(err.strip().splitlines()) == 1
         assert f"{trace}: line 2: malformed machine line" in err
 
+    def test_resumed_scaled_cell_matches_the_uninterrupted_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``repro run --resume`` rebuilds a 16-core mesh cell's stream
+        from its checkpoint metadata: cuts inside warm-up and inside
+        measurement both resume to the uninterrupted cell's numbers."""
+        import shutil
+
+        from repro.common.types import MissClass
+        from repro.experiments import scale
+        from repro.experiments.report import pct
+        from repro.experiments.runner import ExperimentConfig
+        from repro.harness import runner as harness_runner
+
+        # 16 x 100 warm-up events, then 16 x 150 measured: cut at 1000
+        # and 3000, where the cell's periodic checkpoints land.
+        config = ExperimentConfig(warmup_per_core=100, measure_per_core=150)
+        cuts = {1000: tmp_path / "warm-up.ck", 3000: tmp_path / "measure.ck"}
+        save = harness_runner.save_checkpoint
+
+        def save_and_keep_cuts(system, event_index, path, meta):
+            save(system, event_index, path, meta)
+            if event_index in cuts:
+                shutil.copyfile(path, cuts[event_index])
+
+        monkeypatch.setattr(harness_runner, "save_checkpoint", save_and_keep_cuts)
+        stats = scale.run_scaled_cell(
+            "cmp-nurapid", "oltp", 16, config, check_every=500,
+            checkpoint_path=str(tmp_path / "cell.ck"), checkpoint_every=1000,
+        )
+        monkeypatch.undo()
+        mix = [
+            pct(stats.accesses.fraction(kind))
+            for kind in (MissClass.HIT, MissClass.ROS, MissClass.RWS,
+                         MissClass.CAPACITY)
+        ]
+        for cut in cuts.values():
+            code, out, err = run_cli_err(capsys, "run", "--resume", str(cut))
+            assert code == 0, err
+            assert f"throughput (IPC proxy): {stats.throughput:.4f}" in out
+            row = next(
+                line.split() for line in out.splitlines()
+                if line.startswith("cmp-nurapid ")
+            )
+            assert row[1:5] == mix, cut.name
+
     def test_scalar_run_accepts_mesh(self, capsys):
         code, out = run_cli(
             capsys, "run", "--design", "private", "--bus-model", "mesh",

@@ -18,15 +18,16 @@ Sizes are kept small (the kernel's correctness is size-independent)
 so the whole suite stays CI-cheap.
 """
 
+import itertools
+
 import pytest
 
 from repro.common.types import Access, AccessType, SharingClass
-from repro.cpu.system import TimedAccess
+from repro.cpu.system import CmpSystem, TimedAccess
 from repro.experiments.runner import (
     DESIGN_FACTORIES,
     ExperimentConfig,
     build_design,
-    run_design_on_events,
     run_mix,
     run_multithreaded,
 )
@@ -41,6 +42,18 @@ ALL_MIXES = tuple(sorted(MIXES))
 BUS_MODELS = ("atomic", "eventq")
 
 SEEDS = (42, 7, 20260809)
+
+
+def run_stepped(design, events, warmup_events):
+    """Warm up, reset statistics and measure a stream of timed accesses
+    in the per-event loop, :meth:`CmpSystem.run`; return the stats."""
+    system = CmpSystem(design)
+    iterator = iter(events)
+    if warmup_events:
+        system.run(itertools.islice(iterator, warmup_events))
+        system.reset_stats()
+    system.run(iterator)
+    return system.stats()
 
 
 def config_for(seed=42, accesses=800, warmup=400):
@@ -178,7 +191,7 @@ def test_l2_hit_heavy_stream_identical():
             f"{got.accesses.total} L2 accesses hit"
         )
         fresh = build_design(name, bus_model=bus)
-        _, stats = run_design_on_events(fresh, _l2_hit_heavy_stream(), 0)
+        stats = run_stepped(fresh, _l2_hit_heavy_stream(), 0)
         assert got.fingerprint() == stats.fingerprint(), (
             f"{name}/{bus} diverged on the L2-hit-heavy stream"
         )
@@ -223,7 +236,7 @@ def _assert_edge_lanes_match(length, warmup):
     kernel.run(tape, warmup)
     for index, (name, bus) in enumerate(TAPE_EDGE_LANES):
         fresh = build_design(name, bus_model=bus)
-        _, stats = run_design_on_events(fresh, _edge_stream(length), warmup)
+        stats = run_stepped(fresh, _edge_stream(length), warmup)
         assert kernel.lane_stats(index).fingerprint() == stats.fingerprint(), (
             f"{name}/{bus} diverged on a {length}-event tape "
             f"(warm-up {warmup})"

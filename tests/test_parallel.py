@@ -446,6 +446,64 @@ class TestConcurrentAppend:
         }
 
 
+    @staticmethod
+    def _dirty_journal(path, key):
+        """A journal whose duplicate record makes opening it compact it."""
+        StatsCache.append_record(path, key, SimulationStats())
+        StatsCache.append_record(path, key, SimulationStats())
+
+    def test_append_between_load_and_compaction_is_kept(
+        self, tmp_path, monkeypatch
+    ):
+        """A record another sweep appends after a dirty journal is read
+        but before it is compacted survives the compaction."""
+        path = str(tmp_path / "stats.cache")
+        first, late = ("w", "a", CONFIG, False), ("w", "b", CONFIG, False)
+        self._dirty_journal(path, first)
+        load = StatsCache._load
+        appended = []
+
+        def load_then_append(journal):
+            loaded = load(journal)
+            if not appended:
+                appended.append(late)
+                StatsCache.append_record(journal, late, SimulationStats())
+            return loaded
+
+        monkeypatch.setattr(StatsCache, "_load", staticmethod(load_then_append))
+        cache = StatsCache(path)
+        monkeypatch.undo()
+        assert appended and late in cache
+        loaded, dirty = StatsCache._load(path)
+        assert set(loaded) == {first, late} and not dirty
+
+    def test_append_waiting_on_a_compacted_journal_reaches_the_new_file(
+        self, tmp_path, monkeypatch
+    ):
+        """An appender that opened the journal before a compaction
+        replaced it appends to the new file, not the unlinked old one."""
+        fcntl = pytest.importorskip("fcntl")
+        path = str(tmp_path / "stats.cache")
+        first, late = ("w", "a", CONFIG, False), ("w", "b", CONFIG, False)
+        self._dirty_journal(path, first)
+        flock = fcntl.flock
+        compacted = []
+
+        def compact_then_flock(fd, operation):
+            if not compacted:
+                compacted.append(os.fstat(fd).st_ino)
+                StatsCache(path)  # replaces the file ``fd`` is open on
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", compact_then_flock)
+        StatsCache.append_record(path, late, SimulationStats())
+        monkeypatch.undo()
+        assert compacted and compacted[0] != os.stat(path).st_ino
+        loaded, dirty = StatsCache._load(path)
+        assert set(loaded) == {first, late} and not dirty
+        assert os.listdir(tmp_path) == ["stats.cache"]
+
+
 class TestJobsResolution:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV, "8")

@@ -31,6 +31,7 @@ from repro.experiments.runner import (
 )
 from repro.harness import FaultInjector, FaultSpec
 from repro.obs.metrics import MetricsCollector
+from repro.obs.profiler import Profiler
 from repro.workloads.base import BATCH
 from repro.workloads.multiprogrammed import make_mix
 from repro.workloads.multithreaded import make_workload
@@ -247,6 +248,15 @@ def across_bus_models(cases):
     ]
 
 
+def run_warm_columnar(system, chunks, warmup):
+    """Warm up in ``run_chunks``' columnar loop, reset statistics at
+    event ``warmup`` and measure the rest in the same loop."""
+    head, tail = split_chunks(chunks, warmup)
+    system.run_chunks(head)
+    system.reset_stats()
+    system.run_chunks(tail)
+
+
 class TestColumnarLoop:
     """``run_chunks``'s plain loop against ``run``, the general loop.
 
@@ -267,7 +277,9 @@ class TestColumnarLoop:
         for workload in (make_workload("apache", seed=3), make_mix("MIX1", seed=3)):
             warmup = 600 * workload.num_cores
             columnar = CmpSystem(build_design(design, bus_model=bus_model), params)
-            columnar.run_chunks(workload.chunks(accesses_per_core=1200), warmup)
+            run_warm_columnar(
+                columnar, workload.chunks(accesses_per_core=1200), warmup
+            )
             general = CmpSystem(build_design(design, bus_model=bus_model), params)
             events = workload.events(accesses_per_core=1200)
             general.run(itertools.islice(events, warmup))
@@ -286,7 +298,7 @@ class TestColumnarLoop:
         workload = make_workload("oltp", seed=3)
         length, warmup = BATCH + 300, (BATCH + 100) * workload.num_cores
         columnar = CmpSystem(build_design(design, bus_model=bus_model))
-        columnar.run_chunks(workload.chunks(accesses_per_core=length), warmup)
+        run_warm_columnar(columnar, workload.chunks(accesses_per_core=length), warmup)
         general = CmpSystem(build_design(design, bus_model=bus_model))
         events = workload.events(accesses_per_core=length)
         general.run(itertools.islice(events, warmup))
@@ -391,6 +403,20 @@ class TestFreedByReferenceCounting:
         assert last["event_index"] == 1200 and len(last["per_core"]) == 4
         del metrics
         assert refs[1]() is None
+
+    def test_profiled_system(self, collector_off):
+        profiler = Profiler()
+        system = CmpSystem(build_design("cmp-nurapid"))
+        profiler.instrument(system)
+        system.run_chunks(make_workload("oltp", seed=3).chunks(accesses_per_core=300))
+        design = system.design
+        refs = [weakref.ref(system), weakref.ref(design), weakref.ref(design.crossbar)]
+        del system, design
+        assert [ref() for ref in refs] == [None, None, None]
+        # The sections keep what they timed while the machine lived.
+        sections = profiler.snapshot()
+        assert sections["l2-lookup"]["calls"] > 0
+        assert sections["crossbar"]["calls"] > 0
 
     def test_harnessed_scaled_cell(self, tmp_path, monkeypatch, collector_off):
         refs = []
