@@ -432,7 +432,6 @@ def cmd_experiment(args) -> int:
     except ValueError as error:
         raise CliError(str(error)) from None
     cell_timeout, max_retries = _resolve_supervision(args)
-    cache = StatsCache(path=args.cache) if args.cache else None
     if name == "all":
         print(
             suite.run_suite(
@@ -441,26 +440,16 @@ def cmd_experiment(args) -> int:
             ).render()
         )
         return 0
-    if jobs > 1:
-        cells = parallel.experiment_cells(name)
-        if cells:
-            # Prewarm this experiment's grid in one pool; the run_fn
-            # below then reads every cell out of the shared cache.
-            if cache is None:
-                cache = StatsCache()
-            report = parallel.run_cells(
-                cells, config, cache, jobs=jobs,
-                cell_timeout=cell_timeout, max_retries=max_retries,
-            )
-            if report.retried or report.quarantined or report.fallback_reason:
-                print(f"parallel: {report.summary()}", file=sys.stderr)
-            if report.quarantined:
-                # Raise only after every healthy cell is journaled, so
-                # a rerun resumes instead of re-simulating.
-                journal = (
-                    parallel.quarantine_path(args.cache) if args.cache else None
-                )
-                raise QuarantinedCellError(report.quarantined, journal)
+    cache = StatsCache(path=args.cache or None)
+    # Fill a figure's grid first, in one pool at --jobs > 1; its run_fn
+    # below then reads every cell out of the shared cache.
+    report = parallel.run_cells(
+        parallel.experiment_cells(name), config, cache, jobs=jobs,
+        cell_timeout=cell_timeout, max_retries=max_retries,
+    )
+    if report.retried or report.quarantined or report.fallback_reason:
+        print(f"parallel: {report.summary()}", file=sys.stderr)
+    report.raise_quarantined()
     if name == "scale":
         from repro.experiments import scale
 
@@ -495,10 +484,8 @@ def cmd_experiment(args) -> int:
         run_fn, render_full = suite.EXPERIMENTS[name]
         if name == "table1":
             result = run_fn()
-        elif cache is not None:
-            result = run_fn(config, cache=cache)
         else:
-            result = run_fn(config)
+            result = run_fn(config, cache=cache)
         print(result.report.render())
         if render_full is not None:
             print()

@@ -50,6 +50,13 @@ re-running it re-runs only cells absent from the journal.  A cell
 whose worker finished but whose result the parent had not yet read is
 re-simulated, bit-identically.
 
+**One cell function.**  A cell runs through :func:`_simulate_cell`
+wherever it runs: serially, in a worker, or in the parent after the
+pool failed it.  So a scaled cell runs under the harness on every
+path, with invariant checks and, beside a persistent journal,
+snapshots under ``<cache>.scale-ckpt/`` that a retried attempt
+resumes.
+
 **Crash containment.**  A worker that dies without sending a result
 or a failure (OOM kill, segfault in a native extension, ``os._exit``)
 is retried in fresh workers; if every attempt dies the same way, the
@@ -77,6 +84,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.stats import SimulationStats
+from repro.experiments import scale
 from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
@@ -134,13 +142,22 @@ class Cell:
 
     ``num_cores`` != 0 scales the cell to an N-core machine (the scale
     experiment's 8/16/64-core mesh grid); 0 is the paper's 4-core
-    configuration and leaves keys and labels exactly as before.
+    configuration and leaves keys and labels exactly as before.  A
+    multiprogrammed mix is 4-core by construction, so a scaled mix is
+    refused here, before any worker starts.
     """
 
     workload: str
     design: str
     multiprogrammed: bool = False
     num_cores: int = 0
+
+    def __post_init__(self) -> None:
+        if self.multiprogrammed and self.num_cores:
+            raise ValueError(
+                "multiprogrammed mixes are 4-core by construction; "
+                "num_cores only scales multithreaded workloads"
+            )
 
     @property
     def label(self) -> str:
@@ -322,11 +339,10 @@ def load_quarantine(path: str) -> "List[dict]":
 class QuarantinedCellError(RuntimeError):
     """A sweep finished, but some of its cells were quarantined.
 
-    Raised by :func:`~repro.experiments.runner.sweep` (and the suite
-    prewarm) *after* every healthy cell has run and been journaled, so
-    a rerun resumes from the journal and re-attempts only the
-    quarantined cells.  The CLI maps this to exit code
-    :data:`QUARANTINE_EXIT`.
+    Raised by :meth:`ParallelReport.raise_quarantined` *after* every
+    healthy cell has run and been journaled, so a rerun resumes from
+    the journal and re-attempts only the quarantined cells.  The CLI
+    maps this to exit code :data:`QUARANTINE_EXIT`.
     """
 
     def __init__(self, records: "Sequence[QuarantineRecord]",
@@ -364,6 +380,13 @@ class ParallelReport:
     #: Supervision counters (``sweep.retry``, ``sweep.quarantine``,
     #: ``sweep.timeout``, ``sweep.worker_death``, ``sweep.fallback_serial``).
     counters: "Dict[str, int]" = field(default_factory=dict)
+    #: The quarantine journal beside a persistent cache, else None.
+    journal: "Optional[str]" = None
+
+    def raise_quarantined(self) -> None:
+        """Raise :class:`QuarantinedCellError` if any cell was quarantined."""
+        if self.quarantined:
+            raise QuarantinedCellError(self.quarantined, self.journal)
 
     def summary(self) -> str:
         text = (
@@ -421,24 +444,33 @@ def _inject_chaos(cell: Cell) -> None:
 
 def _simulate_cell(
     cell: Cell, config: ExperimentConfig, bus_model: str,
+    cache_path: "Optional[str]",
 ) -> SimulationStats:
-    """Run one cell from scratch and return its stats.
+    """Run one cell and return its stats: the only code that simulates
+    a sweep cell, in the parent and in every worker.
 
-    Module-level (picklable) and self-contained: the parent resolves
-    the bus model before submitting, so a worker's result cannot depend
-    on environment differences between fork and spawn start methods.
+    A 4-core cell is a plain run of its design on ``bus_model``.  A
+    scaled cell is a harnessed mesh run
+    (:func:`~repro.experiments.scale.run_scaled_cell`, whatever
+    ``bus_model``) that snapshots next to the stats journal at
+    ``cache_path``, if the cache has one, and resumes a matching
+    snapshot.  Module-level (picklable) and self-contained: the parent
+    resolves the bus model before submitting, so a worker's result
+    cannot depend on environment differences between fork and spawn
+    start methods.
     """
-    design = build_design(
-        cell.design, bus_model=bus_model,
-        num_cores=cell.num_cores or None,
-    )
+    if cell.num_cores:
+        return scale.run_scaled_cell(
+            cell.design, cell.workload, cell.num_cores, config,
+            checkpoint_path=scale.snapshot_path(
+                cache_path, cell.workload, cell.design, cell.num_cores
+            ),
+        )
+    design = build_design(cell.design, bus_model=bus_model)
     if cell.multiprogrammed:
         _, stats = run_mix(design, cell.workload, config)
     else:
-        _, stats = run_multithreaded(
-            design, cell.workload, config,
-            num_cores=cell.num_cores or None,
-        )
+        _, stats = run_multithreaded(design, cell.workload, config)
     return stats
 
 
@@ -446,6 +478,7 @@ def _worker_main(
     cell: Cell,
     config: ExperimentConfig,
     bus_model: str,
+    cache_path: "Optional[str]",
     conn,
     heartbeat_interval: float,
 ) -> None:
@@ -474,7 +507,7 @@ def _worker_main(
     threading.Thread(target=beat, daemon=True).start()
     try:
         _inject_chaos(cell)
-        stats = _simulate_cell(cell, config, bus_model)
+        stats = _simulate_cell(cell, config, bus_model, cache_path)
     except BaseException as error:  # noqa: BLE001 - transported to parent
         try:
             send(("failure", f"{type(error).__name__}: {error}",
@@ -614,6 +647,7 @@ class _Supervisor:
                 cell,
                 self.config,
                 self.bus_model,
+                self.cache.path,
                 writer,
                 self.supervision.heartbeat_interval,
             ),
@@ -780,19 +814,6 @@ def _dedup(cells: "Iterable[Cell]") -> "List[Cell]":
     return out
 
 
-def _run_serially(cell: Cell, config: ExperimentConfig,
-                  cache: StatsCache, bus_model: str) -> None:
-    cache.get(
-        cell.workload,
-        cell.design,
-        lambda: build_design(cell.design, bus_model=bus_model,
-                             num_cores=cell.num_cores or None),
-        config,
-        cell.multiprogrammed,
-        num_cores=cell.num_cores,
-    )
-
-
 def run_cells(
     cells: "Sequence[Cell]",
     config: ExperimentConfig,
@@ -804,14 +825,18 @@ def run_cells(
     supervision: "Optional[SupervisorConfig]" = None,
     tracer=None,
 ) -> ParallelReport:
-    """Ensure every cell's stats are in ``cache``, using ``jobs`` workers.
+    """Ensure every cell's stats are in ``cache``, using ``jobs`` workers:
+    the one code that fills a sweep grid.
 
-    The cache is the rendezvous: callers (``sweep``, the figure
-    modules) read their results back out of it afterwards, exactly as
-    they do on the serial path.  Cells that fail every supervised
-    attempt are quarantined and reported, not raised — check
-    ``report.quarantined`` (or use :func:`~repro.experiments.runner.
-    sweep`, which raises :class:`QuarantinedCellError` for you).
+    The cache is the rendezvous: callers (``sweep``, the scale
+    experiment, the suite, the CLI) read their results back out of it
+    with :meth:`StatsCache.peek`.  Every cell runs through
+    :func:`_simulate_cell` — serially at one job, in a worker, in the
+    serial fallback of a pool that cannot start, or in the parent's
+    rescue — and is recorded with :meth:`StatsCache.insert`.  At one
+    job a cell that raises raises here; a pooled cell that fails every
+    supervised attempt is quarantined and reported, not raised: callers
+    that must stop call :meth:`ParallelReport.raise_quarantined`.
     """
     jobs = resolve_jobs(jobs)
     bus_model = resolve_bus_model(bus_model)
@@ -821,35 +846,32 @@ def run_cells(
             max_retries=resolve_max_retries(max_retries),
         )
     registry = MetricsRegistry()
-    report = ParallelReport(jobs=jobs)
+    report = ParallelReport(
+        jobs=jobs,
+        journal=quarantine_path(cache.path) if cache.path is not None else None,
+    )
     pending: "List[Cell]" = []
     for cell in _dedup(cells):
         if cell.key(config) in cache:
             report.cached.append(cell)
         else:
             pending.append(cell)
-    if not pending:
-        report.counters = _snapshot_counters(registry)
-        return report
-    if jobs == 1:
-        for cell in pending:
-            _run_serially(cell, config, cache, bus_model)
-            report.ran.append(cell)
-        report.counters = _snapshot_counters(registry)
-        return report
     supervisor = _Supervisor(
         config, cache, bus_model, jobs, supervision,
         tracer=tracer, registry=registry,
     )
-    supervisor.run(pending)
-    if supervisor.pool_broken is not None:
+    if jobs > 1:
+        supervisor.run(pending)
         report.fallback_reason = supervisor.pool_broken
-        for cell in supervisor.unfinished():
-            _run_serially(cell, config, cache, bus_model)
-            report.ran.append(cell)
+        pending = supervisor.unfinished()
+    for cell in pending:
+        cache.insert(cell.key(config),
+                     _simulate_cell(cell, config, bus_model, cache.path))
+        report.ran.append(cell)
     for cell in supervisor.needs_parent_rescue:
         try:
-            _run_serially(cell, config, cache, bus_model)
+            cache.insert(cell.key(config),
+                         _simulate_cell(cell, config, bus_model, cache.path))
         except Exception as error:  # noqa: BLE001 - quarantined
             supervisor.failures.setdefault(cell, []).append(
                 Failure(
@@ -878,8 +900,8 @@ def _snapshot_counters(registry: MetricsRegistry) -> "Dict[str, int]":
 # -- suite cell registry ---------------------------------------------
 #
 # The figure modules declare their grids as WORKLOADS x DESIGNS
-# constants; this registry enumerates them so one pool can prewarm the
-# union of an entire suite before any report renders.
+# constants; this registry enumerates them so one run_cells call can
+# fill the union of an entire suite before any report renders.
 
 
 def experiment_cells(name: str) -> "List[Cell]":

@@ -324,59 +324,52 @@ def sweep(
 ) -> SweepResult:
     """Run every design on every workload; the core of each figure.
 
-    ``jobs`` > 1 fans the uncached cells across a supervised worker
-    pool first (bit-identical to the serial path — every cell's
-    randomness is keyed on the config seed and the cell's own names,
-    never on execution order).  None defers to the ``REPRO_JOBS``
-    environment variable, so figure modules parallelize without
-    signature changes; ``cell_timeout`` and ``max_retries`` likewise
-    default to ``REPRO_CELL_TIMEOUT`` / ``REPRO_MAX_RETRIES``.
+    :func:`~repro.experiments.parallel.run_cells` fills the uncached
+    cells, and the result is read back out of ``cache``.  ``jobs`` > 1
+    fans them across a supervised worker pool (bit-identical to the
+    serial path — every cell's randomness is keyed on the config seed
+    and the cell's own names, never on execution order).  None defers
+    to the ``REPRO_JOBS`` environment variable, so figure modules
+    parallelize without signature changes; ``cell_timeout`` and
+    ``max_retries`` likewise default to ``REPRO_CELL_TIMEOUT`` /
+    ``REPRO_MAX_RETRIES``.
 
     Raises :class:`~repro.experiments.parallel.QuarantinedCellError`
     if any requested cell exhausted its retries — after every healthy
     cell has run and been journaled, so a rerun resumes instead of
     restarting.
     """
-    config = config or ExperimentConfig()
-    cache = cache if cache is not None else StatsCache()
     from repro.experiments import parallel
 
-    if parallel.resolve_jobs(jobs) > 1:
-        cells = [
-            parallel.Cell(workload, design, multiprogrammed)
-            for workload in workload_names
-            for design in design_names
-        ]
-        report = parallel.run_cells(
-            cells, config, cache, jobs=jobs,
-            cell_timeout=cell_timeout, max_retries=max_retries,
-        )
-        if report.quarantined:
-            journal = (
-                parallel.quarantine_path(cache.path)
-                if cache.path is not None else None
-            )
-            raise parallel.QuarantinedCellError(report.quarantined, journal)
+    config = config or ExperimentConfig()
+    cache = cache if cache is not None else StatsCache()
+    cells = [
+        parallel.Cell(workload, design, multiprogrammed)
+        for workload in workload_names
+        for design in design_names
+    ]
+    parallel.run_cells(
+        cells, config, cache, jobs=jobs,
+        cell_timeout=cell_timeout, max_retries=max_retries,
+    ).raise_quarantined()
     result = SweepResult()
-    for workload in workload_names:
-        result.stats[workload] = {}
-        for design_name in design_names:
-            result.stats[workload][design_name] = cache.get(
-                workload,
-                design_name,
-                lambda name=design_name: build_design(name),
-                config,
-                multiprogrammed,
-            )
+    for cell in cells:
+        result.stats.setdefault(cell.workload, {})[cell.design] = cache.peek(
+            cell.key(config)
+        )
     return result
 
 
 class StatsCache:
-    """Memoizes (workload, design-key) runs across experiment modules.
+    """Stores (workload, design-key) runs across experiment modules.
 
-    Figures 5-10 share most of their underlying simulations; a suite run
-    passes one cache to every experiment so each (workload, design)
-    pair is simulated exactly once.
+    It only loads, stores and journals: it never simulates.  Sweeps
+    fill it through :func:`~repro.experiments.parallel.run_cells`,
+    which simulates each cell it lacks and records the result with
+    :meth:`insert`, and read it back with :meth:`peek`.  Figures 5-10
+    share most of their underlying simulations; a suite run passes one
+    cache to every experiment so each (workload, design) pair is
+    simulated exactly once.
 
     With a ``path``, the cache also persists as an **append-only
     journal**: each completed run appends one pickled record, so
@@ -539,17 +532,16 @@ class StatsCache:
         return key in self._cache
 
     def peek(self, key: tuple) -> "Optional[SimulationStats]":
-        """The cached stats for ``key``, or None — never simulates.
+        """The cached stats for ``key``, or None.
 
-        Callers that run cells through their own machinery (the scale
-        experiment's harnessed path) read with ``peek`` and record with
-        :meth:`insert`, so ``get``'s plain-runner fallback never fires
-        for them.
+        Sweeps read their grid with ``peek`` once
+        :func:`~repro.experiments.parallel.run_cells` has filled it.
         """
         return self._cache.get(key)
 
     def insert(self, key: tuple, stats: SimulationStats) -> bool:
-        """Record an externally computed run (a parallel worker's result).
+        """Record a run that :func:`~repro.experiments.parallel.run_cells`
+        (or a caller of its own) simulated, and append it to the journal.
 
         Returns False (and keeps the existing record) if ``key`` is
         already cached.  Duplicate inserts can only carry identical
@@ -579,32 +571,3 @@ class StatsCache:
         """
         label = f"{workload}@c{num_cores}" if num_cores else workload
         return (label, design_key, config, multiprogrammed)
-
-    def get(
-        self,
-        workload: str,
-        design_key: str,
-        factory: "Callable[[], L2Design]",
-        config: ExperimentConfig,
-        multiprogrammed: bool = False,
-        num_cores: int = 0,
-    ) -> SimulationStats:
-        key = self.scaled_key(
-            workload, design_key, config, multiprogrammed, num_cores
-        )
-        if key not in self._cache:
-            if multiprogrammed:
-                if num_cores:
-                    raise ValueError(
-                        "multiprogrammed mixes are 4-core by construction; "
-                        "num_cores only scales multithreaded workloads"
-                    )
-                _, stats = run_mix(factory(), workload, config)
-            else:
-                _, stats = run_multithreaded(
-                    factory(), workload, config,
-                    num_cores=num_cores or None,
-                )
-            self._cache[key] = stats
-            self._append(key, stats)
-        return self._cache[key]

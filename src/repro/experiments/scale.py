@@ -7,17 +7,16 @@ runs that extrapolation: the CMP-NuRAPID ablation ladder (CS base,
 64-core machines, with the 2D-mesh NoC and directory coherence as the
 interconnect (``--bus-model mesh`` — a snooping bus does not scale).
 
-Every cell runs through the robustness harness end-to-end: incremental
-invariant checking (including the directory-vs-L1 sharer-set
-consistency check) guards the run, and with a persistent cache the
-cell periodically checkpoints and **resumes** from its snapshot if the
-sweep is interrupted.  Results land in the shared
-:class:`~repro.experiments.runner.StatsCache` under core-count
-qualified keys (``"oltp@c16"``), so the parallel executor can prewarm
-the grid with scaled :class:`~repro.experiments.parallel.Cell` work
-items — the harnessed serial path and the plain worker path are
-bit-identical (invariant checks and snapshots never perturb model
-state).
+Every cell runs through the robustness harness end-to-end, serially
+or in a ``--jobs`` worker: incremental invariant checking (including
+the directory-vs-L1 sharer-set consistency check) guards the run, and
+with a persistent cache the cell periodically checkpoints and
+**resumes** from its snapshot if the sweep is interrupted.  The grid
+is a list of scaled :class:`~repro.experiments.parallel.Cell` work
+items that :func:`~repro.experiments.parallel.run_cells` fills; each
+one runs :func:`run_scaled_cell`, and its result lands in the shared
+:class:`~repro.experiments.runner.StatsCache` under a core-count
+qualified key (``"oltp@c16"``).
 """
 
 from __future__ import annotations
@@ -36,12 +35,10 @@ from repro.experiments.runner import (
     run_meta,
     run_stream,
 )
-from repro.harness import (
-    CheckpointError,
-    HarnessConfig,
-    load_checkpoint,
-    run_events,
-)
+# The harness's submodules, not its package: the package imports the
+# chaos suite, which imports the sweep executor, which imports this.
+from repro.harness.checkpoint import CheckpointError, load_checkpoint
+from repro.harness.runner import HarnessConfig, run_events
 from repro.workloads.multithreaded import make_workload
 
 #: One commercial and one scientific workload: the pair where the
@@ -85,15 +82,20 @@ class ScaleResult:
     )
 
 
-def _checkpoint_path(
-    checkpoint_dir: "Optional[str]",
+def snapshot_path(
+    cache_path: "Optional[str]",
     workload: str,
     design: str,
     num_cores: int,
 ) -> "Optional[str]":
-    if checkpoint_dir is None:
+    """A scaled cell's snapshot file beside the stats journal at
+    ``cache_path``, in ``<cache_path>.scale-ckpt/`` (created here), or
+    None for an in-memory cache."""
+    if cache_path is None:
         return None
-    return os.path.join(checkpoint_dir, f"{workload}-{design}-c{num_cores}.ckpt")
+    directory = f"{cache_path}.scale-ckpt"
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, f"{workload}-{design}-c{num_cores}.ckpt")
 
 
 def run_scaled_cell(
@@ -169,18 +171,15 @@ def run(
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
-    check_every: int = DEFAULT_CHECK_EVERY,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
 ) -> ScaleResult:
     """The CR/ISC/CS scaling table over ``cores``-tile mesh machines.
 
-    ``jobs`` > 1 prewarms the uncached grid through the supervised
-    parallel executor (scaled cells fan out like any others); the
-    serial fill below then runs only what is still missing, each cell
-    under the harness with incremental invariant checking.  With a
-    persistent ``cache``, cells checkpoint to ``<cache>.scale-ckpt/``
-    and an interrupted sweep resumes from both the stats journal and
-    the per-cell snapshots.
+    :func:`~repro.experiments.parallel.run_cells` fills the uncached
+    grid, serially or (``jobs`` > 1) through the supervised executor;
+    either way each cell runs under the harness with incremental
+    invariant checking.  With a persistent ``cache``, cells checkpoint
+    to ``<cache>.scale-ckpt/`` and an interrupted sweep resumes from
+    both the stats journal and the per-cell snapshots.
     """
     from repro.experiments import parallel
 
@@ -198,38 +197,15 @@ def run(
         for workload in WORKLOADS
         for design in DESIGNS
     ]
-    if parallel.resolve_jobs(jobs) > 1:
-        report = parallel.run_cells(
-            cells, config, cache, jobs=jobs, bus_model="mesh",
-            cell_timeout=cell_timeout, max_retries=max_retries,
-        )
-        if report.quarantined:
-            journal = (
-                parallel.quarantine_path(cache.path)
-                if cache.path is not None else None
-            )
-            raise parallel.QuarantinedCellError(report.quarantined, journal)
-    checkpoint_dir = None
-    if cache.path is not None:
-        checkpoint_dir = f"{cache.path}.scale-ckpt"
-        os.makedirs(checkpoint_dir, exist_ok=True)
+    parallel.run_cells(
+        cells, config, cache, jobs=jobs,
+        cell_timeout=cell_timeout, max_retries=max_retries,
+    ).raise_quarantined()
     stats: "Dict[int, Dict[str, Dict[str, SimulationStats]]]" = {}
     for cell in cells:
-        result = cache.peek(cell.key(config))
-        if result is None:
-            result = run_scaled_cell(
-                cell.design, cell.workload, cell.num_cores, config,
-                check_every=check_every,
-                checkpoint_path=_checkpoint_path(
-                    checkpoint_dir, cell.workload, cell.design,
-                    cell.num_cores,
-                ),
-                checkpoint_every=checkpoint_every,
-            )
-            cache.insert(cell.key(config), result)
         stats.setdefault(cell.num_cores, {}).setdefault(
             cell.workload, {}
-        )[cell.design] = result
+        )[cell.design] = cache.peek(cell.key(config))
 
     relative: "Dict[int, Dict[str, Dict[str, float]]]" = {}
     for count, by_workload in stats.items():
@@ -260,11 +236,11 @@ def run(
     )
     report.notes.append(
         "every cell ran under the harness: incremental invariants "
-        f"(every {check_every} events, including directory-vs-L1 "
+        f"(every {DEFAULT_CHECK_EVERY} events, including directory-vs-L1 "
         "sharer-set consistency)"
         + (
             ", periodic checkpoints with resume-on-rerun."
-            if checkpoint_dir is not None
+            if cache.path is not None
             else "; pass --cache for periodic checkpoints with resume."
         )
     )

@@ -60,29 +60,24 @@ def run_suite(
     (workload, design) run, so a killed suite resumes instead of
     re-simulating (see :class:`~repro.experiments.runner.StatsCache`).
 
-    ``jobs`` > 1 (or ``REPRO_JOBS``) prewarms the union of every
-    experiment's cells through one process pool before any report
-    renders; results are bit-identical to a serial suite.
-    ``cell_timeout``/``max_retries`` tune the prewarm's worker
-    supervision (see :class:`~repro.experiments.parallel.SupervisorConfig`).
-    Raises :class:`~repro.experiments.parallel.QuarantinedCellError` if
-    any prewarm cell exhausted its retries — after every healthy cell
-    has been journaled, so a rerun resumes instead of re-simulating.
+    :func:`~repro.experiments.parallel.run_cells` fills the union of
+    every experiment's cells before any report renders, serially or
+    (``jobs`` > 1, or ``REPRO_JOBS``) through one process pool; results
+    are bit-identical either way.  ``cell_timeout``/``max_retries`` tune
+    the pool's worker supervision (see
+    :class:`~repro.experiments.parallel.SupervisorConfig`).  Raises
+    :class:`~repro.experiments.parallel.QuarantinedCellError` if any
+    cell exhausted its retries — after every healthy cell has been
+    journaled, so a rerun resumes instead of re-simulating.
     """
     from repro.experiments import parallel
 
     config = config or ExperimentConfig()
     cache = StatsCache(path=cache_path)
-    if parallel.resolve_jobs(jobs) > 1:
-        report = parallel.run_cells(
-            parallel.suite_cells(), config, cache, jobs=jobs,
-            cell_timeout=cell_timeout, max_retries=max_retries,
-        )
-        if report.quarantined:
-            journal = (
-                parallel.quarantine_path(cache_path) if cache_path else None
-            )
-            raise parallel.QuarantinedCellError(report.quarantined, journal)
+    parallel.run_cells(
+        parallel.suite_cells(), config, cache, jobs=jobs,
+        cell_timeout=cell_timeout, max_retries=max_retries,
+    ).raise_quarantined()
     sections: "dict[str, str]" = {}
     for name, (run_fn, render_full) in EXPERIMENTS.items():
         if name == "table1":

@@ -168,7 +168,7 @@ def baseline_stats(config: ExperimentConfig) -> "Dict[str, SimulationStats]":
         cache = StatsCache()
         run_cells(list(CELLS), config, cache, jobs=1)
         _BASELINES[config] = {
-            cell.label: cache._cache[cell.key(config)] for cell in CELLS
+            cell.label: cache.peek(cell.key(config)) for cell in CELLS
         }
     return _BASELINES[config]
 
@@ -205,10 +205,10 @@ def _diverged(settings: ChaosSettings, cache: StatsCache,
     baseline = baseline_stats(settings.config)
     problems = []
     for cell in cells:
-        key = cell.key(settings.config)
-        if key not in cache:
+        stats = cache.peek(cell.key(settings.config))
+        if stats is None:
             problems.append(f"{cell.label}: missing")
-        elif cache._cache[key].fingerprint() != baseline[cell.label].fingerprint():
+        elif stats.fingerprint() != baseline[cell.label].fingerprint():
             problems.append(f"{cell.label}: fingerprint diverged")
     return problems
 

@@ -317,13 +317,12 @@ def measure_sweep(jobs: int, quick: bool = False,
                                 cell_timeout=cell_timeout,
                                 max_retries=max_retries)
     parallel_seconds = time.perf_counter() - start
-    if report.quarantined:
-        raise parallel.QuarantinedCellError(report.quarantined, None)
+    report.raise_quarantined()
 
     mismatches = [
         cell.label for cell in cells
-        if serial_cache._cache[cell.key(config)].fingerprint()
-        != pool_cache._cache[cell.key(config)].fingerprint()
+        if serial_cache.peek(cell.key(config)).fingerprint()
+        != pool_cache.peek(cell.key(config)).fingerprint()
     ]
     return {
         "cells": len(cells),

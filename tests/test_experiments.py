@@ -19,6 +19,7 @@ from repro.experiments import (
     fig10_performance,
     fig11_mp_distribution,
     fig12_mp_performance,
+    parallel,
     table1_latencies,
 )
 from repro.experiments.report import Comparison, ExperimentReport, format_table, pct
@@ -28,6 +29,7 @@ from repro.experiments.runner import (
     StatsCache,
     build_design,
     run_multithreaded,
+    sweep,
 )
 from repro.harness import check_system
 
@@ -84,30 +86,44 @@ class TestRunner:
         assert len(stats.per_core) == 16
         check_system(system)
 
-    def test_stats_cache_memoizes(self, cache):
-        first = cache.get(
-            "barnes", "uniform-shared", DESIGN_FACTORIES["uniform-shared"], TINY
-        )
-        second = cache.get(
-            "barnes", "uniform-shared", DESIGN_FACTORIES["uniform-shared"], TINY
-        )
-        assert first is second
+    def test_stats_cache_memoizes(self, monkeypatch):
+        """One simulation per key: a second sweep over the same cache
+        serves the cell without running it again."""
+        simulated = []
+        simulate = parallel._simulate_cell
 
-    def test_stats_cache_persists_across_processes(self, tmp_path):
+        def counting_cell(cell, *args):
+            simulated.append(cell)
+            return simulate(cell, *args)
+
+        monkeypatch.setattr(parallel, "_simulate_cell", counting_cell)
+        cache = StatsCache()
+        first = sweep(["barnes"], ["uniform-shared"], TINY, cache=cache, jobs=1)
+        second = sweep(["barnes"], ["uniform-shared"], TINY, cache=cache, jobs=1)
+        assert simulated == [parallel.Cell("barnes", "uniform-shared")]
+        assert (
+            first.stats["barnes"]["uniform-shared"]
+            is second.stats["barnes"]["uniform-shared"]
+        )
+
+    def test_stats_cache_persists_across_processes(self, tmp_path, monkeypatch):
         """A killed sweep resumes from the on-disk cache, not a re-run."""
         path = str(tmp_path / "stats.cache")
         first = StatsCache(path=path)
-        stats = first.get(
-            "barnes", "uniform-shared", DESIGN_FACTORIES["uniform-shared"], TINY
-        )
+        stats = sweep(
+            ["barnes"], ["uniform-shared"], TINY, cache=first, jobs=1
+        ).stats["barnes"]["uniform-shared"]
         assert len(first) == 1
 
-        def exploding_factory():
+        def exploding_cell(*args):
             raise AssertionError("resumed sweep must not re-simulate")
 
+        monkeypatch.setattr(parallel, "_simulate_cell", exploding_cell)
         fresh = StatsCache(path=path)  # simulates a new process
         assert len(fresh) == 1
-        reloaded = fresh.get("barnes", "uniform-shared", exploding_factory, TINY)
+        reloaded = sweep(
+            ["barnes"], ["uniform-shared"], TINY, cache=fresh, jobs=1
+        ).stats["barnes"]["uniform-shared"]
         assert reloaded.accesses.counts == stats.accesses.counts
 
     def test_stats_cache_ignores_corrupt_file(self, tmp_path):

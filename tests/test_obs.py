@@ -438,31 +438,31 @@ def _journal_records(path):
     return records
 
 
-def test_stats_cache_appends_one_record_per_run(tmp_path):
+def test_stats_cache_appends_one_record_per_run(tmp_path, monkeypatch):
+    from repro.experiments import parallel
     from repro.experiments.runner import ExperimentConfig, StatsCache
 
     path = str(tmp_path / "cache.pkl")
     cache = StatsCache(path)
     config = ExperimentConfig.quick()
-    calls = []
 
-    def fake_factory():
-        calls.append(1)
-        raise AssertionError("factory must not run for a warm cache")
+    def exploding_cell(*args):
+        raise AssertionError("a warm cache must not simulate")
 
-    cache._cache[("oltp", "d", config, False)] = _stats_with(1)
-    cache._append(("oltp", "d", config, False), _stats_with(1))
-    cache._append(("apache", "d", config, False), _stats_with(2))
+    cache.insert(("oltp", "d", config, False), _stats_with(1))
+    cache.insert(("apache", "d", config, False), _stats_with(2))
     records = _journal_records(path)
     assert len(records) == 2
     assert all(record[0] == "run2" for record in records)
 
     # A fresh cache loads both entries and serves them without simulating.
+    monkeypatch.setattr(parallel, "_simulate_cell", exploding_cell)
     warm = StatsCache(path)
     assert len(warm) == 2
-    got = warm.get("oltp", "d", fake_factory, config, False)
-    assert got.accesses.counts[MissClass.HIT] == 1
-    assert not calls
+    cell = parallel.Cell("oltp", "d")
+    report = parallel.run_cells([cell], config, warm, jobs=1)
+    assert report.cached == [cell] and report.ran == []
+    assert warm.peek(cell.key(config)).accesses.counts[MissClass.HIT] == 1
 
 
 def test_stats_cache_tolerates_truncated_tail(tmp_path):
@@ -499,7 +499,7 @@ def test_stats_cache_migrates_legacy_whole_dict_pickle(tmp_path):
     StatsCache.append_record(path, framed, _stats_with(7))
 
     cache = StatsCache(path)
-    assert list(cache._cache) == [framed]
+    assert len(cache) == 1 and cache.peek(framed) is not None
     records = _journal_records(path)
     assert len(records) == 1 and records[0][0] == "run2"
 
@@ -517,7 +517,7 @@ def test_stats_cache_duplicate_keys_last_wins_and_compacts(tmp_path):
 
     reloaded = StatsCache(path)
     assert len(reloaded) == 1
-    assert reloaded._cache[key].accesses.counts[MissClass.HIT] == 2
+    assert reloaded.peek(key).accesses.counts[MissClass.HIT] == 2
     assert len(_journal_records(path)) == 1  # compacted
 
 

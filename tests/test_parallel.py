@@ -51,8 +51,8 @@ def run_both(cells, bus_model=None, jobs=4, config=CONFIG):
 
 def assert_identical(cells, serial, pooled, config=CONFIG):
     for cell in cells:
-        left = serial._cache[cell.key(config)].fingerprint()
-        right = pooled._cache[cell.key(config)].fingerprint()
+        left = serial.peek(cell.key(config)).fingerprint()
+        right = pooled.peek(cell.key(config)).fingerprint()
         assert left == right, f"fingerprint diverged for {cell.label}"
 
 
@@ -88,6 +88,17 @@ class TestBitIdentity:
                     serial.stats[workload][design].fingerprint()
                     == pooled.stats[workload][design].fingerprint()
                 )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scaled_mix_is_refused_on_every_path(jobs):
+    """A mix is 4-core by construction: a scaled one is refused before
+    any cell runs, serially and pooled alike, and nothing is stored."""
+    cache = StatsCache()
+    with pytest.raises(ValueError, match="4-core"):
+        run_cells([Cell("MIX1", "private", True, 16)], CONFIG, cache,
+                  jobs=jobs)
+    assert len(cache) == 0
 
 
 class TestCrashRecovery:
@@ -297,7 +308,7 @@ class TestSupervision:
         # A beat every pass of a busy loop fills the pipe within the
         # second the cell takes: the parent must drain it while the
         # worker runs, or the result waits behind a blocked beat.
-        def slow_cell(cell, config, bus_model):
+        def slow_cell(cell, config, bus_model, cache_path):
             time.sleep(1.0)
             return SimulationStats()
 

@@ -9,21 +9,22 @@ that contract at CI-cheap sizes (8 cores, a few hundred accesses per
 core) — the trajectory logic is size-independent.
 """
 
+import multiprocessing
 import os
 
 import pytest
 
 from repro.experiments import scale
 from repro.experiments.runner import ExperimentConfig, StatsCache
+from repro.harness import runner as harness_runner
 
-CONFIG = ExperimentConfig(warmup_per_core=100, measure_per_core=200, seed=42)
+#: 5,600 events per 8-core cell: one invariant check at the default
+#: cadence (every 5,000 events), then the final snapshot.
+CONFIG = ExperimentConfig(warmup_per_core=300, measure_per_core=400, seed=42)
 
 
-def tiny_run(cache, **kwargs):
-    return scale.run(
-        CONFIG, cache=cache, cores=(8,), jobs=1,
-        check_every=500, checkpoint_every=1_000, **kwargs
-    )
+def tiny_run(cache, jobs=1):
+    return scale.run(CONFIG, cache=cache, cores=(8,), jobs=jobs)
 
 
 def fingerprints(result):
@@ -56,6 +57,35 @@ def test_scale_run_fills_grid_and_checkpoints(tmp_path):
     rendered = result.report.render() + scale.render_full(result)
     for design in scale.DESIGNS:
         assert design in rendered
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched checker reaches the workers only through fork",
+)
+def test_pooled_cells_run_under_the_harness(tmp_path, monkeypatch):
+    """``jobs`` > 1 runs each cell harnessed, as one job does: the
+    workers check invariants and snapshot, and the stats are the
+    serial run's."""
+    log = tmp_path / "checks.log"
+    check = harness_runner.check_system_incremental
+
+    def logged_check(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return check(*args, **kwargs)
+
+    # Workers fork from this process, so they inherit the patch and
+    # count their checks in the file.
+    monkeypatch.setattr(harness_runner, "check_system_incremental", logged_check)
+    journal = str(tmp_path / "stats.cache")
+    pooled = fingerprints(tiny_run(StatsCache(journal), jobs=2))
+    checkers = log.read_text(encoding="utf-8").split() if log.exists() else []
+    # Each cell ran in a worker of its own, which checked at least once.
+    assert len(set(checkers)) == len(pooled)
+    assert str(os.getpid()) not in checkers
+    assert len(os.listdir(f"{journal}.scale-ckpt")) == len(pooled)
+    assert pooled == fingerprints(tiny_run(StatsCache()))
 
 
 def test_rerun_replays_journal_without_resimulating(tmp_path, monkeypatch):
