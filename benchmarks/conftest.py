@@ -50,12 +50,12 @@ def stats_cache(request) -> StatsCache:
     prewarmed through the parallel executor first, so the per-figure
     benchmarks below mostly measure rendering over cache hits.
     """
-    from repro.experiments import parallel
+    from repro.experiments import parallel, suite
 
     cache = StatsCache()
     jobs = parallel.resolve_jobs(request.config.getoption("--jobs"))
     if jobs > 1:
         parallel.run_cells(
-            parallel.suite_cells(), BENCH_CONFIG, cache, jobs=jobs
+            suite.cells(suite.select("all")), BENCH_CONFIG, cache, jobs=jobs
         )
     return cache

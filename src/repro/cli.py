@@ -45,7 +45,7 @@ from repro.common.params import SystemParams
 from repro.common.rng import DEFAULT_SEED
 from repro.common.types import MissClass
 from repro.cpu.system import CmpSystem
-from repro.experiments import ablations, energy_report, sensitivity, smp_contrast, suite
+from repro.experiments import suite
 from repro.experiments.charts import BarGroup, StackedBar, render_grouped_bars, render_stacked_bars
 from repro.experiments.report import format_table, pct
 from repro.experiments.parallel import QUARANTINE_EXIT, QuarantinedCellError
@@ -53,7 +53,6 @@ from repro.experiments.runner import (
     BUS_MODELS,
     DESIGN_FACTORIES,
     ExperimentConfig,
-    StatsCache,
     build_design,
     resolve_bus_model,
     run_meta,
@@ -423,82 +422,37 @@ def _resolve_supervision(args) -> "tuple[float, int]":
 
 
 def cmd_experiment(args) -> int:
-    from repro.experiments import parallel
+    """Look the name up in the registry, fill its cells, print its reports."""
+    from repro.experiments import parallel, scale
 
     config = ExperimentConfig.quick() if args.quick else ExperimentConfig()
-    name = args.name
     try:
         jobs = parallel.resolve_jobs(args.jobs)
     except ValueError as error:
         raise CliError(str(error)) from None
     cell_timeout, max_retries = _resolve_supervision(args)
-    if name == "all":
-        print(
-            suite.run_suite(
-                config, cache_path=args.cache, jobs=jobs,
-                cell_timeout=cell_timeout, max_retries=max_retries,
-            ).render()
-        )
-        return 0
-    cache = StatsCache(path=args.cache or None)
-    # Fill a figure's grid first, in one pool at --jobs > 1; its run_fn
-    # below then reads every cell out of the shared cache.
-    report = parallel.run_cells(
-        parallel.experiment_cells(name), config, cache, jobs=jobs,
-        cell_timeout=cell_timeout, max_retries=max_retries,
-    )
-    if report.retried or report.quarantined or report.fallback_reason:
-        print(f"parallel: {report.summary()}", file=sys.stderr)
-    report.raise_quarantined()
-    if name == "scale":
-        from repro.experiments import scale
-
-        cores = tuple(args.cores) if args.cores else scale.DEFAULT_CORES
-        for count in cores:
+    try:
+        experiments = suite.select(args.name)
+    except KeyError:
+        known = sorted({*suite.EXPERIMENTS, *suite.GROUPS})
+        print(f"unknown experiment {args.name!r}; choose from: {', '.join(known)}", file=sys.stderr)
+        return 2
+    if args.name == "scale" and args.cores:
+        for count in args.cores:
             if count not in scale.SUPPORTED_CORES:
                 raise CliError(
                     f"--cores {count} is unsupported; the mesh scales to "
                     f"{', '.join(str(n) for n in scale.SUPPORTED_CORES)}"
                 )
-        result = scale.run(
-            config, cache=cache, cores=cores, jobs=jobs,
-            cell_timeout=cell_timeout, max_retries=max_retries,
-        )
-        print(result.report.render())
-        print()
-        print(scale.render_full(result))
-        return 0
-    if name == "energy":
-        print(energy_report.run(config).report.render())
-        return 0
-    if name == "smp-contrast":
-        print(smp_contrast.run(config).report.render())
-        return 0
-    if name in sensitivity.ALL_SENSITIVITIES:
-        print(sensitivity.ALL_SENSITIVITIES[name](config).report.render())
-        return 0
-    if name in ablations.ALL_ABLATIONS:
-        print(ablations.ALL_ABLATIONS[name](config).report.render())
-        return 0
-    if name in suite.EXPERIMENTS:
-        run_fn, render_full = suite.EXPERIMENTS[name]
-        if name == "table1":
-            result = run_fn()
-        else:
-            result = run_fn(config, cache=cache)
-        print(result.report.render())
-        if render_full is not None:
-            print()
-            print(render_full(result))
-        return 0
-    known = sorted(
-        set(suite.EXPERIMENTS)
-        | set(ablations.ALL_ABLATIONS)
-        | set(sensitivity.ALL_SENSITIVITIES)
-        | {"energy", "smp-contrast", "scale", "all"}
+        experiments["scale"] = suite.scale_experiment(args.cores)
+    result = suite.run_suite(
+        experiments, config, cache_path=args.cache, jobs=jobs,
+        cell_timeout=cell_timeout, max_retries=max_retries,
     )
-    print(f"unknown experiment {name!r}; choose from: {', '.join(known)}", file=sys.stderr)
-    return 2
+    if result.sweep.retried or result.sweep.fallback_reason:
+        print(f"parallel: {result.sweep.summary()}", file=sys.stderr)
+    print(result.render())
+    return 0
 
 
 def cmd_bench(args) -> int:
@@ -882,8 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument(
         "name",
-        help="table1, fig5..fig12, an ablation name, 'energy', "
-        "'scale', or 'all'",
+        help="table1, fig5..fig12, an ablation or sensitivity name, "
+        "'energy', 'smp-contrast', 'scale', or a group: 'all', "
+        "'ablations', 'sensitivity'",
     )
     experiment_parser.add_argument("--quick", action="store_true")
     experiment_parser.add_argument(

@@ -243,6 +243,4 @@ class SystemParams:
 
     num_cores: int = DEFAULT_NUM_CORES
     l1: L1Params = field(default_factory=L1Params)
-    bus_latency: int = BUS_LATENCY
-    memory_latency: int = MEMORY_LATENCY
     blocking_stores: bool = False

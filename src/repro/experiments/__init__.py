@@ -1,8 +1,9 @@
 """Experiment harnesses reproducing every table and figure.
 
 One module per paper artifact (``table1_latencies``, ``fig5`` ... ``fig12``),
-plus ``ablations`` for the design-choice studies and ``suite`` to run
-everything with shared simulations.
+plus ``ablations`` for the design-choice studies and ``suite``, the
+registry of every ``repro experiment`` name, which runs any list of
+them with shared simulations.
 """
 
 from repro.experiments import (

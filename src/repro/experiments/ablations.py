@@ -256,15 +256,3 @@ ALL_ABLATIONS = {
     "c-migration": run_c_migration,
 }
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    config = ExperimentConfig.quick() if "--quick" in sys.argv else None
-    for name, fn in ALL_ABLATIONS.items():
-        print(fn(config).report.render())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

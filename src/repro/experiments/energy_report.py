@@ -25,6 +25,9 @@ _MODELS = {
     "private": energy.private_cache_model,
     "cmp-nurapid": energy.nurapid_model,
 }
+#: The sweep grid :func:`run` reads: one workload, each priced design.
+WORKLOADS = (WORKLOAD,)
+DESIGNS = tuple(_MODELS)
 
 
 @dataclass
@@ -39,7 +42,7 @@ def run(
     cache: "Optional[StatsCache]" = None,
 ) -> EnergyResult:
     config = config or ExperimentConfig()
-    result = sweep((WORKLOAD,), tuple(_MODELS), config, cache=cache)
+    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
 
     per_access: "Dict[str, float]" = {}
     for design, factory in _MODELS.items():
@@ -71,13 +74,3 @@ def run(
     )
     return EnergyResult(report=report, per_access_pj=per_access)
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    config = ExperimentConfig.quick() if "--quick" in sys.argv else None
-    print(run(config).report.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

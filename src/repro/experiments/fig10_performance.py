@@ -83,13 +83,3 @@ def render_full(result: Fig10Result) -> str:
     ]
     return format_table(["workload"] + list(DESIGNS), rows)
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run()
-    print(result.report.render())
-    print()
-    print(render_full(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

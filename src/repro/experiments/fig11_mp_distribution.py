@@ -97,13 +97,3 @@ def render_full(result: Fig11Result) -> str:
     ]
     return format_table(["mix"] + [f"{d} miss" for d in DESIGNS], rows)
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run()
-    print(result.report.render())
-    print()
-    print(render_full(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

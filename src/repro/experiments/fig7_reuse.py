@@ -89,13 +89,3 @@ def render_full(result: Fig7Result) -> str:
             )
     return format_table(["workload", "blocks"] + list(REUSE_BUCKETS), rows)
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run()
-    print(result.report.render())
-    print()
-    print(render_full(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -95,13 +95,3 @@ def render_full(result: Fig8Result) -> str:
         ["workload", "design", "hits", "ROS", "RWS", "capacity"], rows
     )
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run()
-    print(result.report.render())
-    print()
-    print(render_full(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

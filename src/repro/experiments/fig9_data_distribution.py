@@ -87,13 +87,3 @@ def render_full(result: Fig9Result) -> str:
         ["workload", "design", "closest", "farther", "miss"], rows
     )
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run()
-    print(result.report.render())
-    print()
-    print(render_full(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

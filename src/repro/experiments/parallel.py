@@ -81,7 +81,7 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.stats import SimulationStats
 from repro.experiments import scale
@@ -113,16 +113,12 @@ CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 #: overrides): extra attempts after the first before quarantine.
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
-#: Test hook: a worker whose cell label equals this variable's value
-#: exits hard (as a segfault or OOM kill would) on *every* attempt,
-#: exercising the crash-retry-and-parent-rescue path without a real
-#: crash.
-CRASH_ENV = "REPRO_PARALLEL_CRASH"
-
 # Chaos hooks (see repro.harness.chaos).  Each names a cell label; the
 # worker injects the fault at the start of that cell.  With
 # CHAOS_MARK_DIR_ENV set, kill/hang/freeze fire only on the cell's
-# first attempt (a marker file arms them once), so the retry converges.
+# first attempt (a marker file arms them once), so the retry converges;
+# without it they fire on every attempt, so a killed cell ends in the
+# parent's serial rescue.
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL"
 CHAOS_HANG_ENV = "REPRO_CHAOS_HANG"
 CHAOS_FREEZE_ENV = "REPRO_CHAOS_FREEZE"
@@ -430,8 +426,6 @@ def _chaos_once(kind: str, label: str) -> bool:
 def _inject_chaos(cell: Cell) -> None:
     """Fire any orchestration-level chaos hook aimed at this cell."""
     label = cell.label
-    if os.environ.get(CRASH_ENV) == label:
-        os._exit(17)
     if os.environ.get(CHAOS_KILL_ENV) == label and _chaos_once("kill", label):
         os.kill(os.getpid(), signal.SIGKILL)
     if os.environ.get(CHAOS_FREEZE_ENV) == label and _chaos_once("freeze", label):
@@ -804,16 +798,6 @@ class _Supervisor:
 # -- public entry point -----------------------------------------------
 
 
-def _dedup(cells: "Iterable[Cell]") -> "List[Cell]":
-    seen = set()
-    out = []
-    for cell in cells:
-        if cell not in seen:
-            seen.add(cell)
-            out.append(cell)
-    return out
-
-
 def run_cells(
     cells: "Sequence[Cell]",
     config: ExperimentConfig,
@@ -829,7 +813,7 @@ def run_cells(
     the one code that fills a sweep grid.
 
     The cache is the rendezvous: callers (``sweep``, the scale
-    experiment, the suite, the CLI) read their results back out of it
+    experiment, the suite) read their results back out of it
     with :meth:`StatsCache.peek`.  Every cell runs through
     :func:`_simulate_cell` — serially at one job, in a worker, in the
     serial fallback of a pool that cannot start, or in the parent's
@@ -851,7 +835,7 @@ def run_cells(
         journal=quarantine_path(cache.path) if cache.path is not None else None,
     )
     pending: "List[Cell]" = []
-    for cell in _dedup(cells):
+    for cell in dict.fromkeys(cells):
         if cell.key(config) in cache:
             report.cached.append(cell)
         else:
@@ -896,51 +880,3 @@ def _snapshot_counters(registry: MetricsRegistry) -> "Dict[str, int]":
     return {name: value for name, value in registry.snapshot().items()
             if isinstance(value, int)}
 
-
-# -- suite cell registry ---------------------------------------------
-#
-# The figure modules declare their grids as WORKLOADS x DESIGNS
-# constants; this registry enumerates them so one run_cells call can
-# fill the union of an entire suite before any report renders.
-
-
-def experiment_cells(name: str) -> "List[Cell]":
-    """The sweep cells experiment ``name`` will request, in order."""
-    from repro.experiments import (
-        fig5_access_distribution,
-        fig6_opportunity,
-        fig7_reuse,
-        fig8_tag_distribution,
-        fig9_data_distribution,
-        fig10_performance,
-        fig11_mp_distribution,
-        fig12_mp_performance,
-    )
-
-    grids: "Dict[str, tuple]" = {
-        "fig5": (fig5_access_distribution, False),
-        "fig6": (fig6_opportunity, False),
-        "fig7": (fig7_reuse, False),
-        "fig8": (fig8_tag_distribution, False),
-        "fig9": (fig9_data_distribution, False),
-        "fig10": (fig10_performance, False),
-        "fig11": (fig11_mp_distribution, True),
-        "fig12": (fig12_mp_performance, True),
-    }
-    if name not in grids:
-        return []
-    module, multiprogrammed = grids[name]
-    return [
-        Cell(workload, design, multiprogrammed)
-        for workload in module.WORKLOADS
-        for design in module.DESIGNS
-    ]
-
-
-def suite_cells() -> "List[Cell]":
-    """Union of every suite experiment's cells, first-use order."""
-    cells: "List[Cell]" = []
-    for name in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-                 "fig11", "fig12"):
-        cells.extend(experiment_cells(name))
-    return _dedup(cells)

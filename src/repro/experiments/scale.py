@@ -164,6 +164,18 @@ def run_scaled_cell(
     return runner.system.stats()
 
 
+def grid(cores: "Sequence[int]" = DEFAULT_CORES) -> list:
+    """The study's scaled cells over ``cores``, in report order."""
+    from repro.experiments.parallel import Cell
+
+    return [
+        Cell(workload, design, False, count)
+        for count in cores
+        for workload in WORKLOADS
+        for design in DESIGNS
+    ]
+
+
 def run(
     config: "Optional[ExperimentConfig]" = None,
     cache: "Optional[StatsCache]" = None,
@@ -191,12 +203,7 @@ def run(
                 f"unsupported core count {count}; the mesh scales to "
                 f"{SUPPORTED_CORES}"
             )
-    cells = [
-        parallel.Cell(workload, design, False, count)
-        for count in cores
-        for workload in WORKLOADS
-        for design in DESIGNS
-    ]
+    cells = grid(cores)
     parallel.run_cells(
         cells, config, cache, jobs=jobs,
         cell_timeout=cell_timeout, max_retries=max_retries,
@@ -258,17 +265,3 @@ def render_full(result: ScaleResult) -> str:
                 + [ratio(by_design[design]) for design in DESIGNS]
             )
     return format_table(["cell"] + list(DESIGNS), rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    config = ExperimentConfig.quick() if "--quick" in sys.argv else None
-    result = run(config)
-    print(result.report.render())
-    print()
-    print(render_full(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

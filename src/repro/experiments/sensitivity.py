@@ -157,15 +157,3 @@ ALL_SENSITIVITIES = {
     "bus-contention": run_bus_contention,
 }
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    config = ExperimentConfig.quick() if "--quick" in sys.argv else None
-    for name, fn in ALL_SENSITIVITIES.items():
-        print(fn(config).report.render())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

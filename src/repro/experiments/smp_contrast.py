@@ -97,13 +97,3 @@ def run(
         cr_benefit_smp=cr_benefit_smp,
     )
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    config = ExperimentConfig.quick() if "--quick" in sys.argv else None
-    print(run(config).report.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

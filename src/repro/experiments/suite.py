@@ -1,16 +1,25 @@
-"""Run every experiment with one shared simulation cache.
+"""The experiment registry, and the suite that runs any list of it.
 
-Figures 5-10 share most of their (workload, design) simulations; this
-module runs each pair exactly once and renders every report — the
-driver behind EXPERIMENTS.md.
+Every ``repro experiment`` name is one :class:`Experiment` in
+:data:`EXPERIMENTS`: how it runs, the full table it renders after its
+report, and the registry-design cells it reads from the stats cache.
+:data:`GROUPS` names lists of entries: ``all`` is the paper's Table 1
+and Figures 5-12 (the driver behind EXPERIMENTS.md), ``ablations`` and
+``sensitivity`` their modules' studies.  :func:`run_suite` fills the
+union of its entries' cells with one
+:func:`~repro.experiments.parallel.run_cells` call, so each (workload,
+design) pair is simulated once, then renders every report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments import (
+    ablations,
+    energy_report,
     fig5_access_distribution,
     fig6_opportunity,
     fig7_reuse,
@@ -19,84 +28,148 @@ from repro.experiments import (
     fig10_performance,
     fig11_mp_distribution,
     fig12_mp_performance,
+    scale,
+    sensitivity,
+    smp_contrast,
     table1_latencies,
 )
+from repro.experiments.parallel import Cell, ParallelReport, run_cells
 from repro.experiments.runner import ExperimentConfig, StatsCache
+from repro.workloads.multiprogrammed import MIXES
 
-#: Experiment id -> (module run(), module full-table renderer or None).
-EXPERIMENTS: "dict[str, tuple[Callable, Optional[Callable]]]" = {
-    "table1": (table1_latencies.run, None),
-    "fig5": (fig5_access_distribution.run, fig5_access_distribution.render_full),
-    "fig6": (fig6_opportunity.run, fig6_opportunity.render_full),
-    "fig7": (fig7_reuse.run, fig7_reuse.render_full),
-    "fig8": (fig8_tag_distribution.run, fig8_tag_distribution.render_full),
-    "fig9": (fig9_data_distribution.run, fig9_data_distribution.render_full),
-    "fig10": (fig10_performance.run, fig10_performance.render_full),
-    "fig11": (fig11_mp_distribution.run, fig11_mp_distribution.render_full),
-    "fig12": (fig12_mp_performance.run, fig12_mp_performance.render_full),
+
+@dataclass(frozen=True)
+class Experiment:
+    """One ``repro experiment`` name.
+
+    An entry with ``cells`` reads them from the stats cache and runs as
+    ``run(config, cache=cache)``.  An entry without cells builds designs
+    the registry does not name (ablations, sensitivities, the SMP
+    contrast) or simulates nothing (Table 1), and runs as
+    ``run(config)``.
+    """
+
+    run: Callable
+    render_full: "Optional[Callable]" = None
+    cells: "Tuple[Cell, ...]" = ()
+
+    def render(self, config: ExperimentConfig, cache: StatsCache) -> str:
+        """Run on ``cache``; the report, then the full table if any."""
+        result = self.run(config, cache=cache) if self.cells else self.run(config)
+        text = result.report.render()
+        if self.render_full is not None:
+            text += "\n\n" + self.render_full(result)
+        return text
+
+
+def _grid(module) -> "Tuple[Cell, ...]":
+    """A module's ``WORKLOADS`` x ``DESIGNS`` cells; a mix runs
+    multiprogrammed."""
+    return tuple(
+        Cell(workload, design, workload in MIXES)
+        for workload in module.WORKLOADS
+        for design in module.DESIGNS
+    )
+
+
+def _figure(module) -> Experiment:
+    return Experiment(module.run, module.render_full, _grid(module))
+
+
+def scale_experiment(cores: "Sequence[int]" = scale.DEFAULT_CORES) -> Experiment:
+    """The scale study over ``cores``-tile mesh machines."""
+    cores = tuple(cores)
+    return Experiment(
+        partial(scale.run, cores=cores), scale.render_full,
+        tuple(scale.grid(cores)),
+    )
+
+
+EXPERIMENTS: "Dict[str, Experiment]" = {
+    "table1": Experiment(table1_latencies.run),
+    "fig5": _figure(fig5_access_distribution),
+    "fig6": _figure(fig6_opportunity),
+    "fig7": _figure(fig7_reuse),
+    "fig8": _figure(fig8_tag_distribution),
+    "fig9": _figure(fig9_data_distribution),
+    "fig10": _figure(fig10_performance),
+    "fig11": _figure(fig11_mp_distribution),
+    "fig12": _figure(fig12_mp_performance),
+    "energy": Experiment(energy_report.run, cells=_grid(energy_report)),
+    "smp-contrast": Experiment(smp_contrast.run),
+    "scale": scale_experiment(),
+    **{name: Experiment(run) for name, run in ablations.ALL_ABLATIONS.items()},
+    **{name: Experiment(run) for name, run in sensitivity.ALL_SENSITIVITIES.items()},
 }
+
+#: Names that run a list of entries, in report order.
+GROUPS: "Dict[str, Tuple[str, ...]]" = {
+    "all": ("table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+            "fig11", "fig12"),
+    "ablations": tuple(ablations.ALL_ABLATIONS),
+    "sensitivity": tuple(sensitivity.ALL_SENSITIVITIES),
+}
+
+
+def select(name: str) -> "Dict[str, Experiment]":
+    """The entries ``name`` runs: a group's, or its own.  KeyError if
+    the registry has neither."""
+    return {member: EXPERIMENTS[member] for member in GROUPS.get(name, (name,))}
+
+
+def cells(experiments: "Mapping[str, Experiment]") -> "List[Cell]":
+    """The union of the entries' cells, in first-use order."""
+    return list(dict.fromkeys(
+        cell for experiment in experiments.values() for cell in experiment.cells
+    ))
 
 
 @dataclass
 class SuiteResult:
-    """Rendered reports for every experiment, in paper order."""
+    """Rendered reports, in order, and what filling their cells did."""
 
-    sections: "dict[str, str]"
+    sections: "Dict[str, str]"
+    sweep: ParallelReport
 
     def render(self) -> str:
         return "\n\n\n".join(self.sections.values())
 
 
 def run_suite(
+    experiments: "Optional[Mapping[str, Experiment]]" = None,
     config: "Optional[ExperimentConfig]" = None,
     cache_path: "Optional[str]" = None,
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
 ) -> SuiteResult:
-    """Run all experiments, sharing simulations through one cache.
+    """Run ``experiments`` (default: the ``all`` group) on one cache.
 
     With ``cache_path`` the cache persists to disk after every completed
     (workload, design) run, so a killed suite resumes instead of
     re-simulating (see :class:`~repro.experiments.runner.StatsCache`).
 
     :func:`~repro.experiments.parallel.run_cells` fills the union of
-    every experiment's cells before any report renders, serially or
-    (``jobs`` > 1, or ``REPRO_JOBS``) through one process pool; results
-    are bit-identical either way.  ``cell_timeout``/``max_retries`` tune
+    the entries' cells before any report renders, serially or (``jobs``
+    > 1, or ``REPRO_JOBS``) through one process pool; results are
+    bit-identical either way.  ``cell_timeout``/``max_retries`` tune
     the pool's worker supervision (see
     :class:`~repro.experiments.parallel.SupervisorConfig`).  Raises
     :class:`~repro.experiments.parallel.QuarantinedCellError` if any
     cell exhausted its retries — after every healthy cell has been
     journaled, so a rerun resumes instead of re-simulating.
     """
-    from repro.experiments import parallel
-
+    if experiments is None:
+        experiments = select("all")
     config = config or ExperimentConfig()
-    cache = StatsCache(path=cache_path)
-    parallel.run_cells(
-        parallel.suite_cells(), config, cache, jobs=jobs,
+    cache = StatsCache(path=cache_path or None)
+    sweep = run_cells(
+        cells(experiments), config, cache, jobs=jobs,
         cell_timeout=cell_timeout, max_retries=max_retries,
-    ).raise_quarantined()
-    sections: "dict[str, str]" = {}
-    for name, (run_fn, render_full) in EXPERIMENTS.items():
-        if name == "table1":
-            result = run_fn()
-        else:
-            result = run_fn(config, cache=cache)
-        text = result.report.render()
-        if render_full is not None:
-            text += "\n\n" + render_full(result)
-        sections[name] = text
-    return SuiteResult(sections=sections)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    config = ExperimentConfig.quick() if "--quick" in sys.argv else None
-    print(run_suite(config).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    )
+    sweep.raise_quarantined()
+    sections = {
+        name: experiment.render(config, cache)
+        for name, experiment in experiments.items()
+    }
+    return SuiteResult(sections=sections, sweep=sweep)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.report import ExperimentReport, format_table
+from repro.experiments.report import ExperimentReport
 from repro.latency import cacti, tables
 
 
@@ -62,17 +62,3 @@ def check_derivation(tolerance_cycles: int = 2) -> None:
                 f"(tolerance {tolerance_cycles})"
             )
 
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report.render())
-    print()
-    print(
-        format_table(
-            ["component", "latency (cycles)"],
-            [(row.component, row.latency) for row in tables.table1_rows()],
-        )
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -71,7 +71,7 @@ WINDOW_EVENTS = 64
 
 #: Shortest check interval that runs in pieces.  Each piece pays about
 #: 100 us whatever its length (its clock columns, the columnar loop's
-#: setup, the crash window's objects), on 4 cores and on 16, so at
+#: setup, the crash window's tail), on 4 cores and on 16, so at
 #: shorter intervals stepping one event at a time is cheaper.  Measured
 #: on cmp-nurapid over oltp, pieces tie at 32 and win at 64 on both
 #: (DESIGN.md §10).
@@ -129,8 +129,11 @@ class HarnessRunner:
         self.event_index = 0
         self.stats_reset = False
         self.profiler = profiler
-        # The crash window: the most recent events stepped, oldest first.
-        self._window: "deque[TimedAccess]" = deque(maxlen=WINDOW_EVENTS)
+        # The crash window, oldest first: the per-event loop's events and
+        # copies of each piece's last rows (see window_events).
+        self._window: "deque[TimedAccess | EventChunk]" = deque(
+            maxlen=WINDOW_EVENTS
+        )
         self.injector = (
             FaultInjector(self.config.faults, self.config.seed)
             if self.config.faults
@@ -258,7 +261,7 @@ class HarnessRunner:
 
     def _run_piece(self, piece: EventChunk, index: int) -> None:
         """Run ``piece``, which starts at event ``index``, in the
-        columnar loop and add its tail to the crash window.
+        columnar loop and keep its tail for the crash window.
 
         Inside a piece a core's clock can fall only through a negative
         gap or colocated count, rejected here before the piece runs, or
@@ -277,10 +280,21 @@ class HarnessRunner:
             self.system.run_chunks((piece,))
         except InvariantViolation as error:
             offset = error.access_index
-            self._window.extend(piece[: offset + 1][-WINDOW_EVENTS:].timed())
+            self._keep_tail(piece[: offset + 1])
             error.access_index = index + offset + 1
             raise
-        self._window.extend(piece[-WINDOW_EVENTS:].timed())
+        self._keep_tail(piece)
+
+    def _keep_tail(self, piece: EventChunk) -> None:
+        """Add a copy of ``piece``'s last rows to the crash window, so
+        the window holds no view into a whole chunk; a full window's
+        worth replaces what it held."""
+        tail = EventChunk(
+            *(column[-WINDOW_EVENTS:].copy() for column in piece.columns())
+        )
+        if len(tail) == WINDOW_EVENTS:
+            self._window.clear()
+        self._window.append(tail)
 
     def _boundary(self, index: int, core: "Optional[int]" = None) -> None:
         """The harness's work once ``index`` events have run, in order:
@@ -371,8 +385,16 @@ class HarnessRunner:
         )
 
     def window_events(self) -> "list[TimedAccess]":
-        """The last :data:`WINDOW_EVENTS` events stepped, oldest first."""
-        return list(self._window)
+        """The last :data:`WINDOW_EVENTS` events stepped, oldest first:
+        the per-event loop's own objects, and a piece's rows built into
+        :class:`TimedAccess` objects only now."""
+        events: "list[TimedAccess]" = []
+        for entry in self._window:
+            if isinstance(entry, EventChunk):
+                events.extend(entry.timed())
+            else:
+                events.append(entry)
+        return events[-WINDOW_EVENTS:]
 
     def dump_window(self) -> "Optional[str]":
         """Write the recent-event window as a replayable trace file.
@@ -380,7 +402,8 @@ class HarnessRunner:
         Its machine line names the core count and bus model, so
         ``repro trace run`` replays it on the same machine.
         """
-        if not self._window:
+        events = self.window_events()
+        if not events:
             return None
         from repro.workloads import tracefile
 
@@ -393,7 +416,7 @@ class HarnessRunner:
                 path = "harness-window.trace"
         machine = (len(self.system.cores), bus_model_of(self.system.design))
         try:
-            tracefile.write_trace(self._window, path, machine)
+            tracefile.write_trace(events, path, machine)
         except OSError:  # pragma: no cover - dump is best-effort
             return None
         return path

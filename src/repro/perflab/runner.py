@@ -42,7 +42,7 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments import parallel
+from repro.experiments import parallel, suite
 from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
@@ -300,7 +300,7 @@ def measure_sweep(jobs: int, quick: bool = False,
     bit-identical while it is at it.  ``cell_timeout``/``max_retries``
     tune the parallel side's worker supervision.
     """
-    cells = parallel.experiment_cells("fig6")  # 4 designs x 5 workloads
+    cells = list(suite.EXPERIMENTS["fig6"].cells)  # 4 designs x 5 workloads
     if quick:
         cells = [cell for cell in cells if cell.workload in
                  ("oltp", "apache", "ocean")]

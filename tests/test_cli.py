@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import suite
 
 
 def run_cli(capsys, *argv):
@@ -366,6 +369,95 @@ class TestObservabilityFlags:
         )
         assert code == 2
         assert "error:" in err
+
+
+#: The report title of every registry entry, as `repro experiment` prints it.
+TITLES = {
+    "table1": "Table 1: 8 MB cache and bus latencies (cycles)",
+    "fig5": "Figure 5: distribution of L2 accesses (commercial average)",
+    "fig6": "Figure 6: performance opportunity (commercial average, "
+    "normalized to uniform-shared)",
+    "fig7": "Figure 7: reuse patterns (commercial average)",
+    "fig8": "Figure 8: tag-array access distribution (commercial average)",
+    "fig9": "Figure 9: data-array access distribution (commercial average)",
+    "fig10": "Figure 10: performance (commercial average, normalized to "
+    "uniform-shared)",
+    "fig11": "Figure 11: multiprogrammed access distribution (mix average)",
+    "fig12": "Figure 12: multiprogrammed performance (mix average, "
+    "normalized to uniform-shared)",
+    "energy": "Energy extension: dynamic energy per L2 access (oltp)",
+    "smp-contrast": "Section 1 contrast: controlled replication on CMP vs "
+    "SMP interconnect latencies (apache)",
+    "scale": "Scaling: CMP-NuRAPID CR/ISC/CS on N-core mesh machines "
+    "(throughput vs private, workload average)",
+    "promotion": "Ablation: promotion policy (MIX1)",
+    "tag-capacity": "Ablation: private tag capacity (oltp)",
+    "replication-use": "Ablation: CR replication threshold (oltp)",
+    "ranking": "Ablation: d-group preference staggering (MIX3)",
+    "update-protocol": "Ablation: ISC vs update protocol (oltp)",
+    "c-migration": "Ablation: C-block migration extension (oltp)",
+    "capacity": "Sensitivity: total L2 capacity (oltp)",
+    "core-scaling": "Sensitivity: 8-core CMP-NuRAPID (oltp model)",
+    "bus-contention": "Sensitivity: bus contention for private caches (oltp)",
+}
+
+
+def _titles(out):
+    """The report titles in ``out``: each line underlined with '='."""
+    lines = out.splitlines()
+    return [
+        line for line, under in zip(lines, lines[1:])
+        if line and under == "=" * len(line)
+    ]
+
+
+@pytest.fixture
+def tiny_quick(monkeypatch):
+    """``--quick`` at 300 + 300 accesses per core; returns that config."""
+    from repro.experiments.runner import ExperimentConfig
+
+    config = ExperimentConfig(warmup_per_core=300, measure_per_core=300)
+    monkeypatch.setattr(ExperimentConfig, "quick", staticmethod(lambda: config))
+    return config
+
+
+class TestExperimentRegistry:
+    """`repro experiment` is a lookup in one registry of experiments."""
+
+    @pytest.mark.parametrize(
+        "name", [*suite.EXPERIMENTS, *suite.GROUPS]
+    )
+    def test_every_name_runs_and_prints_its_reports(
+        self, capsys, tiny_quick, name
+    ):
+        code, out = run_cli(capsys, "experiment", name, "--quick")
+        assert code == 0
+        assert _titles(out) == [
+            TITLES[member] for member in suite.GROUPS.get(name, (name,))
+        ]
+
+    def test_energy_fills_its_cells_through_the_cache(
+        self, capsys, tmp_path, monkeypatch, tiny_quick
+    ):
+        from repro.experiments import parallel
+        from repro.experiments.runner import StatsCache
+
+        path = tmp_path / "energy.cache"
+        argv = ("experiment", "energy", "--quick", "--jobs", "2",
+                "--cache", str(path))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert os.listdir(tmp_path) == ["energy.cache"]
+        journal = StatsCache(path=str(path))
+        cells = suite.EXPERIMENTS["energy"].cells
+        assert len(cells) == len(journal) == 3
+        assert all(cell.key(tiny_quick) in journal for cell in cells)
+
+        def no_simulation(*args):
+            raise AssertionError("a journaled cell was simulated again")
+
+        monkeypatch.setattr(parallel, "_simulate_cell", no_simulation)
+        assert run_cli(capsys, *argv) == (0, out)
 
 
 class TestSupervisionFlags:

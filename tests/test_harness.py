@@ -27,7 +27,7 @@ from repro.common.params import (
 from repro.common.params import L1Params, SystemParams
 from repro.common.types import Access, AccessType
 from repro.core.nurapid import NurapidCache
-from repro.cpu.system import CmpSystem, TimedAccess, split_chunks
+from repro.cpu.system import CmpSystem, EventChunk, TimedAccess, split_chunks
 from repro.experiments.runner import DESIGN_FACTORIES, build_design
 from repro.harness import (
     CheckpointError,
@@ -490,6 +490,30 @@ def test_pieces_match_the_per_event_loop(
                     PIECE_CHECKPOINT_EVERY))
     assert snapshots == want_snapshots
     assert checks == want_checks == cores * per_core // PIECE_CHECK_EVERY
+
+
+def test_clean_pieces_build_no_window_objects(monkeypatch):
+    """A clean run in pieces keeps its crash window as columns: no
+    chunk is turned into TimedAccess objects until the window is read."""
+    calls = []
+    timed = EventChunk.timed
+
+    def counted(chunk):
+        calls.append(len(chunk))
+        return timed(chunk)
+
+    monkeypatch.setattr(EventChunk, "timed", counted)
+    (whole,) = oltp_chunks(1_000)
+    # The last chunk, 40 events, is shorter than the window.
+    chunks = [whole[start:start + 990] for start in range(0, len(whole), 990)]
+    runner = run_events(fresh_system(), iter(chunks), 1_000)
+    assert runner.takes_pieces()
+    assert calls == []
+    expected = list(oltp_events(1_000))[-WINDOW_EVENTS:]
+    assert [
+        (event.access, event.gap, event.colocated)
+        for event in runner.window_events()
+    ] == [(event.access, event.gap, event.colocated) for event in expected]
 
 
 def _dumped_lines(path):

@@ -18,7 +18,7 @@ import zlib
 import pytest
 
 from repro.common.stats import SimulationStats
-from repro.experiments import parallel
+from repro.experiments import parallel, suite
 from repro.experiments.parallel import (
     Cell,
     SupervisorConfig,
@@ -102,9 +102,16 @@ def test_scaled_mix_is_refused_on_every_path(jobs):
 
 
 class TestCrashRecovery:
+    """A kill hook without a mark directory fires on every attempt, so
+    the cell's workers all die and the parent runs it serially."""
+
+    @pytest.fixture(autouse=True)
+    def _kill_every_attempt(self, monkeypatch):
+        monkeypatch.delenv(parallel.CHAOS_MARK_DIR_ENV, raising=False)
+
     def test_crashed_worker_cell_is_retried_not_dropped(self, monkeypatch):
         cells = [Cell("oltp", "private"), Cell("oltp", "uniform-shared")]
-        monkeypatch.setenv(parallel.CRASH_ENV, "oltp/private")
+        monkeypatch.setenv(parallel.CHAOS_KILL_ENV, "oltp/private")
         cache = StatsCache()
         report = run_cells(cells, CONFIG, cache, jobs=2)
         # Every cell has a result despite the dead worker...
@@ -114,12 +121,12 @@ class TestCrashRecovery:
         assert Cell("oltp", "private") in report.retried
         # The retried results match a clean serial run bit-for-bit.
         clean = StatsCache()
-        monkeypatch.delenv(parallel.CRASH_ENV)
+        monkeypatch.delenv(parallel.CHAOS_KILL_ENV)
         run_cells(cells, CONFIG, clean, jobs=1)
         assert_identical(cells, clean, cache)
 
     def test_report_summary_mentions_retries(self, monkeypatch):
-        monkeypatch.setenv(parallel.CRASH_ENV, "oltp/private")
+        monkeypatch.setenv(parallel.CHAOS_KILL_ENV, "oltp/private")
         cache = StatsCache()
         report = run_cells([Cell("oltp", "private")], CONFIG, cache, jobs=2)
         assert "retried serially" in report.summary()
@@ -537,26 +544,34 @@ class TestJobsResolution:
 
 
 class TestCellRegistry:
+    """The experiment registry's cells (:mod:`repro.experiments.suite`)."""
+
     def test_experiment_cells_match_figure_grids(self):
         from repro.experiments import fig10_performance as fig10
 
-        cells = parallel.experiment_cells("fig10")
-        assert cells == [
+        assert suite.EXPERIMENTS["fig10"].cells == tuple(
             Cell(workload, design)
             for workload in fig10.WORKLOADS
             for design in fig10.DESIGNS
-        ]
+        )
 
     def test_mp_figures_flag_multiprogrammed(self):
-        assert all(c.multiprogrammed for c in parallel.experiment_cells("fig12"))
-        assert not any(c.multiprogrammed for c in parallel.experiment_cells("fig8"))
+        for name, experiment in suite.EXPERIMENTS.items():
+            flags = {cell.multiprogrammed for cell in experiment.cells}
+            if name in ("fig11", "fig12"):
+                assert flags == {True}, name
+            else:
+                assert True not in flags, name
 
     def test_suite_cells_unique_and_cover_figures(self):
-        cells = parallel.suite_cells()
+        cells = suite.cells(suite.select("all"))
         assert len(cells) == len(set(cells))
-        for name in ("fig5", "fig7", "fig10", "fig11", "fig12"):
-            for cell in parallel.experiment_cells(name):
+        for name in suite.GROUPS["all"]:
+            for cell in suite.EXPERIMENTS[name].cells:
                 assert cell in cells
 
     def test_unknown_experiment_has_no_cells(self):
-        assert parallel.experiment_cells("table1") == []
+        """Table 1 simulates nothing; an unknown name has no entry."""
+        assert suite.EXPERIMENTS["table1"].cells == ()
+        with pytest.raises(KeyError):
+            suite.select("fig99")

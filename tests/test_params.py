@@ -126,6 +126,4 @@ class TestSystemParams:
     def test_defaults(self):
         params = SystemParams()
         assert params.num_cores == 4
-        assert params.bus_latency == 32
-        assert params.memory_latency == 300
         assert not params.blocking_stores
