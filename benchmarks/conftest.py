@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one of the paper's tables or figures.  The
-benchmarked callable runs the full simulation pipeline; shape checks
-against the paper run on the result.  ``BENCH_CONFIG`` controls trace
-length: the default is sized so the whole harness finishes in a few
-minutes while still showing the paper's qualitative shape — set
+benchmarked callable runs the full simulation pipeline (for a figure:
+filling its cells, then reading them); shape checks against the paper
+run on the result.  ``BENCH_CONFIG`` controls trace length: the
+default is sized so the whole harness finishes in a few minutes while
+still showing the paper's qualitative shape — set
 ``REPRO_BENCH_SCALE`` (e.g. to ``4``) for longer, sharper runs like the
 ones recorded in EXPERIMENTS.md.
 """
@@ -13,8 +14,8 @@ import os
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.runner import StatsCache
+from repro.experiments import parallel, suite
+from repro.experiments.runner import ExperimentConfig, StatsCache
 
 _SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 
@@ -29,10 +30,9 @@ def pytest_addoption(parser):
     parser.addoption(
         "--jobs",
         type=int,
-        default=None,
-        help="prewarm the benchmarked sweeps across N worker processes "
-        "(default: the REPRO_JOBS environment variable, else serial); "
-        "results are bit-identical either way",
+        default=1,
+        help="fill each benchmarked figure's cells across N worker "
+        "processes (default: 1); results are bit-identical either way",
     )
 
 
@@ -42,20 +42,16 @@ def bench_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def stats_cache(request) -> StatsCache:
-    """One cache for the whole benchmark session: figures sharing the
-    same (workload, design) simulations reuse them.
+def run_experiment(request):
+    """``run_experiment(name, config)``: fill registry entry ``name``'s
+    cells into a fresh cache, as ``repro experiment`` does, then return
+    what its ``run`` reads from it — a figure benchmark times both."""
+    jobs = request.config.getoption("--jobs")
 
-    With ``--jobs N`` (or ``REPRO_JOBS``) the suite's cell union is
-    prewarmed through the parallel executor first, so the per-figure
-    benchmarks below mostly measure rendering over cache hits.
-    """
-    from repro.experiments import parallel, suite
+    def run(name: str, config: ExperimentConfig):
+        experiment = suite.EXPERIMENTS[name]
+        cache = StatsCache()
+        parallel.run_cells(experiment.cells, config, cache, jobs=jobs)
+        return experiment.run(config, cache)
 
-    cache = StatsCache()
-    jobs = parallel.resolve_jobs(request.config.getoption("--jobs"))
-    if jobs > 1:
-        parallel.run_cells(
-            suite.cells(suite.select("all")), BENCH_CONFIG, cache, jobs=jobs
-        )
-    return cache
+    return run

@@ -5,7 +5,7 @@ the sensitivity sweeps probe robustness to machine parameters; the
 energy report prices each design's measured access mix.
 """
 
-from repro.experiments import energy_report, sensitivity, smp_contrast
+from repro.experiments import sensitivity, smp_contrast
 
 
 def test_bench_smp_contrast(benchmark, bench_config):
@@ -59,9 +59,10 @@ def test_bench_bus_contention(benchmark, bench_config):
     print(result.report.render())
 
 
-def test_bench_energy(benchmark, bench_config):
+def test_bench_energy(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        energy_report.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("energy", bench_config), rounds=1,
+        iterations=1,
     )
     # Shape: every design's energy is dominated by its off-chip misses,
     # so the miss-rate ordering carries over to energy.

@@ -3,9 +3,10 @@
 from repro.experiments import fig10_performance as fig10
 
 
-def test_bench_fig10(benchmark, bench_config):
+def test_bench_fig10(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig10.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig10", bench_config), rounds=1,
+        iterations=1,
     )
     averages = result.averages
     # Shape: CMP-NuRAPID beats the uniform-shared baseline…

@@ -3,9 +3,10 @@
 from repro.experiments import fig11_mp_distribution as fig11
 
 
-def test_bench_fig11(benchmark, bench_config):
+def test_bench_fig11(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig11.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig11", bench_config), rounds=1,
+        iterations=1,
     )
 
     def avg(design):

@@ -3,9 +3,10 @@
 from repro.experiments import fig12_mp_performance as fig12
 
 
-def test_bench_fig12(benchmark, bench_config):
+def test_bench_fig12(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig12.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig12", bench_config), rounds=1,
+        iterations=1,
     )
     averages = result.averages
     # Shape: cmp-nurapid > private > non-uniform-shared > shared on

@@ -4,9 +4,10 @@ from repro.common.types import MissClass  # noqa: F401 - documentation aid
 from repro.experiments import fig5_access_distribution as fig5
 
 
-def test_bench_fig5(benchmark, bench_config):
+def test_bench_fig5(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig5.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig5", bench_config), rounds=1,
+        iterations=1,
     )
     commercial = ("oltp", "apache", "specjbb")
     for workload in fig5.WORKLOADS:

@@ -3,9 +3,10 @@
 from repro.experiments import fig6_opportunity as fig6
 
 
-def test_bench_fig6(benchmark, bench_config):
+def test_bench_fig6(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig6.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig6", bench_config), rounds=1,
+        iterations=1,
     )
     for workload, by_design in result.relative.items():
         # Shape: the ideal cache is the upper bound everywhere.

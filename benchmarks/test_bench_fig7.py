@@ -3,9 +3,10 @@
 from repro.experiments import fig7_reuse as fig7
 
 
-def test_bench_fig7(benchmark, bench_config):
+def test_bench_fig7(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig7.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig7", bench_config), rounds=1,
+        iterations=1,
     )
     for workload in ("oltp", "apache", "specjbb"):
         ros = result.ros[workload]

@@ -3,9 +3,10 @@
 from repro.experiments import fig8_tag_distribution as fig8
 
 
-def test_bench_fig8(benchmark, bench_config):
+def test_bench_fig8(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig8.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig8", bench_config), rounds=1,
+        iterations=1,
     )
     commercial = ("oltp", "apache", "specjbb")
 

@@ -3,9 +3,10 @@
 from repro.experiments import fig9_data_distribution as fig9
 
 
-def test_bench_fig9(benchmark, bench_config):
+def test_bench_fig9(benchmark, bench_config, run_experiment):
     result = benchmark.pedantic(
-        fig9.run, args=(bench_config,), rounds=1, iterations=1
+        run_experiment, args=("fig9", bench_config), rounds=1,
+        iterations=1,
     )
     commercial = ("oltp", "apache", "specjbb")
 

@@ -48,7 +48,11 @@ from repro.cpu.system import CmpSystem
 from repro.experiments import suite
 from repro.experiments.charts import BarGroup, StackedBar, render_grouped_bars, render_stacked_bars
 from repro.experiments.report import format_table, pct
-from repro.experiments.parallel import QUARANTINE_EXIT, QuarantinedCellError
+from repro.experiments.parallel import (
+    QUARANTINE_EXIT,
+    QuarantinedCellError,
+    SupervisorConfig,
+)
 from repro.experiments.runner import (
     BUS_MODELS,
     DESIGN_FACTORIES,
@@ -123,6 +127,24 @@ def _count(text: str) -> int:
             f"expected an integer with optional k/m suffix, got {text!r}"
         ) from None
     return value
+
+
+def _at_least(minimum: int, number: type = int):
+    """An argparse type: a ``number`` (int or float) >= ``minimum``."""
+    kind = "an integer" if number is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = number(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind} >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _build_obs(args):
@@ -408,46 +430,29 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _resolve_supervision(args) -> "tuple[float, int]":
-    """Validate --cell-timeout/--max-retries (and their env vars)."""
-    from repro.experiments import parallel
-
-    try:
-        return (
-            parallel.resolve_cell_timeout(args.cell_timeout),
-            parallel.resolve_max_retries(args.max_retries),
-        )
-    except ValueError as error:
-        raise CliError(str(error)) from None
-
-
 def cmd_experiment(args) -> int:
     """Look the name up in the registry, fill its cells, print its reports."""
-    from repro.experiments import parallel, scale
-
     config = ExperimentConfig.quick() if args.quick else ExperimentConfig()
-    try:
-        jobs = parallel.resolve_jobs(args.jobs)
-    except ValueError as error:
-        raise CliError(str(error)) from None
-    cell_timeout, max_retries = _resolve_supervision(args)
     try:
         experiments = suite.select(args.name)
     except KeyError:
         known = sorted({*suite.EXPERIMENTS, *suite.GROUPS})
         print(f"unknown experiment {args.name!r}; choose from: {', '.join(known)}", file=sys.stderr)
         return 2
-    if args.name == "scale" and args.cores:
-        for count in args.cores:
-            if count not in scale.SUPPORTED_CORES:
-                raise CliError(
-                    f"--cores {count} is unsupported; the mesh scales to "
-                    f"{', '.join(str(n) for n in scale.SUPPORTED_CORES)}"
-                )
-        experiments["scale"] = suite.scale_experiment(args.cores)
+    if args.cores is not None:
+        if args.name != "scale":
+            raise CliError(
+                f"--cores sizes 'experiment scale' only, not {args.name!r}"
+            )
+        try:
+            experiments["scale"] = suite.scale_experiment(args.cores)
+        except ValueError as error:
+            raise CliError(f"--cores: {error}") from None
     result = suite.run_suite(
-        experiments, config, cache_path=args.cache, jobs=jobs,
-        cell_timeout=cell_timeout, max_retries=max_retries,
+        experiments, config, cache_path=args.cache, jobs=args.jobs,
+        supervision=SupervisorConfig(
+            cell_timeout=args.cell_timeout, max_retries=args.max_retries
+        ),
     )
     if result.sweep.retried or result.sweep.fallback_reason:
         print(f"parallel: {result.sweep.summary()}", file=sys.stderr)
@@ -459,7 +464,6 @@ def cmd_bench(args) -> int:
     """Run a bench plan (``repro bench``) into a v2 BENCH record."""
     from repro import perflab
 
-    cell_timeout, max_retries = _resolve_supervision(args)
     plan = perflab.load_plan(args.plan)
     out = args.out or perflab.default_output_path()
     try:
@@ -467,8 +471,9 @@ def cmd_bench(args) -> int:
             plan,
             quick=args.quick,
             jobs=args.jobs,
-            cell_timeout=cell_timeout,
-            max_retries=max_retries,
+            supervision=SupervisorConfig(
+                cell_timeout=args.cell_timeout, max_retries=args.max_retries
+            ),
         )
     except perflab.RepeatDivergenceError as error:
         print(f"error: timed repeats diverged: {error}", file=sys.stderr)
@@ -517,7 +522,6 @@ def cmd_bench_report(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.experiments import parallel
     from repro.harness import chaos
 
     if args.list:
@@ -525,14 +529,11 @@ def cmd_chaos(args) -> int:
         for name, (description, _) in chaos.SCENARIOS.items():
             print(f"{name:<{width}}  {description}")
         return 0
-    try:
-        jobs = max(parallel.resolve_jobs(args.jobs), 2)
-    except ValueError as error:
-        raise CliError(str(error)) from None
     tracer = Tracer(capacity=args.trace_buffer, sink=args.trace) if args.trace else None
     try:
         report = chaos.run_chaos(
-            names=args.scenario or None, jobs=jobs, tracer=tracer, out=print
+            names=args.scenario or None, jobs=max(args.jobs, 2),
+            tracer=tracer, out=print,
         )
     except ValueError as error:
         raise CliError(str(error)) from None
@@ -697,21 +698,19 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("worker supervision")
     group.add_argument(
         "--cell-timeout",
-        type=float,
-        default=None,
+        type=_at_least(0, float),
+        default=SupervisorConfig.cell_timeout,
         metavar="SECONDS",
         help="wall-clock budget per sweep cell attempt; a worker past "
-        "it is SIGKILLed and the cell retried (default: the "
-        "REPRO_CELL_TIMEOUT environment variable, else 0 = unbounded)",
+        "it is SIGKILLed and the cell retried (default: 0 = unbounded)",
     )
     group.add_argument(
         "--max-retries",
-        type=int,
-        default=None,
+        type=_at_least(0),
+        default=SupervisorConfig.max_retries,
         metavar="N",
         help="extra attempts per failing sweep cell before it is "
-        "quarantined and skipped (default: the REPRO_MAX_RETRIES "
-        "environment variable, else 2)",
+        "quarantined and skipped (default: %(default)s)",
     )
 
 
@@ -859,12 +858,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument(
         "--jobs",
-        type=int,
-        default=None,
+        type=_at_least(1),
+        default=1,
         metavar="N",
         help="fan uncached (workload, design) cells across N worker "
-        "processes (default: the REPRO_JOBS environment variable, "
-        "else 1); results are bit-identical to a serial run",
+        "processes (default: 1); results are bit-identical to a "
+        "serial run",
     )
     _add_supervision_options(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)
@@ -885,11 +884,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--jobs",
-        type=int,
-        default=None,
+        type=_at_least(1),
+        default=2,
         metavar="N",
-        help="workers for the plan's sweep leg (default: REPRO_JOBS, "
-        "floored at 2); cells are always timed one at a time",
+        help="workers for the plan's sweep leg (default: 2, also the "
+        "floor); cells are always timed one at a time",
     )
     bench_parser.add_argument(
         "--quick",
@@ -951,11 +950,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_parser.add_argument(
         "--jobs",
-        type=int,
-        default=None,
+        type=_at_least(1),
+        default=2,
         metavar="N",
-        help="workers per scenario sweep (default: REPRO_JOBS, else 2; "
-        "floored at 2 so faults race a healthy worker)",
+        help="workers per scenario sweep (default: 2, also the floor, "
+        "so faults race a healthy worker)",
     )
     chaos_parser.add_argument(
         "--trace",
@@ -1027,7 +1026,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse's usage error (2) or --help (0)
+        return stop.code
     try:
         return args.func(args)
     except InvariantViolation as violation:

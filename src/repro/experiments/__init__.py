@@ -29,9 +29,9 @@ from repro.experiments.runner import (
     StatsCache,
     SweepResult,
     build_design,
+    read_sweep,
     run_mix,
     run_multithreaded,
-    sweep,
 )
 
 __all__ = [
@@ -53,10 +53,10 @@ __all__ = [
     "fig8_tag_distribution",
     "fig9_data_distribution",
     "format_table",
+    "read_sweep",
     "run_mix",
     "run_multithreaded",
     "sensitivity",
     "smp_contrast",
-    "sweep",
     "table1_latencies",
 ]

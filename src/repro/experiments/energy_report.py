@@ -12,11 +12,11 @@ access mix (from a Figure 5/8-style run) with the first-order model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.types import MissClass
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.latency import energy
 
 WORKLOAD = "oltp"
@@ -37,12 +37,8 @@ class EnergyResult:
     per_access_pj: "Dict[str, float]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> EnergyResult:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> EnergyResult:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
 
     per_access: "Dict[str, float]" = {}
     for design, factory in _MODELS.items():

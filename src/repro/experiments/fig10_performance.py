@@ -15,10 +15,10 @@ Published (Sections 1 and 5.1.3), commercial averages:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.report import ExperimentReport, format_table, ratio
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multithreaded import COMMERCIAL, MULTITHREADED
 
 #: Figure 10 commercial averages (relative to uniform-shared = 1.0).
@@ -48,12 +48,8 @@ class Fig10Result:
     averages: "Dict[str, float]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig10Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig10Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
     relative = result.relative_performance()
     commercial = [spec.name for spec in COMMERCIAL]
     averages = result.average_relative(commercial)

@@ -12,10 +12,10 @@ the shared cache; the paper also reports 85% of CMP-NuRAPID's accesses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.report import ExperimentReport, format_table, pct
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multiprogrammed import MIXES
 
 PAPER_AVG_MISS_RATE = {
@@ -39,12 +39,8 @@ class Fig11Result:
     closest_of_hits: float
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig11Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, multiprogrammed=True, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig11Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
 
     miss_rates: "Dict[str, Dict[str, float]]" = {
         mix: {

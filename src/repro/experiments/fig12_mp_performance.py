@@ -11,10 +11,10 @@ latency a 20% edge over non-uniform-shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.report import ExperimentReport, format_table, ratio
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multiprogrammed import MIXES
 
 PAPER_AVG = {
@@ -34,12 +34,8 @@ class Fig12Result:
     averages: "Dict[str, float]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig12Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, multiprogrammed=True, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig12Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
     relative = result.relative_performance(metric="aggregate_ipc")
     averages = result.average_relative(WORKLOADS, metric="aggregate_ipc")
 

@@ -17,12 +17,12 @@ Key published facts (Section 5.1.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.stats import SimulationStats
 from repro.common.types import MissClass
 from repro.experiments.report import ExperimentReport, format_table, pct
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multithreaded import COMMERCIAL, MULTITHREADED
 
 #: Figure 5 commercial averages (fractions of L2 accesses).
@@ -47,12 +47,8 @@ def _avg(distributions, workloads, design, key) -> float:
     return sum(distributions[w][design][key] for w in workloads) / len(workloads)
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig5Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig5Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
 
     distributions: "Dict[str, Dict[str, Dict[str, float]]]" = {}
     for workload, by_design in result.stats.items():

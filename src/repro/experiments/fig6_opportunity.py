@@ -10,10 +10,10 @@ the upper bound for CMP-NuRAPID.  Published commercial averages
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.report import ExperimentReport, format_table, ratio
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multithreaded import COMMERCIAL, MULTITHREADED
 
 #: Figure 6 commercial averages (relative to uniform-shared = 1.0).
@@ -34,12 +34,8 @@ class Fig6Result:
     relative: "Dict[str, Dict[str, float]]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig6Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig6Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
     relative = result.relative_performance()
 
     commercial = [spec.name for spec in COMMERCIAL]

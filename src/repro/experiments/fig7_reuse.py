@@ -16,11 +16,11 @@ For private caches the paper histograms, per workload:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.stats import REUSE_BUCKETS
 from repro.experiments.report import ExperimentReport, format_table, pct
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multithreaded import COMMERCIAL, MULTITHREADED
 
 #: Figure 7 commercial averages.
@@ -42,12 +42,8 @@ class Fig7Result:
     rws: "Dict[str, Dict[str, float]]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig7Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig7Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
 
     ros: "Dict[str, Dict[str, float]]" = {}
     rws: "Dict[str, Dict[str, float]]" = {}

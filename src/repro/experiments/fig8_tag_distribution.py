@@ -12,11 +12,11 @@ Published commercial averages (Section 5.1.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.types import MissClass
 from repro.experiments.report import ExperimentReport, format_table, pct
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multithreaded import COMMERCIAL, MULTITHREADED
 
 PAPER_COMMERCIAL_AVG = {
@@ -46,12 +46,8 @@ class Fig8Result:
     distributions: "Dict[str, Dict[str, Dict[str, float]]]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig8Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig8Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
 
     distributions: "Dict[str, Dict[str, Dict[str, float]]]" = {}
     for workload, by_design in result.stats.items():

@@ -12,10 +12,10 @@ eliminates RWS coherence misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.report import ExperimentReport, format_table, pct
-from repro.experiments.runner import ExperimentConfig, StatsCache, sweep
+from repro.experiments.runner import ExperimentConfig, StatsCache, read_sweep
 from repro.workloads.multithreaded import COMMERCIAL, MULTITHREADED
 
 PAPER_COMMERCIAL_AVG = {
@@ -34,12 +34,8 @@ class Fig9Result:
     distributions: "Dict[str, Dict[str, Dict[str, float]]]"
 
 
-def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
-) -> Fig9Result:
-    config = config or ExperimentConfig()
-    result = sweep(WORKLOADS, DESIGNS, config, cache=cache)
+def run(config: ExperimentConfig, cache: StatsCache) -> Fig9Result:
+    result = read_sweep(WORKLOADS, DESIGNS, config, cache)
 
     distributions: "Dict[str, Dict[str, Dict[str, float]]]" = {}
     for workload, by_design in result.stats.items():

@@ -20,16 +20,20 @@ each other for every design and both bus models.
 **Supervision.**  Each cell runs in its own worker process, watched by
 the parent:
 
-* a *cell timeout* (``--cell-timeout`` / ``REPRO_CELL_TIMEOUT``)
-  bounds any one attempt's wall clock — a hung worker is SIGKILLed and
-  the cell is retried in a fresh process;
+* a *cell timeout* (``--cell-timeout``) bounds any one attempt's wall
+  clock — a hung worker is SIGKILLed and the cell is retried in a
+  fresh process;
 * every worker sends a *heartbeat* message over its pipe from a
   daemon thread, so the parent can tell a frozen process (silent for
   longer than the heartbeat grace — killed promptly) from one that is
   merely slow (still beating — left alone until the cell timeout, if
   any, expires);
 * failures retry with bounded exponential backoff, up to
-  ``--max-retries`` / ``REPRO_MAX_RETRIES`` extra attempts per cell.
+  ``--max-retries`` extra attempts per cell.
+
+One :class:`SupervisorConfig` carries these knobs; ``repro`` checks
+``--jobs``, ``--cell-timeout`` and ``--max-retries`` when it parses
+them, so a bad value stops the command before any cell runs.
 
 **Poison-cell quarantine.**  A cell that exhausts its retries is
 *quarantined*: recorded (with every attempt's failure kind and the
@@ -102,17 +106,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 
-#: Environment knob for the default worker count (``--jobs`` overrides).
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment knob for the per-cell wall-clock timeout in seconds
-#: (``--cell-timeout`` overrides; 0 disables).
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-
-#: Environment knob for the per-cell retry budget (``--max-retries``
-#: overrides): extra attempts after the first before quarantine.
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-
 # Chaos hooks (see repro.harness.chaos).  Each names a cell label; the
 # worker injects the fault at the start of that cell.  With
 # CHAOS_MARK_DIR_ENV set, kill/hang/freeze fire only on the cell's
@@ -166,57 +159,6 @@ class Cell:
             self.workload, self.design, config,
             self.multiprogrammed, self.num_cores,
         )
-
-
-def resolve_jobs(jobs: "Optional[int]" = None) -> int:
-    """Worker count: explicit argument, ``REPRO_JOBS``, or 1 (serial)."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{JOBS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def resolve_cell_timeout(cell_timeout: "Optional[float]" = None) -> float:
-    """Per-cell timeout: explicit argument, env var, or 0 (disabled)."""
-    if cell_timeout is None:
-        raw = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return 0.0
-        try:
-            cell_timeout = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CELL_TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
-            ) from None
-    if cell_timeout < 0:
-        raise ValueError(f"cell timeout must be >= 0, got {cell_timeout}")
-    return float(cell_timeout)
-
-
-def resolve_max_retries(max_retries: "Optional[int]" = None) -> int:
-    """Retry budget: explicit argument, env var, or 2 extra attempts."""
-    if max_retries is None:
-        raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
-        if not raw:
-            return 2
-        try:
-            max_retries = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{MAX_RETRIES_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if max_retries < 0:
-        raise ValueError(f"max retries must be >= 0, got {max_retries}")
-    return max_retries
 
 
 @dataclass(frozen=True)
@@ -802,18 +744,17 @@ def run_cells(
     cells: "Sequence[Cell]",
     config: ExperimentConfig,
     cache: StatsCache,
-    jobs: "Optional[int]" = None,
+    jobs: int = 1,
     bus_model: "Optional[str]" = None,
-    cell_timeout: "Optional[float]" = None,
-    max_retries: "Optional[int]" = None,
     supervision: "Optional[SupervisorConfig]" = None,
     tracer=None,
 ) -> ParallelReport:
-    """Ensure every cell's stats are in ``cache``, using ``jobs`` workers:
+    """Ensure every cell's stats are in ``cache``, using ``jobs`` workers
+    supervised by ``supervision`` (default :class:`SupervisorConfig`):
     the one code that fills a sweep grid.
 
-    The cache is the rendezvous: callers (``sweep``, the scale
-    experiment, the suite) read their results back out of it
+    The cache is the rendezvous: callers (the suite, the perf lab's
+    sweep leg, the chaos scenarios) read their results back out of it
     with :meth:`StatsCache.peek`.  Every cell runs through
     :func:`_simulate_cell` — serially at one job, in a worker, in the
     serial fallback of a pool that cannot start, or in the parent's
@@ -822,13 +763,7 @@ def run_cells(
     supervised attempt is quarantined and reported, not raised: callers
     that must stop call :meth:`ParallelReport.raise_quarantined`.
     """
-    jobs = resolve_jobs(jobs)
     bus_model = resolve_bus_model(bus_model)
-    if supervision is None:
-        supervision = SupervisorConfig(
-            cell_timeout=resolve_cell_timeout(cell_timeout),
-            max_retries=resolve_max_retries(max_retries),
-        )
     registry = MetricsRegistry()
     report = ParallelReport(
         jobs=jobs,
@@ -841,7 +776,7 @@ def run_cells(
         else:
             pending.append(cell)
     supervisor = _Supervisor(
-        config, cache, bus_model, jobs, supervision,
+        config, cache, bus_model, jobs, supervision or SupervisorConfig(),
         tracer=tracer, registry=registry,
     )
     if jobs > 1:

@@ -25,7 +25,11 @@ from repro.common.stats import SimulationStats
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem, EventChunk
 from repro.harness.runner import run_events
-from repro.workloads.multiprogrammed import MultiprogrammedWorkload, make_mix
+from repro.workloads.multiprogrammed import (
+    MIXES,
+    MultiprogrammedWorkload,
+    make_mix,
+)
 from repro.workloads.multithreaded import make_workload
 
 
@@ -312,64 +316,50 @@ class SweepResult:
         return pooled
 
 
-def sweep(
+def read_sweep(
     workload_names: "Sequence[str]",
     design_names: "Sequence[str]",
-    config: "ExperimentConfig | None" = None,
-    multiprogrammed: bool = False,
-    cache: "Optional[StatsCache]" = None,
-    jobs: "Optional[int]" = None,
-    cell_timeout: "Optional[float]" = None,
-    max_retries: "Optional[int]" = None,
+    config: ExperimentConfig,
+    cache: "StatsCache",
+    num_cores: int = 0,
 ) -> SweepResult:
-    """Run every design on every workload; the core of each figure.
+    """Read every design's stats on every workload out of ``cache``:
+    the grid a figure reports on.
 
-    :func:`~repro.experiments.parallel.run_cells` fills the uncached
-    cells, and the result is read back out of ``cache``.  ``jobs`` > 1
-    fans them across a supervised worker pool (bit-identical to the
-    serial path — every cell's randomness is keyed on the config seed
-    and the cell's own names, never on execution order).  None defers
-    to the ``REPRO_JOBS`` environment variable, so figure modules
-    parallelize without signature changes; ``cell_timeout`` and
-    ``max_retries`` likewise default to ``REPRO_CELL_TIMEOUT`` /
-    ``REPRO_MAX_RETRIES``.
-
-    Raises :class:`~repro.experiments.parallel.QuarantinedCellError`
-    if any requested cell exhausted its retries — after every healthy
-    cell has run and been journaled, so a rerun resumes instead of
-    restarting.
+    It simulates nothing: ``repro experiment`` fills the grid first,
+    with the one :func:`~repro.experiments.parallel.run_cells` call in
+    :func:`~repro.experiments.suite.run_suite`.  A mix reads as its
+    multiprogrammed run, and ``num_cores`` reads the scaled runs of an
+    N-core machine.  Raises KeyError naming the first run ``cache``
+    lacks.
     """
-    from repro.experiments import parallel
-
-    config = config or ExperimentConfig()
-    cache = cache if cache is not None else StatsCache()
-    cells = [
-        parallel.Cell(workload, design, multiprogrammed)
-        for workload in workload_names
-        for design in design_names
-    ]
-    parallel.run_cells(
-        cells, config, cache, jobs=jobs,
-        cell_timeout=cell_timeout, max_retries=max_retries,
-    ).raise_quarantined()
     result = SweepResult()
-    for cell in cells:
-        result.stats.setdefault(cell.workload, {})[cell.design] = cache.peek(
-            cell.key(config)
-        )
+    for workload in workload_names:
+        for design in design_names:
+            key = StatsCache.scaled_key(
+                workload, design, config, workload in MIXES, num_cores
+            )
+            stats = cache.peek(key)
+            if stats is None:
+                raise KeyError(
+                    f"{key[0]}/{design} is not in the stats cache; fill "
+                    "the grid with run_cells first"
+                )
+            result.stats.setdefault(workload, {})[design] = stats
     return result
 
 
 class StatsCache:
     """Stores (workload, design-key) runs across experiment modules.
 
-    It only loads, stores and journals: it never simulates.  Sweeps
-    fill it through :func:`~repro.experiments.parallel.run_cells`,
-    which simulates each cell it lacks and records the result with
-    :meth:`insert`, and read it back with :meth:`peek`.  Figures 5-10
-    share most of their underlying simulations; a suite run passes one
-    cache to every experiment so each (workload, design) pair is
-    simulated exactly once.
+    It only loads, stores and journals: it never simulates.
+    :func:`~repro.experiments.parallel.run_cells` fills it, simulating
+    each cell it lacks and recording the result with :meth:`insert`;
+    figures read it back with :meth:`peek` (through
+    :func:`read_sweep`).  Figures 5-10 share most of their underlying
+    simulations; a suite run fills one cache with the union of every
+    experiment's cells, so each (workload, design) pair is simulated
+    exactly once.
 
     With a ``path``, the cache also persists as an **append-only
     journal**: each completed run appends one pickled record, so
@@ -534,7 +524,7 @@ class StatsCache:
     def peek(self, key: tuple) -> "Optional[SimulationStats]":
         """The cached stats for ``key``, or None.
 
-        Sweeps read their grid with ``peek`` once
+        Figures read their grid with ``peek`` once
         :func:`~repro.experiments.parallel.run_cells` has filled it.
         """
         return self._cache.get(key)

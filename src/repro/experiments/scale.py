@@ -32,6 +32,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
     build_design,
+    read_sweep,
     run_meta,
     run_stream,
 )
@@ -165,9 +166,16 @@ def run_scaled_cell(
 
 
 def grid(cores: "Sequence[int]" = DEFAULT_CORES) -> list:
-    """The study's scaled cells over ``cores``, in report order."""
+    """The study's scaled cells over ``cores``, in report order.
+    ValueError if a count is not in :data:`SUPPORTED_CORES`."""
     from repro.experiments.parallel import Cell
 
+    for count in cores:
+        if count not in SUPPORTED_CORES:
+            raise ValueError(
+                f"unsupported core count {count}; the mesh scales to "
+                f"{', '.join(str(n) for n in SUPPORTED_CORES)}"
+            )
     return [
         Cell(workload, design, False, count)
         for count in cores
@@ -177,42 +185,24 @@ def grid(cores: "Sequence[int]" = DEFAULT_CORES) -> list:
 
 
 def run(
-    config: "Optional[ExperimentConfig]" = None,
-    cache: "Optional[StatsCache]" = None,
+    config: ExperimentConfig,
+    cache: StatsCache,
     cores: "Sequence[int]" = DEFAULT_CORES,
-    jobs: "Optional[int]" = None,
-    cell_timeout: "Optional[float]" = None,
-    max_retries: "Optional[int]" = None,
 ) -> ScaleResult:
-    """The CR/ISC/CS scaling table over ``cores``-tile mesh machines.
+    """The CR/ISC/CS scaling table over ``cores``-tile mesh machines,
+    read from ``cache`` once :func:`grid` ``(cores)`` is filled.
 
-    :func:`~repro.experiments.parallel.run_cells` fills the uncached
-    grid, serially or (``jobs`` > 1) through the supervised executor;
-    either way each cell runs under the harness with incremental
-    invariant checking.  With a persistent ``cache``, cells checkpoint
-    to ``<cache>.scale-ckpt/`` and an interrupted sweep resumes from
-    both the stats journal and the per-cell snapshots.
+    Each cell ran under the harness with incremental invariant
+    checking; with a persistent ``cache``, cells checkpoint to
+    ``<cache>.scale-ckpt/`` and an interrupted fill resumes from both
+    the stats journal and the per-cell snapshots.
     """
-    from repro.experiments import parallel
-
-    config = config or ExperimentConfig()
-    cache = cache if cache is not None else StatsCache()
-    for count in cores:
-        if count not in SUPPORTED_CORES:
-            raise ValueError(
-                f"unsupported core count {count}; the mesh scales to "
-                f"{SUPPORTED_CORES}"
-            )
-    cells = grid(cores)
-    parallel.run_cells(
-        cells, config, cache, jobs=jobs,
-        cell_timeout=cell_timeout, max_retries=max_retries,
-    ).raise_quarantined()
-    stats: "Dict[int, Dict[str, Dict[str, SimulationStats]]]" = {}
-    for cell in cells:
-        stats.setdefault(cell.num_cores, {}).setdefault(
-            cell.workload, {}
-        )[cell.design] = cache.peek(cell.key(config))
+    stats: "Dict[int, Dict[str, Dict[str, SimulationStats]]]" = {
+        count: read_sweep(
+            WORKLOADS, DESIGNS, config, cache, num_cores=count
+        ).stats
+        for count in cores
+    }
 
     relative: "Dict[int, Dict[str, Dict[str, float]]]" = {}
     for count, by_workload in stats.items():

@@ -8,7 +8,8 @@ and Figures 5-12 (the driver behind EXPERIMENTS.md), ``ablations`` and
 ``sensitivity`` their modules' studies.  :func:`run_suite` fills the
 union of its entries' cells with one
 :func:`~repro.experiments.parallel.run_cells` call, so each (workload,
-design) pair is simulated once, then renders every report.
+design) pair is simulated once, then renders every report; the entries
+only read the filled cache.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from repro.experiments import (
     smp_contrast,
     table1_latencies,
 )
-from repro.experiments.parallel import Cell, ParallelReport, run_cells
+from repro.experiments.parallel import (
+    Cell,
+    ParallelReport,
+    SupervisorConfig,
+    run_cells,
+)
 from repro.experiments.runner import ExperimentConfig, StatsCache
 from repro.workloads.multiprogrammed import MIXES
 
@@ -42,11 +48,11 @@ from repro.workloads.multiprogrammed import MIXES
 class Experiment:
     """One ``repro experiment`` name.
 
-    An entry with ``cells`` reads them from the stats cache and runs as
-    ``run(config, cache=cache)``.  An entry without cells builds designs
-    the registry does not name (ablations, sensitivities, the SMP
-    contrast) or simulates nothing (Table 1), and runs as
-    ``run(config)``.
+    An entry with ``cells`` runs as ``run(config, cache=cache)`` and
+    only reads them from the stats cache, which :func:`run_suite`
+    fills first.  An entry without cells builds designs the registry
+    does not name (ablations, sensitivities, the SMP contrast) or
+    simulates nothing (Table 1), and runs as ``run(config)``.
     """
 
     run: Callable
@@ -77,7 +83,8 @@ def _figure(module) -> Experiment:
 
 
 def scale_experiment(cores: "Sequence[int]" = scale.DEFAULT_CORES) -> Experiment:
-    """The scale study over ``cores``-tile mesh machines."""
+    """The scale study over ``cores``-tile mesh machines; ValueError
+    names a count the mesh does not support."""
     cores = tuple(cores)
     return Experiment(
         partial(scale.run, cores=cores), scale.render_full,
@@ -139,9 +146,8 @@ def run_suite(
     experiments: "Optional[Mapping[str, Experiment]]" = None,
     config: "Optional[ExperimentConfig]" = None,
     cache_path: "Optional[str]" = None,
-    jobs: "Optional[int]" = None,
-    cell_timeout: "Optional[float]" = None,
-    max_retries: "Optional[int]" = None,
+    jobs: int = 1,
+    supervision: "Optional[SupervisorConfig]" = None,
 ) -> SuiteResult:
     """Run ``experiments`` (default: the ``all`` group) on one cache.
 
@@ -151,10 +157,9 @@ def run_suite(
 
     :func:`~repro.experiments.parallel.run_cells` fills the union of
     the entries' cells before any report renders, serially or (``jobs``
-    > 1, or ``REPRO_JOBS``) through one process pool; results are
-    bit-identical either way.  ``cell_timeout``/``max_retries`` tune
-    the pool's worker supervision (see
-    :class:`~repro.experiments.parallel.SupervisorConfig`).  Raises
+    > 1) through one process pool whose workers ``supervision`` tunes;
+    results are bit-identical either way.  This is the only fill: each
+    entry then reads its cells from the cache.  Raises
     :class:`~repro.experiments.parallel.QuarantinedCellError` if any
     cell exhausted its retries — after every healthy cell has been
     journaled, so a rerun resumes instead of re-simulating.
@@ -164,8 +169,7 @@ def run_suite(
     config = config or ExperimentConfig()
     cache = StatsCache(path=cache_path or None)
     sweep = run_cells(
-        cells(experiments), config, cache, jobs=jobs,
-        cell_timeout=cell_timeout, max_retries=max_retries,
+        cells(experiments), config, cache, jobs=jobs, supervision=supervision
     )
     sweep.raise_quarantined()
     sections = {

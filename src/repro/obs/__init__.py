@@ -9,7 +9,7 @@ aggregates:
   with a bounded ring buffer and a streaming JSONL sink;
 * :mod:`repro.obs.perfetto` — Chrome trace-event exporter, so a run
   opens in ``ui.perfetto.dev`` with cores and d-groups as tracks;
-* :mod:`repro.obs.metrics` — counter/gauge/histogram registry with
+* :mod:`repro.obs.metrics` — counter/histogram registry with
   interval sampling into an exportable time-series;
 * :mod:`repro.obs.profiler` — wall-clock timers around the simulator's
   hot paths.
@@ -18,7 +18,6 @@ aggregates:
 from repro.obs.events import TraceEvent, read_jsonl, validate_jsonl
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsCollector,
     MetricsRegistry,
@@ -30,7 +29,6 @@ from repro.obs.tracer import NO_TRACE, NullTracer, Tracer
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsCollector",
     "MetricsRegistry",

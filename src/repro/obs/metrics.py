@@ -1,15 +1,15 @@
 """Metrics registry with interval sampling into a time-series.
 
-Three metric primitives — :class:`Counter`, :class:`Gauge`, and
-:class:`Histogram` — live in a :class:`MetricsRegistry`.  A
-:class:`MetricsCollector` binds the registry to a running
-:class:`~repro.cpu.system.CmpSystem`: the system's hot loop calls
-:meth:`MetricsCollector.on_step` once per event (one ``is not None``
-check when collection is off), per-L2-access observations update the
-access counters and the latency histogram, and every ``sample_every``
-events the collector snapshots the registry plus sampled model state
-(per-d-group occupancy and average hit latency, C-block count, bus
-transactions, per-core IPC) into a :class:`MetricsSeries`.
+Two metric primitives — :class:`Counter` and :class:`Histogram` —
+live in a :class:`MetricsRegistry`.  A :class:`MetricsCollector` binds
+the registry to a running :class:`~repro.cpu.system.CmpSystem`: the
+system's hot loop calls :meth:`MetricsCollector.on_step` once per
+event (one ``is not None`` check when collection is off),
+per-L2-access observations update the access counters and the latency
+histogram, and every ``sample_every`` events the collector snapshots
+the registry plus sampled model state (per-d-group occupancy and
+average hit latency, C-block count, bus transactions, per-core IPC)
+into a :class:`MetricsSeries`.
 
 Samples are **cumulative** (each snapshot is the state so far, like
 Prometheus counters): the final sample reproduces the run's aggregate
@@ -39,15 +39,6 @@ SWEEP_TIMEOUT = "sweep.timeout"
 SWEEP_WORKER_DEATH = "sweep.worker_death"
 SWEEP_FALLBACK = "sweep.fallback_serial"
 
-#: Every supervision counter, in reporting order.
-SUPERVISION_COUNTERS = (
-    SWEEP_RETRY,
-    SWEEP_QUARANTINE,
-    SWEEP_TIMEOUT,
-    SWEEP_WORKER_DEATH,
-    SWEEP_FALLBACK,
-)
-
 
 class Counter:
     """A monotonically increasing count."""
@@ -61,21 +52,6 @@ class Counter:
         self.value += amount
 
     def snapshot(self) -> int:
-        return self.value
-
-
-class Gauge:
-    """A value sampled at snapshot time (occupancy, utilization, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self) -> float:
         return self.value
 
 
@@ -172,9 +148,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, Gauge)
 
     def histogram(
         self, name: str, bounds: "Sequence[float]" = DEFAULT_LATENCY_BOUNDS
@@ -419,12 +392,10 @@ class MetricsCollector:
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BOUNDS",
-    "Gauge",
     "Histogram",
     "MetricsCollector",
     "MetricsRegistry",
     "MetricsSeries",
-    "SUPERVISION_COUNTERS",
     "SWEEP_FALLBACK",
     "SWEEP_QUARANTINE",
     "SWEEP_RETRY",

@@ -242,16 +242,15 @@ def _time_cell(cell: PlanCell, config, repeats: int) -> dict:
 def run_plan(
     plan: BenchPlan,
     quick: bool = False,
-    jobs: "Optional[int]" = None,
-    cell_timeout: "Optional[float]" = None,
-    max_retries: "Optional[int]" = None,
+    jobs: int = 2,
+    supervision: "Optional[parallel.SupervisorConfig]" = None,
 ) -> dict:
     """Execute ``plan`` and return the ``repro-bench-v2`` record.
 
     ``quick`` shrinks run lengths to CI smoke sizing, the sweep leg's
-    too.  ``jobs`` sizes the sweep leg's pool (default ``REPRO_JOBS``,
-    floored at 2), whose workers ``cell_timeout``/``max_retries``
-    supervise.  Cells are timed one at a time, in plan order.
+    too.  ``jobs`` sizes the sweep leg's pool (floored at 2), whose
+    workers ``supervision`` tunes.  Cells are timed one at a time, in
+    plan order.
     """
     if quick:
         plan = replace(
@@ -282,23 +281,22 @@ def run_plan(
     }
     if plan.sweep:
         result["sweep"] = measure_sweep(
-            jobs=max(parallel.resolve_jobs(jobs), 2),
-            quick=quick,
-            cell_timeout=cell_timeout,
-            max_retries=max_retries,
+            jobs=max(jobs, 2), quick=quick, supervision=supervision
         )
     return result
 
 
-def measure_sweep(jobs: int, quick: bool = False,
-                  cell_timeout: "Optional[float]" = None,
-                  max_retries: "Optional[int]" = None) -> dict:
+def measure_sweep(
+    jobs: int,
+    quick: bool = False,
+    supervision: "Optional[parallel.SupervisorConfig]" = None,
+) -> dict:
     """Wall-clock a small sweep serially, then with ``jobs`` workers.
 
     Uses fresh in-memory caches on both sides (nothing is reused
     between the two runs), and checks the two result sets are
-    bit-identical while it is at it.  ``cell_timeout``/``max_retries``
-    tune the parallel side's worker supervision.
+    bit-identical while it is at it.  ``supervision`` tunes the
+    parallel side's workers.
     """
     cells = list(suite.EXPERIMENTS["fig6"].cells)  # 4 designs x 5 workloads
     if quick:
@@ -314,8 +312,7 @@ def measure_sweep(jobs: int, quick: bool = False,
     pool_cache = StatsCache()
     start = time.perf_counter()
     report = parallel.run_cells(cells, config, pool_cache, jobs=jobs,
-                                cell_timeout=cell_timeout,
-                                max_retries=max_retries)
+                                supervision=supervision)
     parallel_seconds = time.perf_counter() - start
     report.raise_quarantined()
 

@@ -428,13 +428,26 @@ class TestExperimentRegistry:
         "name", [*suite.EXPERIMENTS, *suite.GROUPS]
     )
     def test_every_name_runs_and_prints_its_reports(
-        self, capsys, tiny_quick, name
+        self, capsys, monkeypatch, tiny_quick, name
     ):
+        from repro.experiments import parallel
+
+        fills = []
+        fill = parallel.run_cells
+
+        def counted_fill(cells, *args, **kwargs):
+            fills.append(list(cells))
+            return fill(cells, *args, **kwargs)
+
+        for module in (parallel, suite):
+            monkeypatch.setattr(module, "run_cells", counted_fill)
         code, out = run_cli(capsys, "experiment", name, "--quick")
         assert code == 0
         assert _titles(out) == [
             TITLES[member] for member in suite.GROUPS.get(name, (name,))
         ]
+        # One fill per name: the entries only read what it stored.
+        assert fills == [suite.cells(suite.select(name))]
 
     def test_energy_fills_its_cells_through_the_cache(
         self, capsys, tmp_path, monkeypatch, tiny_quick
@@ -471,6 +484,10 @@ class TestSupervisionFlags:
             ["experiment", "fig5", "--max-retries", "-2"],
             ["bench", "--cell-timeout", "-0.5", "--quick"],
             ["bench", "--max-retries", "-1", "--quick"],
+            ["experiment", "fig5", "--quick", "--jobs", "0"],
+            ["bench", "--plan", "plans/ci-smoke.toml", "--quick",
+             "--jobs", "0"],
+            ["chaos", "--jobs", "0"],
         ],
     )
     def test_malformed_supervision_flags_exit_2(self, capsys, argv):
@@ -478,13 +495,14 @@ class TestSupervisionFlags:
         assert code == 2
         assert "Traceback" not in err
 
-    def test_env_garbage_is_a_usage_error(self, capsys, monkeypatch):
-        from repro.experiments import parallel
-
-        monkeypatch.setenv(parallel.CELL_TIMEOUT_ENV, "soon")
-        code, out, err = run_cli_err(capsys, "experiment", "fig5", "--quick")
-        assert code == 2
-        assert parallel.CELL_TIMEOUT_ENV in err
+    def test_jobs_environment_variable_is_not_read(
+        self, capsys, monkeypatch, tiny_quick
+    ):
+        argv = ("experiment", "fig6", "--quick", "--jobs", "1")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("REPRO_JOBS", "many")
+        assert run_cli(capsys, *argv) == (0, out)
 
     def test_parser_accepts_supervision_flags(self):
         args = build_parser().parse_args(
@@ -493,7 +511,11 @@ class TestSupervisionFlags:
         )
         assert args.cell_timeout == 600.0 and args.max_retries == 3
         args = build_parser().parse_args(["bench", "--cell-timeout", "30"])
-        assert args.cell_timeout == 30.0 and args.max_retries is None
+        assert args.cell_timeout == 30.0 and args.max_retries == 2
+        # Defaults: a serial, unbounded experiment; two bench workers.
+        args = build_parser().parse_args(["experiment", "fig5"])
+        assert (args.jobs, args.cell_timeout, args.max_retries) == (1, 0.0, 2)
+        assert build_parser().parse_args(["bench"]).jobs == 2
 
     def test_poisoned_experiment_exits_6_and_is_inspectable(
         self, capsys, monkeypatch, tmp_path
@@ -554,12 +576,20 @@ class TestSupervisionFlags:
 class TestMeshCli:
     """The mesh NoC's CLI surface: the scale grid and a mesh run."""
 
-    def test_scale_rejects_unsupported_core_count_exit_2(self, capsys):
-        code, out, err = run_cli_err(
-            capsys, "experiment", "scale", "--cores", "7",
-        )
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["scale", "--cores", "7"], "7"),
+            (["table1", "--quick", "--cores", "7"], "scale"),
+        ],
+        ids=["scale-7", "table1"],
+    )
+    def test_scale_rejects_unsupported_core_count_exit_2(
+        self, capsys, argv, named
+    ):
+        code, out, err = run_cli_err(capsys, "experiment", *argv)
         assert code == 2
-        assert "7" in err
+        assert named in err
 
     def test_scaled_crash_window_replays_on_its_machine(self, tmp_path, capsys):
         """A 16-core mesh cell's crash window names its machine, and

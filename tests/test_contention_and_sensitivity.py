@@ -3,8 +3,9 @@ experiment modules."""
 
 import pytest
 
-from repro.experiments import energy_report, sensitivity, smp_contrast
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments import energy_report, sensitivity, smp_contrast, suite
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import ExperimentConfig, StatsCache
 from repro.interconnect.bus import BusOp, BusTransaction, SnoopBus
 
 TINY = ExperimentConfig(warmup_per_core=2000, measure_per_core=2000)
@@ -78,17 +79,23 @@ class TestSensitivity:
         assert contended <= uncontended * 1.01
 
 
+@pytest.fixture(scope="class")
+def energy():
+    """The energy report over its cells, filled first."""
+    cache = StatsCache()
+    run_cells(suite.EXPERIMENTS["energy"].cells, TINY, cache)
+    return energy_report.run(TINY, cache)
+
+
 class TestEnergyReport:
-    def test_report_prices_three_designs(self):
-        result = energy_report.run(TINY)
-        assert set(result.per_access_pj) == {
+    def test_report_prices_three_designs(self, energy):
+        assert set(energy.per_access_pj) == {
             "uniform-shared",
             "private",
             "cmp-nurapid",
         }
-        for value in result.per_access_pj.values():
+        for value in energy.per_access_pj.values():
             assert value > 0
 
-    def test_pointer_ratio_reported(self):
-        result = energy_report.run(TINY)
-        assert "pointer-return" in result.report.render()
+    def test_pointer_ratio_reported(self, energy):
+        assert "pointer-return" in energy.report.render()

@@ -20,6 +20,7 @@ from repro.experiments import (
     fig11_mp_distribution,
     fig12_mp_performance,
     parallel,
+    suite,
     table1_latencies,
 )
 from repro.experiments.report import Comparison, ExperimentReport, format_table, pct
@@ -28,8 +29,8 @@ from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
     build_design,
+    read_sweep,
     run_multithreaded,
-    sweep,
 )
 from repro.harness import check_system
 
@@ -38,7 +39,20 @@ TINY = ExperimentConfig(warmup_per_core=2500, measure_per_core=2500)
 
 @pytest.fixture(scope="module")
 def cache():
-    return StatsCache()
+    """Every figure's cells, filled once as ``repro experiment all``
+    fills them; the figures only read them."""
+    cache = StatsCache()
+    parallel.run_cells(suite.cells(suite.select("all")), TINY, cache)
+    return cache
+
+
+def barnes_stats(cache):
+    """Fill barnes/uniform-shared into ``cache`` and read it back."""
+    parallel.run_cells(
+        [parallel.Cell("barnes", "uniform-shared")], TINY, cache
+    )
+    grid = read_sweep(["barnes"], ["uniform-shared"], TINY, cache)
+    return grid.stats["barnes"]["uniform-shared"]
 
 
 class TestReportPrimitives:
@@ -87,7 +101,7 @@ class TestRunner:
         check_system(system)
 
     def test_stats_cache_memoizes(self, monkeypatch):
-        """One simulation per key: a second sweep over the same cache
+        """One simulation per key: a second fill of the same cache
         serves the cell without running it again."""
         simulated = []
         simulate = parallel._simulate_cell
@@ -98,21 +112,16 @@ class TestRunner:
 
         monkeypatch.setattr(parallel, "_simulate_cell", counting_cell)
         cache = StatsCache()
-        first = sweep(["barnes"], ["uniform-shared"], TINY, cache=cache, jobs=1)
-        second = sweep(["barnes"], ["uniform-shared"], TINY, cache=cache, jobs=1)
+        first = barnes_stats(cache)
+        second = barnes_stats(cache)
         assert simulated == [parallel.Cell("barnes", "uniform-shared")]
-        assert (
-            first.stats["barnes"]["uniform-shared"]
-            is second.stats["barnes"]["uniform-shared"]
-        )
+        assert first is second
 
     def test_stats_cache_persists_across_processes(self, tmp_path, monkeypatch):
         """A killed sweep resumes from the on-disk cache, not a re-run."""
         path = str(tmp_path / "stats.cache")
         first = StatsCache(path=path)
-        stats = sweep(
-            ["barnes"], ["uniform-shared"], TINY, cache=first, jobs=1
-        ).stats["barnes"]["uniform-shared"]
+        stats = barnes_stats(first)
         assert len(first) == 1
 
         def exploding_cell(*args):
@@ -121,10 +130,13 @@ class TestRunner:
         monkeypatch.setattr(parallel, "_simulate_cell", exploding_cell)
         fresh = StatsCache(path=path)  # simulates a new process
         assert len(fresh) == 1
-        reloaded = sweep(
-            ["barnes"], ["uniform-shared"], TINY, cache=fresh, jobs=1
-        ).stats["barnes"]["uniform-shared"]
+        reloaded = barnes_stats(fresh)
         assert reloaded.accesses.counts == stats.accesses.counts
+
+    def test_read_sweep_names_a_missing_cell(self):
+        """Reading simulates nothing: an unfilled cell is a KeyError."""
+        with pytest.raises(KeyError, match="MIX1/private"):
+            read_sweep(["MIX1"], ["private"], TINY, StatsCache())
 
     def test_stats_cache_ignores_corrupt_file(self, tmp_path):
         path = tmp_path / "stats.cache"

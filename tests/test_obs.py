@@ -239,7 +239,7 @@ def test_registry_rejects_kind_mismatch():
     registry = MetricsRegistry()
     registry.counter("x")
     with pytest.raises(TypeError):
-        registry.gauge("x")
+        registry.histogram("x")
 
 
 def test_metrics_final_sample_reproduces_simulation_stats(tmp_path):

@@ -19,18 +19,13 @@ import pytest
 
 from repro.common.stats import SimulationStats
 from repro.experiments import parallel, suite
-from repro.experiments.parallel import (
-    Cell,
-    SupervisorConfig,
-    resolve_jobs,
-    run_cells,
-)
+from repro.experiments.parallel import Cell, SupervisorConfig, run_cells
 from repro.experiments.runner import (
     DESIGN_FACTORIES,
     ExperimentConfig,
     StatsCache,
     build_design,
-    sweep,
+    read_sweep,
 )
 from repro.obs.tracer import Tracer
 
@@ -76,12 +71,16 @@ class TestBitIdentity:
         assert_identical(cells, serial, pooled)
 
     def test_sweep_entrypoint_parallel(self):
-        """sweep(jobs=4) returns the same stats objects the serial
-        sweep computes, through the normal figure-module entry point."""
+        """A grid filled with jobs=4 reads back, through the figures'
+        read_sweep, the same stats the serial fill computes."""
         workloads = ("oltp", "ocean")
         designs = ("uniform-shared", "private")
-        serial = sweep(workloads, designs, CONFIG, jobs=1)
-        pooled = sweep(workloads, designs, CONFIG, jobs=4)
+        serial, pooled = run_both(
+            [Cell(workload, design) for workload in workloads
+             for design in designs]
+        )
+        serial = read_sweep(workloads, designs, CONFIG, serial)
+        pooled = read_sweep(workloads, designs, CONFIG, pooled)
         for workload in workloads:
             for design in designs:
                 assert (
@@ -277,10 +276,10 @@ class TestSupervision:
         path = str(tmp_path / "stats.cache")
         monkeypatch.setenv(parallel.CHAOS_POISON_ENV, "oltp/private")
         with pytest.raises(parallel.QuarantinedCellError) as excinfo:
-            sweep(
-                ("oltp",), ("private", "uniform-shared"), CONFIG,
-                cache=StatsCache(path=path), jobs=2, max_retries=0,
-            )
+            run_cells(
+                self.CELLS, CONFIG, StatsCache(path=path), jobs=2,
+                supervision=SupervisorConfig(max_retries=0),
+            ).raise_quarantined()
         assert "oltp/private" in str(excinfo.value)
         assert excinfo.value.journal == parallel.quarantine_path(path)
         # The healthy cell was journaled before the raise: a rerun
@@ -341,36 +340,6 @@ class TestSupervision:
         assert report.ran == [] and sorted(
             c.label for c in report.cached
         ) == sorted(c.label for c in self.CELLS)
-
-
-class TestSupervisionResolution:
-    def test_cell_timeout_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(parallel.CELL_TIMEOUT_ENV, "9")
-        assert parallel.resolve_cell_timeout(3.5) == 3.5
-
-    def test_cell_timeout_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(parallel.CELL_TIMEOUT_ENV, "120")
-        assert parallel.resolve_cell_timeout() == 120.0
-        monkeypatch.delenv(parallel.CELL_TIMEOUT_ENV)
-        assert parallel.resolve_cell_timeout() == 0.0
-
-    def test_max_retries_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(parallel.MAX_RETRIES_ENV, "5")
-        assert parallel.resolve_max_retries() == 5
-        monkeypatch.delenv(parallel.MAX_RETRIES_ENV)
-        assert parallel.resolve_max_retries() == 2
-
-    def test_rejects_garbage(self, monkeypatch):
-        with pytest.raises(ValueError):
-            parallel.resolve_cell_timeout(-1.0)
-        with pytest.raises(ValueError):
-            parallel.resolve_max_retries(-1)
-        monkeypatch.setenv(parallel.CELL_TIMEOUT_ENV, "soon")
-        with pytest.raises(ValueError):
-            parallel.resolve_cell_timeout()
-        monkeypatch.setenv(parallel.MAX_RETRIES_ENV, "lots")
-        with pytest.raises(ValueError):
-            parallel.resolve_max_retries()
 
 
 def _journal_keys(path):
@@ -520,27 +489,6 @@ class TestConcurrentAppend:
         loaded, dirty = StatsCache._load(path)
         assert set(loaded) == {first, late} and not dirty
         assert os.listdir(tmp_path) == ["stats.cache"]
-
-
-class TestJobsResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV, "8")
-        assert resolve_jobs(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV, "6")
-        assert resolve_jobs() == 6
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(parallel.JOBS_ENV, raising=False)
-        assert resolve_jobs() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_jobs()
-        with pytest.raises(ValueError):
-            resolve_jobs(0)
 
 
 class TestCellRegistry:

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.experiments import scale
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentConfig, StatsCache
 from repro.harness import runner as harness_runner
 
@@ -24,7 +25,9 @@ CONFIG = ExperimentConfig(warmup_per_core=300, measure_per_core=400, seed=42)
 
 
 def tiny_run(cache, jobs=1):
-    return scale.run(CONFIG, cache=cache, cores=(8,), jobs=jobs)
+    """Fill the 8-core grid with ``jobs`` workers, then read the study."""
+    run_cells(scale.grid((8,)), CONFIG, cache, jobs=jobs).raise_quarantined()
+    return scale.run(CONFIG, cache, cores=(8,))
 
 
 def fingerprints(result):
@@ -38,7 +41,7 @@ def fingerprints(result):
 
 def test_unsupported_core_count_rejected():
     with pytest.raises(ValueError, match="32"):
-        scale.run(CONFIG, cores=(32,))
+        scale.grid((32,))
 
 
 def test_scale_run_fills_grid_and_checkpoints(tmp_path):
